@@ -15,6 +15,7 @@ float64 rounding of the large central values would swamp the identities.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -343,12 +344,23 @@ def convolve(
                 f"window {window} gives tail bound {bound:.3g} > {tail_tol:.3g}",
                 achievable=bound,
             )
-    offsets = range(-window, window + 1)
-    if spec.dps is not None:
-        # term arithmetic must run at the spec's precision, not the ambient one
-        with mp.workdps(spec.dps):
-            return mp.fsum(operator_value(spec, gamma) * g(beta - gamma) for gamma in offsets)
-    return math.fsum(operator_value(spec, gamma) * g(beta - gamma) for gamma in offsets)
+    # term arithmetic must run at the spec's precision, not the ambient one
+    precision = mp.workdps(spec.dps) if spec.dps is not None else contextlib.nullcontext()
+    with precision:
+        return _windowed_sum(spec, _operator_table(spec, window), g, beta)
+
+
+def _operator_table(spec: OperatorSpec, window: int) -> list:
+    """D_m(gamma) for gamma = -window..window, one evaluation per |gamma|."""
+    half = [operator_value(spec, gamma) for gamma in range(window + 1)]
+    return half[:0:-1] + half
+
+
+def _windowed_sum(spec: OperatorSpec, table: list, g: Callable[[int], object], beta: int):
+    """sum_gamma D_m(gamma) g(beta - gamma) over the table's offsets, summed exactly."""
+    window = len(table) // 2
+    terms = (d * g(beta - gamma) for gamma, d in zip(range(-window, window + 1), table))
+    return mp.fsum(terms) if spec.dps is not None else math.fsum(terms)
 
 
 # identity families checked by identity_residuals
@@ -396,6 +408,12 @@ def identity_residuals(
     enlarged where needed so each convergent family's truncation tail is below
     tail_target.  Callbacks are evaluated in mpmath so the residuals reflect
     the identities themselves rather than float64 representation noise.
+
+    D_m(gamma) is evaluated once per |gamma| <= window and each family's
+    callback once per integer offset in [min(betas) - window,
+    max(betas) + window]: O(window + len(betas)) extended-precision
+    evaluations per family, O(window * len(betas)) products, and O(window)
+    extra memory.
     """
     spec = build_operator(m, h, dps=dps)
     lmax = spec.lambda_max
@@ -424,11 +442,16 @@ def identity_residuals(
                 continue
             window = max(window, window_for(spec, tail_target / margin, growth=gr))
 
+        # every family shares the D_m table and samples each integer offset
+        # once; the sums keep the per-beta order of convolve
+        table = _operator_table(spec, window)
+        points = range(min(betas, default=0) - window, max(betas, default=0) + window + 1)
         residuals: dict[str, float] = {}
         for name, g, _ in families:
+            samples = {j: g(j) for j in points}
             worst = mp.mpf(0)
             for beta in betas:
-                val = convolve(spec, g, beta, window)
+                val = _windowed_sum(spec, table, samples.__getitem__, beta)
                 if name == _DELTA and beta == 0:
                     val -= 1
                 worst = max(worst, abs(val))

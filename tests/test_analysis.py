@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import optquad.analysis
 from optquad import (
     QuadratureRule,
     RuleMethod,
@@ -137,6 +138,23 @@ class TestCauchySchwarz:
         assert report.norm_sq >= -1e-12
         assert [e.name for e in report.entries] == ["sin", "exp-neg"]
         assert all(e.within_bound for e in report.entries)
+
+    def test_report_evaluates_norm_once(self, monkeypatch):
+        calls = []
+        original = optquad.analysis.error_norm_squared
+        monkeypatch.setattr(
+            optquad.analysis, "error_norm_squared", lambda rule: calls.append(rule) or original(rule)
+        )
+        error_report(closed_form_m2(8), [builtin_integrand(name) for name in ("sin", "exp", "x2")])
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("m, n", [(1, 32), (2, 64)])
+    def test_report_entries_equal_single_checks(self, m, n):
+        rule = closed_form_m1(n) if m == 1 else closed_form_m2(n)
+        integrands = [builtin_integrand(name) for name in ("sin", "exp", "runge", "x2")]
+        report = error_report(rule, integrands)
+        assert report.norm_sq == error_norm_squared(rule)
+        assert report.entries == tuple(cauchy_schwarz_check(rule, f) for f in integrands)
 
 
 class TestConvergenceStudy:
