@@ -11,7 +11,9 @@ Instead we expand in h with exact rational coefficients,
 
 computed with Fraction arithmetic and rounded once to float.  Thirty terms
 make the series exact to working precision for h in (0, 2]; all inputs in
-this package satisfy h = 1/n <= 1.
+this package satisfy h = 1/n <= 1.  Given ``dps``, :func:`value` instead
+evaluates the printed sum in mpmath, and the cancellation costs digits out
+of ``dps``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+
+import mpmath as mp
 
 _KMAX = 30
 
@@ -57,44 +61,20 @@ def _coeffs(name: str) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _eval(name: str, h: float) -> float:
-    coeffs = _coeffs(name)
-    val = 0.0
-    for k in range(_KMAX, -1, -1):
-        val = val * h + coeffs[k]
-    return val
+def value(name: str, h: float, dps: int | None = None):
+    """The quantity ``name`` of :data:`_TERMS` at spacing h.
 
-
-def p_m2(h: float) -> float:
-    """1 - e^(2h) + 2h e^h, stable for small h (~ -h^3/3)."""
-    return _eval("p_m2", h)
-
-
-def p1_m2(h: float) -> float:
-    """2(e^(2h) - 1) - 2h(e^(2h) + 1), stable for small h (~ -4h^3/3)."""
-    return _eval("p1_m2", h)
-
-
-def radicand_factor(h: float) -> float:
-    """h(e^h + 1)^2 + 2(1 - e^(2h)), stable for small h (~ h^3/3, positive)."""
-    return _eval("radicand_factor", h)
-
-
-def k_num(h: float) -> float:
-    """2e^h - 2 - he^h - h, stable for small h (~ -h^3/6)."""
-    return _eval("k_num", h)
-
-
-def p4_m3(h: float) -> float:
-    """Quartic leading coefficient, ~ -h^5/60."""
-    return _eval("p4_m3", h)
-
-
-def p3_m3(h: float) -> float:
-    """Quartic subleading coefficient, ~ -13h^5/30."""
-    return _eval("p3_m3", h)
-
-
-def p2_m3(h: float) -> float:
-    """Quartic middle coefficient, ~ -11h^5/10."""
-    return _eval("p2_m3", h)
+    With ``dps=None``: the float series, stable for small h.  With ``dps``:
+    the printed sum of c * h^a * e^(b*h) as an mpmath float at ``dps``
+    digits, which loses ~(order * log10(1/h)) of them to cancellation.
+    """
+    if dps is None:
+        coeffs = _coeffs(name)
+        val = 0.0
+        for k in range(_KMAX, -1, -1):
+            val = val * h + coeffs[k]
+        return val
+    with mp.workdps(dps):
+        hm = mp.mpf(h)
+        exps = (1, mp.exp(hm), mp.exp(2 * hm))
+        return mp.fsum(hm**a * exps[b] * c.numerator / c.denominator for c, a, b in _TERMS[name])

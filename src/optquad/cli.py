@@ -13,7 +13,13 @@ import sys
 from pathlib import Path
 
 from .analysis import classical_rule, convergence_study, error_norm_squared
-from .coefficients import build_rule, closed_form_m1, closed_form_m2, coefficients_via_convolution
+from .coefficients import (
+    METHODS,
+    build_rule,
+    closed_form_m1,
+    closed_form_m2,
+    coefficients_via_convolution,
+)
 from .core import (
     QuadratureError,
     QuadratureRule,
@@ -100,29 +106,16 @@ def _emit(payload: str, out: str | None) -> None:
         sys.stdout.write(payload)
 
 
-def _validated_method(m: int, method: str) -> str:
-    if method == "auto":
-        method = "closed" if m in (1, 2) else "solve"
-    allowed = {"closed": (1, 2), "conv": (1, 2), "solve": (1, 2, 3)}
-    if method not in allowed:
-        raise ValueError(f"unknown method {method!r}")
-    if m not in allowed[method]:
-        raise ValueError(f"method {method!r} supports m in {allowed[method]}, got m={m}")
-    return method
-
-
 def cmd_coeffs(args) -> int:
-    method = _validated_method(args.m, args.method)
-    rule = build_rule(args.m, args.n, method)
+    rule = build_rule(args.m, args.n, args.method)
     payload = document_csv(rule) if args.format == "csv" else document_json(rule)
     _emit(payload, args.out)
     return 0
 
 
 def cmd_integrate(args) -> int:
-    method = _validated_method(args.m, args.method)
+    rule = build_rule(args.m, args.n, args.method)
     f = builtin_integrand(args.function)
-    rule = build_rule(args.m, args.n, method)
     value = apply_rule(rule, f.fn)
     lines = [
         f"quadrature value: {_f17(value)}",
@@ -178,15 +171,15 @@ def cmd_verify(args) -> int:
 
 def cmd_convergence(args) -> int:
     n_values = _parse_n_list(args.n_list)
-    method = _validated_method(args.m, args.method)
     if args.norm_mode and args.function:
         raise ValueError("--norm-mode and --function are mutually exclusive")
     if args.norm_mode:
-        table = convergence_study(args.m, n_values, norm_mode=True, method=method)
+        table = convergence_study(args.m, n_values, norm_mode=True, method=args.method)
     else:
         if not args.function:
             raise ValueError("pass --function NAME or --norm-mode")
-        table = convergence_study(args.m, n_values, builtin_integrand(args.function), method=method)
+        f = builtin_integrand(args.function)
+        table = convergence_study(args.m, n_values, f, method=args.method)
     if args.format == "csv":
         lines = ["n,value,ratio,order"]
         for row in table.rows:
@@ -210,10 +203,9 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    method = _validated_method(args.m, args.method)
+    optimal = build_rule(args.m, args.n, args.method)
     f = builtin_integrand(args.function)
     rows = []
-    optimal = build_rule(args.m, args.n, method)
     rows.append(("optimal", apply_rule(optimal, f.fn)))
     rows.append(("trapezoid", apply_rule(classical_rule("trapezoid", args.n), f.fn)))
     note = ""
@@ -255,13 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coeffs", help="construct a rule and emit its document")
     common(p)
-    p.add_argument("--method", default="auto", choices=["closed", "solve", "conv", "auto"])
+    p.add_argument("--method", default="auto", choices=METHODS)
     p.add_argument("--format", default="json", choices=["json", "csv"])
     p.set_defaults(func=cmd_coeffs)
 
     p = sub.add_parser("integrate", help="apply a rule to a built-in integrand")
     common(p)
-    p.add_argument("--method", default="auto", choices=["closed", "solve", "conv", "auto"])
+    p.add_argument("--method", default="auto", choices=METHODS)
     p.add_argument("--function", required=True, help="built-in integrand name")
     p.set_defaults(func=cmd_integrate)
 
@@ -272,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convergence", help="sweep n and tabulate errors or norms")
     common(p, with_n=False)
     p.add_argument("--n-list", required=True, help="comma-separated ascending interval counts")
-    p.add_argument("--method", default="auto", choices=["closed", "solve", "conv", "auto"])
+    p.add_argument("--method", default="auto", choices=METHODS)
     p.add_argument("--function", help="built-in integrand name")
     p.add_argument("--norm-mode", action="store_true", help="tabulate the error-functional norm")
     p.add_argument("--format", default="csv", choices=["csv", "json"])
@@ -280,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="optimal vs trapezoid vs simpson on one integrand")
     common(p)
-    p.add_argument("--method", default="auto", choices=["closed", "solve", "conv", "auto"])
+    p.add_argument("--method", default="auto", choices=METHODS)
     p.add_argument("--function", required=True, help="built-in integrand name")
     p.set_defaults(func=cmd_compare)
     return parser

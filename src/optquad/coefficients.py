@@ -1,5 +1,6 @@
-"""Closed-form optimal coefficients (orders 1 and 2) and the convolution-style
-assembly that rebuilds them from the discrete operator's boundary constants.
+"""Closed-form optimal coefficients (orders 1 and 2), the convolution-style
+assembly that regroups them, and :func:`build_rule`, which dispatches on the
+method name.
 
 Order 1: constant interior weight 2(e^h-1)/(e^h+1) with half weights at the
 endpoints.  Order 2: interior weights h plus geometric boundary layers
@@ -9,33 +10,23 @@ Orders >= 3 have no closed form here; use :mod:`optquad.solver`.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
 
 from . import _series
-from .core import ConstructionError, GridSpec, QuadratureRule, RuleMethod, moment_f, psi
+from .core import ORDERS, ConstructionError, GridSpec, QuadratureRule, RuleMethod, moment_f, psi
+from .operator import characteristic_polynomial, stable_roots
+from .solver import assemble_system, solve
 
 
 def lambda1(h: float) -> float:
     """Stable root (|lambda| < 1, negative) of the order-2 characteristic quadratic.
 
-    Cancellation-safe: the discriminant is taken through its factored form
-    4h(e^h-1)^2 * (h(e^h+1)^2 + 2(1-e^(2h))) and the root through the
-    division-form quadratic formula, so accuracy holds uniformly in h.
+    The root of :func:`optquad.operator.stable_roots`: cancellation-safe
+    uniformly in h through the factored discriminant and the division-form
+    quadratic formula.
     """
-    if not h > 0:
-        raise ValueError(f"spacing h must be positive, got {h}")
-    radicand = h * _series.radicand_factor(h)
-    if not radicand > 0:
-        raise ConstructionError(f"discriminant not positive at h={h}")
-    sqrt_disc = 2.0 * math.expm1(h) * math.sqrt(radicand)
-    p = _series.p_m2(h)
-    p1 = _series.p1_m2(h)
-    q = (-p1 + sqrt_disc) / 2.0  # p1 < 0 for all h > 0, so no cancellation here
-    lam = p / q
-    if not abs(lam) < 1.0:
-        raise ConstructionError(f"stable root left the unit disk at h={h}: {lam}")
-    return lam
+    return stable_roots(characteristic_polynomial(2, h))[0]
 
 
 def closed_form_m1(n: int) -> QuadratureRule:
@@ -52,7 +43,7 @@ def _k_constant(h: float, lam: float, n: int) -> float:
     denom = 2.0 * math.expm1(h) ** 2 * (lam + lam_n1)
     if denom == 0.0:
         raise ConstructionError(f"boundary-layer denominator vanished at n={n}")
-    return _series.k_num(h) * (lam - 1.0) / denom
+    return _series.value("k_num", h) * (lam - 1.0) / denom
 
 
 def _powi(x: float, n: int) -> float:
@@ -84,24 +75,6 @@ def closed_form_m2(n: int) -> QuadratureRule:
     return QuadratureRule(grid, tuple(coeffs), RuleMethod.CLOSED_FORM)
 
 
-@dataclass(frozen=True)
-class BoundaryConstants:
-    """Constants entering the convolution assembly of the optimal weights.
-
-    ``a``/``b`` correct the two endpoint weights, ``a_k``/``b_k`` scale the
-    geometric layers (one pair per stable root), ``d`` is the multiplier of
-    the exponential constraint and ``big_d`` the quarter-sum of C_beta e^(x_beta).
-    For order 1: a = b = (1 - e^h)/(e^h + 1) and d = 0 exactly.
-    """
-
-    a: float
-    b: float
-    a_k: tuple[float, ...]
-    b_k: tuple[float, ...]
-    d: float
-    big_d: float
-
-
 def _recover_multipliers(m: int, coeffs, grid: GridSpec) -> tuple[float, float]:
     """Solve the two boundary rows of the constrained system for (P0, d).
 
@@ -126,21 +99,15 @@ def coefficients_via_convolution(m: int, n: int) -> QuadratureRule:
     """Assemble the optimal weights from the operator's analytic convolution
     values plus boundary constants, as an independent arithmetic path.
 
-    Order 1: interior value 2(e^h-1)/(e^h+1) with a = b = -(e^h-1)/(e^h+1);
-    collapses to the closed form exactly.  Order 2: interior value h with the
+    Order 1: the assembly collapses to the closed form exactly, so this is
+    :func:`closed_form_m1` tagged as a convolution rule.  Order 2: interior value h with the
     layer amplitudes a1 = K(e^h - lambda1), b1 = K(1 - e^h lambda1) and the
     endpoint weights in their expanded fraction form, grouped differently
     from :func:`closed_form_m2`.  Orders >= 3 are unsupported (the boundary
     constants are not resolved in closed form).
     """
     if m == 1:
-        grid = GridSpec(1, n)
-        h = grid.h
-        w = math.expm1(h) / (math.exp(h) + 1.0)
-        interior = 2.0 * w
-        a = b = -w
-        coeffs = (interior + a,) + (interior,) * (n - 1) + (interior + b,)
-        return QuadratureRule(grid, coeffs, RuleMethod.CONVOLUTION, multiplier_d=0.0)
+        return dataclasses.replace(closed_form_m1(n), method=RuleMethod.CONVOLUTION)
     if m != 2:
         raise ValueError("convolution assembly is available for orders 1 and 2 only")
     grid = GridSpec(2, n)
@@ -152,7 +119,7 @@ def coefficients_via_convolution(m: int, n: int) -> QuadratureRule:
     a1 = K * (E - lam)
     b1 = K * (1.0 - E * lam)
     # endpoint weights in expanded form; the shared numerator couples the layers
-    g = _series.k_num(h)
+    g = _series.value("k_num", h)
     denom = 2.0 * math.expm1(h) ** 2 * (lam + lam * lam_n)
     layer_sum = g * (lam * lam + lam_n - lam - lam * lam_n) / denom
     c_first = (math.expm1(h) - h) / math.expm1(h) - layer_sum
@@ -168,51 +135,28 @@ def coefficients_via_convolution(m: int, n: int) -> QuadratureRule:
     )
 
 
-def boundary_constants(m: int, n: int) -> BoundaryConstants:
-    """Boundary constants of the convolution assembly for orders 1 and 2."""
-    if m == 1:
-        grid = GridSpec(1, n)
-        h = grid.h
-        w = math.expm1(h) / (math.exp(h) + 1.0)
-        rule = closed_form_m1(n)
-        big_d = 0.25 * math.fsum(
-            c * math.exp(beta / n) for beta, c in enumerate(rule.coefficients)
-        )
-        return BoundaryConstants(-w, -w, (), (), 0.0, big_d)
-    if m != 2:
-        raise ValueError("boundary constants are resolved for orders 1 and 2 only")
-    rule = coefficients_via_convolution(2, n)
-    grid = rule.grid
-    h, E = grid.h, math.exp(grid.h)
-    lam = lambda1(h)
-    lam_n = _powi(lam, n)
-    K = _k_constant(h, lam, n)
-    a1 = K * (E - lam)
-    b1 = K * (1.0 - E * lam)
-    a = rule.coefficients[0] - (h + a1 + b1 * lam_n)
-    b = rule.coefficients[n] - (h + a1 * lam_n + b1)
-    big_d = 0.25 * math.fsum(c * math.exp(beta / n) for beta, c in enumerate(rule.coefficients))
-    return BoundaryConstants(a, b, (a1,), (b1,), rule.multiplier_d, big_d)
+# method -> (orders it accepts, constructor).  The constructors look their
+# functions up by module global when called, so wrappers installed on those
+# names after import see every call.
+_METHODS = {
+    "closed": ((1, 2), lambda m, n: closed_form_m1(n) if m == 1 else closed_form_m2(n)),
+    "solve": (ORDERS, lambda m, n: solve(assemble_system(m, n))),
+    "conv": ((1, 2), lambda m, n: coefficients_via_convolution(m, n)),
+    # the closed form where it exists, otherwise the direct solve
+    "auto": (ORDERS, lambda m, n: build_rule(m, n, "closed" if m in (1, 2) else "solve")),
+}
+METHODS = tuple(_METHODS)
 
 
 def build_rule(m: int, n: int, method: str = "auto") -> QuadratureRule:
     """Construct a rule by method name: closed | solve | conv | auto.
 
-    ``auto`` picks the closed form for m <= 2 and the direct solve for m = 3.
-    Method/order combinations without a construction raise ValueError.
+    Method/order combinations without a construction raise ValueError naming
+    the orders the method accepts.
     """
-    if method == "auto":
-        method = "closed" if m in (1, 2) else "solve"
-    if method == "closed":
-        if m == 1:
-            return closed_form_m1(n)
-        if m == 2:
-            return closed_form_m2(n)
-        raise ValueError("closed form is available for orders 1 and 2 only")
-    if method == "conv":
-        return coefficients_via_convolution(m, n)
-    if method == "solve":
-        from .solver import assemble_system, solve
-
-        return solve(assemble_system(m, n))
-    raise ValueError(f"unknown method {method!r}; use closed, solve, conv or auto")
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}; use one of {', '.join(METHODS)}")
+    orders, construct = _METHODS[method]
+    if m not in orders:
+        raise ValueError(f"method {method!r} supports m in {orders}, got m={m}")
+    return construct(m, n)

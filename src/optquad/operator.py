@@ -7,10 +7,11 @@ property is that discrete convolution with the sinh-type kernel yields the
 unit impulse; it also annihilates samples of e^(+-x) and, for m >= 2,
 polynomials of degree up to 2m-3.
 
-Two numeric backends share the same formulas: the default float64 path (with
-series-stabilised polynomial coefficients from :mod:`optquad._series`) and an
-mpmath path (``dps`` digits) for verification-grade convolution checks, where
-float64 rounding of the large central values would swamp the identities.
+Every formula is written once and evaluated in the precision chosen by
+``dps``: float64 by default, with the polynomial coefficients from the
+series of :mod:`optquad._series`, or mpmath at ``dps`` digits for
+verification-grade convolution checks, where float64 rounding of the large
+central values would swamp the identities.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import mpmath as mp
 
@@ -26,13 +27,43 @@ from . import _series
 from .core import ConstructionError, ORDERS, ToleranceError
 
 
+class _Arith(NamedTuple):
+    """The operations the formulas need, in one precision."""
+
+    num: Callable
+    exp: Callable
+    expm1: Callable
+    sqrt: Callable
+    copysign: Callable
+    fsum: Callable
+    context: Callable  # () -> context manager that sets the working precision
+
+
+_FLOAT = _Arith(
+    float, math.exp, math.expm1, math.sqrt, math.copysign, math.fsum, contextlib.nullcontext
+)
+
+
+def _arith(dps: int | None) -> _Arith:
+    if dps is None:
+        return _FLOAT
+    return _Arith(
+        mp.mpf, mp.exp, mp.expm1, mp.sqrt, lambda x, y: mp.sign(y) * abs(x), mp.fsum,
+        lambda: mp.workdps(dps),
+    )
+
+
 @dataclass(frozen=True)
 class CharacteristicPolynomial:
-    """P(lambda) of degree 2m-2, coefficients ascending (palindromic)."""
+    """P(lambda) of degree 2m-2, coefficients ascending (palindromic).
+
+    ``dps`` marks coefficients that are mpmath floats at that precision.
+    """
 
     m: int
     h: float
     coeffs: tuple
+    dps: int | None = None
 
     @property
     def degree(self) -> int:
@@ -51,6 +82,10 @@ class CharacteristicPolynomial:
         return val
 
 
+# _series names of the palindromic coefficients, outer to middle
+_HALF_COEFFS = {2: ("p_m2", "p1_m2"), 3: ("p4_m3", "p3_m3", "p2_m3")}
+
+
 def characteristic_polynomial(m: int, h: float, dps: int | None = None) -> CharacteristicPolynomial:
     """Characteristic polynomial whose stable roots drive the operator tails.
 
@@ -65,33 +100,14 @@ def characteristic_polynomial(m: int, h: float, dps: int | None = None) -> Chara
         raise ValueError(f"order m must be in {ORDERS}, got {m}")
     if not h > 0:
         raise ValueError(f"spacing h must be positive, got {h}")
-    if dps is not None:
-        with mp.workdps(dps):
-            hm = mp.mpf(h)
-            E, E2 = mp.exp(hm), mp.exp(2 * hm)
-            if m == 2:
-                p = 1 - E2 + 2 * hm * E
-                p1 = 2 * (E2 - 1) - 2 * hm * (E2 + 1)
-                coeffs = (p, p1, p)
-            else:
-                b0 = hm + hm**3 / 6
-                b1 = -2 * hm + 2 * hm**3 / 3
-                p4 = (1 - E2) + 2 * E * b0
-                p3 = -4 * (1 - E2) + 2 * E * b1 - 2 * (E2 + 1) * b0
-                p2 = 6 * (1 - E2) + 4 * E * b0 - 2 * (E2 + 1) * b1
-                coeffs = (p4, p3, p2, p3, p4)
-        return CharacteristicPolynomial(m, h, coeffs)
-    if m == 2:
-        p = _series.p_m2(h)
-        return CharacteristicPolynomial(m, h, (p, _series.p1_m2(h), p))
-    p4, p3, p2 = _series.p4_m3(h), _series.p3_m3(h), _series.p2_m3(h)
-    return CharacteristicPolynomial(m, h, (p4, p3, p2, p3, p4))
+    half = [_series.value(name, h, dps) for name in _HALF_COEFFS[m]]
+    return CharacteristicPolynomial(m, h, tuple(half + half[-2::-1]), dps)
 
 
-def _stable_quadratic_root(a, b, sqrt_disc):
+def _stable_quadratic_root(a, b, sqrt_disc, ar: _Arith):
     # roots of a*x^2 + b*x + a with disc = b^2 - 4a^2 >= 0; returns the one
     # inside the unit disk without subtractive cancellation (root product is 1)
-    q = -(b + math.copysign(sqrt_disc, b)) / 2.0 if isinstance(b, float) else -(b + mp.sign(b) * sqrt_disc) / 2
+    q = -(b + ar.copysign(sqrt_disc, b)) / 2
     return a / q
 
 
@@ -111,15 +127,13 @@ def _validate_roots(poly: CharacteristicPolynomial, roots) -> list:
     return roots
 
 
-def _generic_inner_roots(poly: CharacteristicPolynomial) -> list:
+def _generic_inner_roots(poly: CharacteristicPolynomial, ar: _Arith) -> list:
     # fallback: generic polynomial rootfinder, real roots inside the unit disk
     with mp.workdps(40):
         found = mp.polyroots([mp.mpf(c) for c in reversed(poly.coeffs)],
                              maxsteps=200, extraprec=120)
         inner = [r.real for r in found if abs(r) < 1 and abs(r.imag) < 1e-25 * (1 + abs(r))]
-    if isinstance(poly.coeffs[0], float):
-        inner = [float(r) for r in inner]
-    return sorted(inner)
+    return sorted(ar.num(r) for r in inner)
 
 
 def stable_roots(poly: CharacteristicPolynomial) -> list:
@@ -131,45 +145,38 @@ def stable_roots(poly: CharacteristicPolynomial) -> list:
     quadratic in mu = lambda + 1/lambda; each mu gives a reciprocal root pair
     and we keep the inner one.  Candidates failing the residual check against
     the polynomial trigger one retry with a generic rootfinder before the
-    construction is declared failed.
+    construction is declared failed.  Arithmetic runs at the polynomial's
+    precision.
     """
-    try:
-        return _validate_roots(poly, _reduced_roots(poly))
-    except ValueError:
-        raise
-    except ConstructionError:
-        return _validate_roots(poly, _generic_inner_roots(poly))
+    ar = _arith(poly.dps)
+    with ar.context():
+        try:
+            return _validate_roots(poly, _reduced_roots(poly, ar))
+        except ConstructionError:
+            return _validate_roots(poly, _generic_inner_roots(poly, ar))
 
 
-def _reduced_roots(poly: CharacteristicPolynomial) -> list:
-    m, h = poly.m, poly.h
-    is_mp = not isinstance(poly.coeffs[0], float)
+def _reduced_roots(poly: CharacteristicPolynomial, ar: _Arith) -> list:
+    m, h = poly.m, ar.num(poly.h)
     if m == 2:
         p, p1 = poly.coeffs[2], poly.coeffs[1]
-        if is_mp:
-            sqrt_disc = mp.sqrt(p1 * p1 - 4 * p * p)
-        else:
-            sqrt_disc = 2.0 * math.expm1(h) * math.sqrt(h * _series.radicand_factor(h))
-        return [_stable_quadratic_root(p, p1, sqrt_disc)]
+        radicand = h * _series.value("radicand_factor", poly.h, poly.dps)
+        sqrt_disc = 2 * ar.expm1(h) * ar.sqrt(radicand)
+        return [_stable_quadratic_root(p, p1, sqrt_disc, ar)]
     if m != 3:
         raise ValueError(f"unsupported order {m}")
     p4, p3, p2 = poly.coeffs[4], poly.coeffs[3], poly.coeffs[2]
     # mu^2 * p4 + mu * p3 + (p2 - 2 p4) = 0, mu = lambda + 1/lambda
     disc = p3 * p3 - 4 * p4 * (p2 - 2 * p4)
     if disc <= 0:
-        raise ConstructionError(f"non-real root pair for m=3, h={h}")
-    sq = mp.sqrt(disc) if is_mp else math.sqrt(disc)
-    if is_mp:
-        qq = -(p3 + mp.sign(p3) * sq) / 2
-    else:
-        qq = -(p3 + math.copysign(sq, p3)) / 2.0
+        raise ConstructionError(f"non-real root pair for m=3, h={poly.h}")
+    qq = -(p3 + ar.copysign(ar.sqrt(disc), p3)) / 2
     roots = []
     for mu in (qq / p4, (p2 - 2 * p4) / qq):
         if abs(mu) <= 2:
-            raise ConstructionError(f"|mu| <= 2 gives no real reciprocal pair (h={h})")
-        musq = mp.sqrt(mu * mu - 4) if is_mp else math.sqrt(mu * mu - 4.0)
-        outer = (mu + (mp.sign(mu) * musq if is_mp else math.copysign(musq, mu))) / 2
-        roots.append(1 / outer)
+            raise ConstructionError(f"|mu| <= 2 gives no real reciprocal pair (h={poly.h})")
+        # inner root of lambda^2 - mu*lambda + 1
+        roots.append(_stable_quadratic_root(1, -mu, ar.sqrt(mu * mu - 4), ar))
     roots.sort()
     return roots
 
@@ -216,35 +223,22 @@ def build_operator(m: int, h: float, dps: int | None = None) -> OperatorSpec:
         raise ValueError(f"order m must be in {ORDERS}, got {m}")
     if not h > 0:
         raise ValueError(f"spacing h must be positive, got {h}")
-    if dps is not None:
-        with mp.workdps(dps):
-            hm = mp.mpf(h)
-            E, E2 = mp.exp(hm), mp.exp(2 * hm)
-            if m == 1:
-                return OperatorSpec(m, h, 1 - E2, 1 + E2, (), (), E, dps)
-            poly = characteristic_polynomial(m, h, dps=dps)
-            roots = stable_roots(poly)
-            p_lead, p_sub = poly.coeffs[-1], poly.coeffs[-2]
-            c_const = 1 + (2 * m - 2) * E + E2 + E * p_sub / p_lead
-            amps = tuple(
-                2 * (1 - lam) ** (2 * m - 2) * (lam * (E2 + 1) - E * (lam * lam + 1)) * p_lead
-                / (lam * poly.derivative(lam))
-                for lam in roots
-            )
-            return OperatorSpec(m, h, p_lead, c_const, tuple(roots), amps, E, dps)
-    E, E2 = math.exp(h), math.exp(2 * h)
-    if m == 1:
-        return OperatorSpec(m, h, -math.expm1(2 * h), 1 + E2, (), (), E)
-    poly = characteristic_polynomial(m, h)
-    roots = stable_roots(poly)
-    p_lead, p_sub = poly.coeffs[-1], poly.coeffs[-2]
-    c_const = 1 + (2 * m - 2) * E + E2 + E * p_sub / p_lead
-    amps = tuple(
-        2 * (1 - lam) ** (2 * m - 2) * (lam * (E2 + 1) - E * (lam * lam + 1)) * p_lead
-        / (lam * poly.derivative(lam))
-        for lam in roots
-    )
-    return OperatorSpec(m, h, p_lead, c_const, tuple(roots), amps, E)
+    ar = _arith(dps)
+    with ar.context():
+        hh = ar.num(h)
+        E, E2 = ar.exp(hh), ar.exp(2 * hh)
+        if m == 1:
+            return OperatorSpec(m, h, -ar.expm1(2 * hh), 1 + E2, (), (), E, dps)
+        poly = characteristic_polynomial(m, h, dps=dps)
+        roots = stable_roots(poly)
+        p_lead, p_sub = poly.coeffs[-1], poly.coeffs[-2]
+        c_const = 1 + (2 * m - 2) * E + E2 + E * p_sub / p_lead
+        amps = tuple(
+            2 * (1 - lam) ** (2 * m - 2) * (lam * (E2 + 1) - E * (lam * lam + 1)) * p_lead
+            / (lam * poly.derivative(lam))
+            for lam in roots
+        )
+        return OperatorSpec(m, h, p_lead, c_const, tuple(roots), amps, E, dps)
 
 
 def operator_value(spec: OperatorSpec, beta: int):
@@ -345,8 +339,7 @@ def convolve(
                 achievable=bound,
             )
     # term arithmetic must run at the spec's precision, not the ambient one
-    precision = mp.workdps(spec.dps) if spec.dps is not None else contextlib.nullcontext()
-    with precision:
+    with _arith(spec.dps).context():
         return _windowed_sum(spec, _operator_table(spec, window), g, beta)
 
 
@@ -360,7 +353,7 @@ def _windowed_sum(spec: OperatorSpec, table: list, g: Callable[[int], object], b
     """sum_gamma D_m(gamma) g(beta - gamma) over the table's offsets, summed exactly."""
     window = len(table) // 2
     terms = (d * g(beta - gamma) for gamma, d in zip(range(-window, window + 1), table))
-    return mp.fsum(terms) if spec.dps is not None else math.fsum(terms)
+    return _arith(spec.dps).fsum(terms)
 
 
 # identity families checked by identity_residuals

@@ -57,9 +57,9 @@ def quad_moment(m: int, t: float) -> float:
     return val
 
 
-def mp_char_coeffs(m: int, h) -> list[mp.mpf]:
+def mp_char_coeffs(m: int, h, dps: int = DPS) -> list[mp.mpf]:
     """Characteristic coefficients, ascending, straight from the defining product."""
-    with mp.workdps(DPS):
+    with mp.workdps(dps):
         h = mp.mpf(h)
         E, E2 = mp.exp(h), mp.exp(2 * h)
         if m == 2:

@@ -70,6 +70,18 @@ class TestCoeffs:
         assert code == 2
         assert "m" in err
 
+    @pytest.mark.parametrize("method", ["closed", "conv"])
+    @pytest.mark.parametrize("command, args", [
+        ("coeffs", ["--n", "2"]),
+        ("integrate", ["--n", "2", "--function", "sin"]),
+        ("convergence", ["--n-list", "2,4", "--function", "sin"]),
+        ("compare", ["--n", "2", "--function", "sin"]),
+    ], ids=["coeffs", "integrate", "convergence", "compare"])
+    def test_method_without_order_three_is_usage_error(self, command, args, method, capsys):
+        code, out, err = run_cli(command, "--m", "3", *args, "--method", method, capsys=capsys)
+        assert (code, out) == (2, "")
+        assert f"method {method!r} supports m in (1, 2), got m=3" in err
+
     def test_solve_method_for_order_three(self, capsys):
         code, out, _ = run_cli("coeffs", "--m", "3", "--n", "4", "--method", "solve", capsys=capsys)
         assert code == 0

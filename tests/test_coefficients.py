@@ -5,7 +5,6 @@ import pytest
 from optquad import (
     RuleMethod,
     apply_rule,
-    boundary_constants,
     build_rule,
     characteristic_polynomial,
     closed_form_m1,
@@ -162,35 +161,6 @@ class TestConvolutionAssembly:
     def test_unsupported_order(self):
         with pytest.raises(ValueError):
             coefficients_via_convolution(3, 4)
-
-
-class TestBoundaryConstants:
-    @pytest.mark.parametrize("n", [1, 2, 8, 32])
-    def test_order_one_values(self, n):
-        bc = boundary_constants(1, n)
-        h = 1.0 / n
-        expected = (1.0 - math.exp(h)) / (math.exp(h) + 1.0)
-        assert bc.a == pytest.approx(expected, rel=1e-15)
-        assert bc.a == bc.b
-        assert bc.d == 0.0
-        assert bc.a_k == () and bc.b_k == ()
-
-    @pytest.mark.parametrize("n", [1, 2, 8])
-    def test_big_d_is_quarter_exponential_sum(self, n):
-        bc = boundary_constants(2, n)
-        rule = coefficients_via_convolution(2, n)
-        expected = 0.25 * math.fsum(
-            c * math.exp(beta / n) for beta, c in enumerate(rule.coefficients)
-        )
-        assert bc.big_d == pytest.approx(expected, rel=1e-14)
-
-    def test_layer_amplitudes_have_one_entry_for_order_two(self):
-        bc = boundary_constants(2, 6)
-        assert len(bc.a_k) == len(bc.b_k) == 1
-
-    def test_unsupported_order(self):
-        with pytest.raises(ValueError):
-            boundary_constants(3, 4)
 
 
 class TestBuildRule:

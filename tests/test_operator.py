@@ -42,6 +42,18 @@ class TestCharacteristicPolynomial:
         for got, want in zip(poly.coeffs, ref):
             assert got == pytest.approx(float(want), rel=5e-16)
 
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("n", [1, 4, 16, 64, 160, 1024])
+    def test_extended_coefficients_match_reference(self, m, n):
+        # the printed sums cancel to ~h^(2m-1): that many digits of dps are lost
+        dps = 50
+        poly = characteristic_polynomial(m, 1.0 / n, dps=dps)
+        ref = oracles.mp_char_coeffs(m, 1.0 / n, dps=2 * dps)
+        tol = mp.mpf(10) ** (5 - dps) * n ** (2 * m - 1)
+        assert poly.dps == dps
+        for got, want in zip(poly.coeffs, ref):
+            assert abs(got - want) <= tol * abs(want)
+
     @pytest.mark.parametrize("h", H_SET)
     def test_quartic_is_palindromic(self, h):
         poly = characteristic_polynomial(3, h)
@@ -156,7 +168,7 @@ class TestOperatorValues:
             assert abs(operator_value(spec, beta)) <= K * lmax ** (beta - 1) * (1 + 1e-12)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
-    @pytest.mark.parametrize("h", [0.5, 0.1])
+    @pytest.mark.parametrize("h", [0.5, 0.1, 1.0 / 64.0, 1.0 / 160.0])
     def test_float_and_extended_modes_agree(self, m, h):
         spec_f = build_operator(m, h)
         spec_mp = build_operator(m, h, dps=40)

@@ -12,7 +12,16 @@ H_GRID = [1.0, 0.7, 0.5, 0.25, 0.125, 0.1, 1.0 / 64.0, 1e-2, 1e-3, 1e-5, 1e-8]
 @pytest.mark.parametrize("name", QUANTITIES)
 @pytest.mark.parametrize("h", H_GRID)
 def test_series_matches_high_precision(name, h):
-    got = getattr(_series, name)(h)
+    got = _series.value(name, h)
+    ref = oracles.mp_series_reference(name, h)
+    assert got == pytest.approx(ref, rel=5e-16, abs=1e-300)
+
+
+@pytest.mark.parametrize("name", QUANTITIES)
+@pytest.mark.parametrize("h", H_GRID)
+def test_extended_sum_matches_high_precision(name, h):
+    # at 60 digits the printed sum keeps >= 19 after the h^5 cancellation at h = 1e-8
+    got = float(_series.value(name, h, dps=60))
     ref = oracles.mp_series_reference(name, h)
     assert got == pytest.approx(ref, rel=5e-16, abs=1e-300)
 
@@ -20,19 +29,19 @@ def test_series_matches_high_precision(name, h):
 @pytest.mark.parametrize("h", H_GRID)
 def test_signs_and_leading_orders(h):
     # leading behaviour: p ~ -h^3/3, p1 ~ -4h^3/3, radicand ~ h^3/3, k_num ~ -h^3/6
-    assert _series.p_m2(h) < 0
-    assert _series.p1_m2(h) < 0
-    assert _series.radicand_factor(h) > 0
-    assert _series.k_num(h) < 0
-    assert _series.p4_m3(h) < 0
+    assert _series.value("p_m2", h) < 0
+    assert _series.value("p1_m2", h) < 0
+    assert _series.value("radicand_factor", h) > 0
+    assert _series.value("k_num", h) < 0
+    assert _series.value("p4_m3", h) < 0
 
 
 def test_small_h_asymptotics():
     h = 1e-6
-    assert _series.p_m2(h) == pytest.approx(-h**3 / 3, rel=2e-6)
-    assert _series.p1_m2(h) == pytest.approx(-4 * h**3 / 3, rel=2e-6)
-    assert _series.radicand_factor(h) == pytest.approx(h**3 / 3, rel=4e-6)
-    assert _series.k_num(h) == pytest.approx(-h**3 / 6, rel=2e-6)
-    assert _series.p4_m3(h) == pytest.approx(-h**5 / 60, rel=2e-6)
-    assert _series.p3_m3(h) == pytest.approx(-13 * h**5 / 30, rel=2e-6)
-    assert _series.p2_m3(h) == pytest.approx(-11 * h**5 / 10, rel=2e-6)
+    assert _series.value("p_m2", h) == pytest.approx(-h**3 / 3, rel=2e-6)
+    assert _series.value("p1_m2", h) == pytest.approx(-4 * h**3 / 3, rel=2e-6)
+    assert _series.value("radicand_factor", h) == pytest.approx(h**3 / 3, rel=4e-6)
+    assert _series.value("k_num", h) == pytest.approx(-h**3 / 6, rel=2e-6)
+    assert _series.value("p4_m3", h) == pytest.approx(-h**5 / 60, rel=2e-6)
+    assert _series.value("p3_m3", h) == pytest.approx(-13 * h**5 / 30, rel=2e-6)
+    assert _series.value("p2_m3", h) == pytest.approx(-11 * h**5 / 10, rel=2e-6)
