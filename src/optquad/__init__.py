@@ -3,8 +3,11 @@
 Rules minimise the worst-case integration error over the unit ball of the
 space normed by ||f^(m) + f^(m-1)||_L2 (m = 1, 2, 3) at fixed uniform nodes,
 and are exact for exp(-x) and for polynomials of degree up to m - 2.
-Closed forms exist for m = 1 and m = 2; a dense constrained solve covers all
+Closed forms exist for m = 1 and m = 2, written once and run in float64 or,
+as their own self-check, at 50 digits; a dense constrained solve covers all
 supported orders and doubles as the independent oracle for the closed forms.
+``coefficients_via_convolution`` is a deprecated alias of
+``build_rule(m, n, "closed")``.
 """
 
 from .analysis import (

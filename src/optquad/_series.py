@@ -10,10 +10,11 @@ Instead we expand in h with exact rational coefficients,
     coeff of h^k  =  sum_j c_j * b_j^(k - a_j) / (k - a_j)!,
 
 computed with Fraction arithmetic and rounded once to float.  Thirty terms
-make the series exact to working precision for h in (0, 2]; all inputs in
-this package satisfy h = 1/n <= 1.  Given ``dps``, :func:`value` instead
-evaluates the printed sum in mpmath, and the cancellation costs digits out
-of ``dps``.
+keep every quantity within 3e-16 relative for h in (0, 1.6]; past that the
+truncation error grows fast (7.7e-15 at h = 2, 1.4e-12 at h = 2.5), so the
+float path refuses h > 1.5.  Every grid has h = 1/n <= 1.  Given ``dps``,
+:func:`value` instead evaluates the printed sum in mpmath, for any h, and
+the cancellation costs digits out of ``dps``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from functools import lru_cache
 import mpmath as mp
 
 _KMAX = 30
+_H_MAX = 1.5  # largest spacing the 30-term float series is trusted at
 
 # (coefficient, power of h, exponential multiple) triples for each quantity
 _TERMS = {
@@ -64,11 +66,17 @@ def _coeffs(name: str) -> tuple[float, ...]:
 def value(name: str, h: float, dps: int | None = None):
     """The quantity ``name`` of :data:`_TERMS` at spacing h.
 
-    With ``dps=None``: the float series, stable for small h.  With ``dps``:
-    the printed sum of c * h^a * e^(b*h) as an mpmath float at ``dps``
-    digits, which loses ~(order * log10(1/h)) of them to cancellation.
+    With ``dps=None``: the float series, stable for small h; h above
+    ``_H_MAX`` raises ValueError.  With ``dps``: the printed sum of
+    c * h^a * e^(b*h) as an mpmath float at ``dps`` digits, which loses
+    ~(order * log10(1/h)) of them to cancellation.
     """
     if dps is None:
+        if h > _H_MAX:
+            raise ValueError(
+                f"the float series is accurate only for h <= {_H_MAX}, got h={h}; "
+                "pass dps for larger spacings"
+            )
         coeffs = _coeffs(name)
         val = 0.0
         for k in range(_KMAX, -1, -1):

@@ -13,13 +13,7 @@ import sys
 from pathlib import Path
 
 from .analysis import classical_rule, convergence_study, error_norm_squared
-from .coefficients import (
-    METHODS,
-    build_rule,
-    closed_form_m1,
-    closed_form_m2,
-    coefficients_via_convolution,
-)
+from .coefficients import METHODS, _closed_weights, build_rule
 from .core import (
     QuadratureError,
     QuadratureRule,
@@ -134,22 +128,17 @@ def _verify_checks(m: int, n: int) -> list[dict]:
 
     rules: dict[str, QuadratureRule] = {}
     if m in (1, 2):
-        rules["closed"] = closed_form_m1(n) if m == 1 else closed_form_m2(n)
-        rules["conv"] = coefficients_via_convolution(m, n)
+        rules["closed"] = build_rule(m, n, "closed")
     rules["solve"] = solve(assemble_system(m, n))
     for name, rule in rules.items():
         add(f"{name}_constraints", max(constraint_residuals(rule).values()), 1e-12)
     if "closed" in rules:
-        dev = max(
-            abs(a - b)
-            for a, b in zip(rules["closed"].coefficients, rules["solve"].coefficients)
-        )
+        closed = rules["closed"].coefficients
+        dev = max(abs(a - b) for a, b in zip(closed, rules["solve"].coefficients))
         add("closed_vs_solve", dev, 1e-12 if m == 1 else 1e-9)
-        dev_conv = max(
-            abs(a - b)
-            for a, b in zip(rules["conv"].coefficients, rules["closed"].coefficients)
-        )
-        add("conv_vs_closed", dev_conv, 1e-12)
+        # the same closed-form code run at 50 digits, with the exact spacing 1/n
+        extended = _closed_weights(m, n, dps=50)
+        add("closed_vs_extended", float(max(abs(a - b) for a, b in zip(closed, extended))), 1e-12)
     report = identity_residuals(m, 1.0 / n)
     if report.divergent:
         # cannot happen for valid grids (m=3 needs n>=2); fail loudly if it does

@@ -68,13 +68,12 @@ class RuleMethod(enum.Enum):
 
     CLOSED_FORM = "closed"
     DIRECT_SOLVE = "solve"
-    CONVOLUTION = "conv"
     TRAPEZOID = "trapezoid"
     SIMPSON = "simpson"
 
     @property
     def is_optimal(self) -> bool:
-        return self in (RuleMethod.CLOSED_FORM, RuleMethod.DIRECT_SOLVE, RuleMethod.CONVOLUTION)
+        return self in (RuleMethod.CLOSED_FORM, RuleMethod.DIRECT_SOLVE)
 
 
 @dataclass(frozen=True)

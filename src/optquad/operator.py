@@ -128,8 +128,9 @@ def _validate_roots(poly: CharacteristicPolynomial, roots) -> list:
 
 
 def _generic_inner_roots(poly: CharacteristicPolynomial, ar: _Arith) -> list:
-    # fallback: generic polynomial rootfinder, real roots inside the unit disk
-    with mp.workdps(40):
+    # fallback: generic polynomial rootfinder, real roots inside the unit
+    # disk, with 20 digits to spare over extended-precision coefficients
+    with mp.workdps(40 if poly.dps is None else max(40, poly.dps + 20)):
         found = mp.polyroots([mp.mpf(c) for c in reversed(poly.coeffs)],
                              maxsteps=200, extraprec=120)
         inner = [r.real for r in found if abs(r) < 1 and abs(r.imag) < 1e-25 * (1 + abs(r))]

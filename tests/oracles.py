@@ -23,9 +23,9 @@ from optquad.operator import _psi_mp, build_operator, operator_value, window_for
 DPS = 45
 
 
-def mp_psi(m: int, x) -> mp.mpf:
+def mp_psi(m: int, x, dps: int = DPS) -> mp.mpf:
     """Kernel from its printed definition: sign(x)/2 (sinh x - odd Taylor head)."""
-    with mp.workdps(DPS):
+    with mp.workdps(dps):
         x = mp.mpf(x)
         if x == 0:
             return mp.mpf(0)
@@ -35,14 +35,45 @@ def mp_psi(m: int, x) -> mp.mpf:
         return mp.sign(x) / 2 * s
 
 
-def mp_moment(m: int, t) -> mp.mpf:
+def mp_moment(m: int, t, dps: int = DPS) -> mp.mpf:
     """Kernel moment from its printed exponential form (not the series tail)."""
-    with mp.workdps(DPS):
+    with mp.workdps(dps):
         t = mp.mpf(t)
         val = (mp.exp(t) + mp.exp(-t) + mp.exp(1 - t) + mp.exp(t - 1) - 4) / 4
         for k in range(1, m):
             val -= (t ** (2 * k) + (1 - t) ** (2 * k)) / (2 * mp.factorial(2 * k))
         return val
+
+
+@functools.lru_cache(maxsize=None)
+def mp_kkt_weights(m: int, n: int, dps: int = 50) -> tuple:
+    """Optimal weights C_0..C_n from an mpmath LU solve of the bordered system.
+
+    Rows 0..n: sum_j C_j psi(x_i - x_j) + sum_a P_a x_i^a + d e^(-x_i) = f_m(x_i);
+    then sum_j C_j x_j^a = 1/(a+1) for a <= m-2 and sum_j C_j e^(-x_j) = 1 - e^-1.
+    Kernel and moments come from :func:`mp_psi` / :func:`mp_moment` with 20
+    guard digits, as the kernel's Taylor head cancels digits at small x.
+    Returns mpf values at ``dps`` digits.
+    """
+    with mp.workdps(dps):
+        size = n + m + 1
+        nodes = [mp.mpf(b) / n for b in range(n + 1)]
+        psis = [mp_psi(m, mp.mpf(k) / n, dps + 20) for k in range(n + 1)]
+        A = mp.zeros(size, size)
+        rhs = mp.zeros(size, 1)
+        for i in range(n + 1):
+            for j in range(n + 1):
+                A[i, j] = psis[abs(i - j)]
+            rhs[i] = mp_moment(m, nodes[i], dps + 20)
+        for a in range(m - 1):
+            for j in range(n + 1):
+                A[n + 1 + a, j] = A[j, n + 1 + a] = nodes[j] ** a
+            rhs[n + 1 + a] = mp.mpf(1) / (a + 1)
+        for j in range(n + 1):
+            A[n + m, j] = A[j, n + m] = mp.exp(-nodes[j])
+        rhs[n + m] = -mp.expm1(-1)
+        x = mp.lu_solve(A, rhs)
+        return tuple(x[b] for b in range(n + 1))
 
 
 def quad_moment(m: int, t: float) -> float:

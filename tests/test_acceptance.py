@@ -19,7 +19,6 @@ from optquad import (
     characteristic_polynomial,
     closed_form_m1,
     closed_form_m2,
-    coefficients_via_convolution,
     constraint_residuals,
     convolve,
     error_norm_squared,
@@ -78,8 +77,6 @@ def iter_constructed_rules():
     for n in range(1, 65):
         yield closed_form_m1(n)
         yield closed_form_m2(n)
-        yield coefficients_via_convolution(1, n)
-        yield coefficients_via_convolution(2, n)
     for m in (1, 2, 3):
         for n in range(max(1, m - 1), 65):
             yield solve(assemble_system(m, n))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -70,17 +71,26 @@ class TestCoeffs:
         assert code == 2
         assert "m" in err
 
-    @pytest.mark.parametrize("method", ["closed", "conv"])
-    @pytest.mark.parametrize("command, args", [
+    COMMANDS = [
         ("coeffs", ["--n", "2"]),
         ("integrate", ["--n", "2", "--function", "sin"]),
         ("convergence", ["--n-list", "2,4", "--function", "sin"]),
         ("compare", ["--n", "2", "--function", "sin"]),
-    ], ids=["coeffs", "integrate", "convergence", "compare"])
+    ]
+    COMMAND_IDS = [command for command, _ in COMMANDS]
+
+    @pytest.mark.parametrize("method", ["closed"])
+    @pytest.mark.parametrize("command, args", COMMANDS, ids=COMMAND_IDS)
     def test_method_without_order_three_is_usage_error(self, command, args, method, capsys):
         code, out, err = run_cli(command, "--m", "3", *args, "--method", method, capsys=capsys)
         assert (code, out) == (2, "")
         assert f"method {method!r} supports m in (1, 2), got m=3" in err
+
+    @pytest.mark.parametrize("command, args", COMMANDS, ids=COMMAND_IDS)
+    def test_conv_method_is_usage_error(self, command, args, capsys):
+        code, out, err = run_cli(command, "--m", "2", *args, "--method", "conv", capsys=capsys)
+        assert (code, out) == (2, "")
+        assert "invalid choice: 'conv'" in err
 
     def test_solve_method_for_order_three(self, capsys):
         code, out, _ = run_cli("coeffs", "--m", "3", "--n", "4", "--method", "solve", capsys=capsys)
@@ -119,6 +129,27 @@ class TestGoldenStability:
             assert float(text_value) == value
             assert text_value in out
         assert doc["coefficients"] == list(closed_form_m2(8).coefficients)
+
+    # SHA-256 of `coeffs --format csv` stdout.  n = 28 is the first n where
+    # np.power moves an order-2 weight by one ulp against binary powering.
+    GOLDEN_CSV_SHA256 = {
+        (1, 1): "4d4f564853447ef9a6be430a2a7e7f0501f14fd74fef0de81f938fb16dbc0da6",
+        (1, 8): "5cd3c8ba567baff39377b985ec982dcdfab6a42ea4b4634342e78cd84f0f8296",
+        (1, 28): "1163cf73aed298aae9f613fb14880e41d22f1f4c6036e2dd6dc56a9d65f549d8",
+        (1, 1024): "e7459bb4d05737889bdda600d51ae529bd5cf4d23f60c088434dfd27ea88d018",
+        (1, 65536): "e730acc141ade315df8680502be589ab9484d0e8b2591fd5883951005d27740c",
+        (2, 1): "35f6acf884368591fe215b69de9ec500ebabec4aea2ec5444a5abd7d97bf6871",
+        (2, 8): "211e0b0dee58b123c4bd9b6a8014cd2d2f164139d075c005d754df7e20daf9c0",
+        (2, 28): "d5df7c952bc39ee7711327daa2db83d67c7b66d8a63f717926117164cea40462",
+        (2, 1024): "66a6b5b1e13071e0c39158f8b62fcbd58a8f837e79fad5fcc327a5b37a529f77",
+        (2, 65536): "55cfcd9b7635569376584d5f2d392336b46cab7254f64ec3c99423470fcc4a6e",
+    }
+
+    @pytest.mark.parametrize("m, n", sorted(GOLDEN_CSV_SHA256))
+    def test_csv_bytes_are_pinned(self, m, n, capsys):
+        code, out, _ = run_cli("coeffs", "--m", str(m), "--n", str(n), "--format", "csv", capsys=capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN_CSV_SHA256[(m, n)]
 
 
 class TestIntegrate:
@@ -172,6 +203,26 @@ class TestVerify:
         names = {c["name"] for c in report["checks"]}
         assert "operator_identities" in names
         assert "solve_constraints" in names
+
+    @pytest.mark.parametrize("m, n, names", [
+        (1, 4, ["closed_constraints", "solve_constraints", "closed_vs_solve", "closed_vs_extended",
+                "operator_identities", "error_norm_nonnegative"]),
+        (2, 4, ["closed_constraints", "solve_constraints", "closed_vs_solve", "closed_vs_extended",
+                "operator_identities", "error_norm_nonnegative"]),
+        (3, 4, ["solve_constraints", "operator_identities", "error_norm_nonnegative"]),
+    ])
+    def test_check_names(self, m, n, names, capsys):
+        code, out, _ = run_cli("verify", "--m", str(m), "--n", str(n), capsys=capsys)
+        assert code == 0
+        assert [c["name"] for c in json.loads(out)["checks"]] == names
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_closed_form_agrees_with_its_extended_run(self, m, capsys):
+        code, out, _ = run_cli("verify", "--m", str(m), "--n", "32", capsys=capsys)
+        assert code == 0
+        check = next(c for c in json.loads(out)["checks"] if c["name"] == "closed_vs_extended")
+        assert check["tolerance"] == 1e-12
+        assert check["value"] <= 1e-15
 
     def test_reports_closed_vs_solve_deviation(self, capsys):
         code, out, _ = run_cli("verify", "--m", "2", "--n", "16", capsys=capsys)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import pytest
 
 from optquad import (
@@ -14,6 +15,7 @@ from optquad import (
     lambda1,
     stable_roots,
 )
+from optquad.coefficients import METHODS, _closed_weights, _powers
 
 import oracles
 
@@ -110,9 +112,9 @@ class TestClosedFormOrderTwo:
         h = rule.grid.h
         lam = lambda1(h)
         E = math.exp(h)
-        from optquad.coefficients import _k_constant
-
-        K = _k_constant(h, lam, n)
+        # the boundary constant K of the source paper's order-2 closed form
+        k_num = oracles.mp_series_reference("k_num", h)  # 2e^h - 2 - h e^h - h
+        K = k_num * (lam - 1.0) / (2.0 * math.expm1(h) ** 2 * (lam + lam ** (n + 1)))
         for beta in range(1, n):
             envelope = abs(K) * (
                 abs(E - lam) * abs(lam) ** beta + abs(1.0 - lam * E) * abs(lam) ** (n - beta)
@@ -132,35 +134,52 @@ class TestClosedFormOrderTwo:
         assert min(solve(assemble_system(3, n)).coefficients) > 0.0
 
 
-class TestConvolutionAssembly:
+class TestDeprecatedAlias:
+    """``coefficients_via_convolution`` is now ``build_rule(m, n, "closed")``."""
+
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 33, 64])
-    def test_order_one_collapses_to_closed_form(self, n):
-        conv = coefficients_via_convolution(1, n)
-        closed = closed_form_m1(n)
-        assert conv.coefficients == closed.coefficients
-        assert conv.method is RuleMethod.CONVOLUTION
+    def test_order_one_is_the_closed_form(self, n):
+        alias = coefficients_via_convolution(1, n)
+        assert alias == build_rule(1, n, "closed")
+        assert alias.coefficients == closed_form_m1(n).coefficients
 
     @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 64])
-    def test_order_two_agrees_with_closed_form(self, n):
-        conv = coefficients_via_convolution(2, n)
-        closed = closed_form_m2(n)
-        dev = max(abs(a - b) for a, b in zip(conv.coefficients, closed.coefficients))
-        assert dev <= 1e-12
-
-    @pytest.mark.parametrize("n", [1, 2, 8])
-    def test_recovered_multipliers_match_dense_solve(self, n):
-        from optquad import assemble_system, solve
-
-        conv = coefficients_via_convolution(2, n)
-        direct = solve(assemble_system(2, n))
-        assert conv.multiplier_d == pytest.approx(direct.multiplier_d, abs=1e-10)
-        assert conv.polynomial_multipliers[0] == pytest.approx(
-            direct.polynomial_multipliers[0], abs=1e-10
-        )
+    def test_order_two_is_the_closed_form(self, n):
+        alias = coefficients_via_convolution(2, n)
+        assert alias == build_rule(2, n, "closed")
+        assert alias.coefficients == closed_form_m2(n).coefficients
 
     def test_unsupported_order(self):
         with pytest.raises(ValueError):
             coefficients_via_convolution(3, 4)
+
+
+class TestExtendedPrecisionRun:
+    """The closed forms against an independent 50-digit solve of the bordered system."""
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 16, 31, 64])
+    def test_matches_mpmath_kkt_solve(self, m, n):
+        ref = oracles.mp_kkt_weights(m, n, dps=50)
+        extended = _closed_weights(m, n, dps=50)
+        with mp.workdps(50):
+            assert max(abs(a - b) for a, b in zip(extended, ref)) <= mp.mpf("1e-40")
+        rule = closed_form_m1(n) if m == 1 else closed_form_m2(n)
+        assert max(abs(a - b) for a, b in zip(rule.coefficients, ref)) <= 1e-15
+
+    def test_power_table_matches_binary_powering(self):
+        def powi(x, b):
+            acc, base = 1.0, x
+            while b:
+                if b & 1:
+                    acc *= base
+                base *= base
+                b >>= 1
+            return acc
+
+        for x in (lambda1(1.0 / 28), lambda1(1.0), -0.9999, 0.999999, 1.3, -7.5):
+            table = _powers(x, 3000)
+            assert table == [powi(x, b) for b in range(3001)]
 
 
 class TestBuildRule:
@@ -169,8 +188,12 @@ class TestBuildRule:
         assert build_rule(3, 4).method is RuleMethod.DIRECT_SOLVE
 
     def test_explicit_methods(self):
-        assert build_rule(2, 4, "conv").method is RuleMethod.CONVOLUTION
+        assert build_rule(2, 4, "closed").method is RuleMethod.CLOSED_FORM
         assert build_rule(2, 4, "solve").method is RuleMethod.DIRECT_SOLVE
+
+    def test_method_names(self):
+        assert METHODS == ("closed", "solve", "auto")
+        assert {tag.value for tag in RuleMethod} == {"closed", "solve", "trapezoid", "simpson"}
 
     def test_invalid_combinations(self):
         with pytest.raises(ValueError):

@@ -118,6 +118,16 @@ class TestStableRoots:
         roots = stable_roots(poly)
         assert roots == pytest.approx([0.2, 0.5], rel=1e-12)
 
+    def test_generic_fallback_keeps_extended_precision(self):
+        # the same quartic at 50 digits: the fallback must work above them
+        with mp.workdps(50):
+            coeffs = tuple(mp.mpf(c) for c in ("1.2", "-9.1", "17", "-7.7", "1"))
+            poly = CharacteristicPolynomial(3, 1.0, coeffs, dps=50)
+            roots = stable_roots(poly)
+            assert len(roots) == 2
+            for got, want in zip(roots, ("0.2", "0.5")):
+                assert abs(got - mp.mpf(want)) <= mp.mpf("1e-48")
+
 
 class TestOperatorValues:
     @pytest.mark.parametrize("h", H_SET)

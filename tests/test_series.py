@@ -6,7 +6,7 @@ import oracles
 
 QUANTITIES = ["p_m2", "p1_m2", "radicand_factor", "k_num", "p4_m3", "p3_m3", "p2_m3"]
 
-H_GRID = [1.0, 0.7, 0.5, 0.25, 0.125, 0.1, 1.0 / 64.0, 1e-2, 1e-3, 1e-5, 1e-8]
+H_GRID = [1.5, 1.0, 0.7, 0.5, 0.25, 0.125, 0.1, 1.0 / 64.0, 1e-2, 1e-3, 1e-5, 1e-8]
 
 
 @pytest.mark.parametrize("name", QUANTITIES)
@@ -21,6 +21,25 @@ def test_series_matches_high_precision(name, h):
 @pytest.mark.parametrize("h", H_GRID)
 def test_extended_sum_matches_high_precision(name, h):
     # at 60 digits the printed sum keeps >= 19 after the h^5 cancellation at h = 1e-8
+    got = float(_series.value(name, h, dps=60))
+    ref = oracles.mp_series_reference(name, h)
+    assert got == pytest.approx(ref, rel=5e-16, abs=1e-300)
+
+
+# spacings past the float series' trusted range (h <= 1.5); no grid has them
+H_LARGE = [2.0, 3.0, 5.0, 10.0]
+
+
+@pytest.mark.parametrize("name", QUANTITIES)
+@pytest.mark.parametrize("h", H_LARGE)
+def test_float_path_refuses_large_spacing(name, h):
+    with pytest.raises(ValueError, match=r"h <= 1\.5.*pass dps"):
+        _series.value(name, h)
+
+
+@pytest.mark.parametrize("name", QUANTITIES)
+@pytest.mark.parametrize("h", H_LARGE)
+def test_extended_sum_at_large_spacing(name, h):
     got = float(_series.value(name, h, dps=60))
     ref = oracles.mp_series_reference(name, h)
     assert got == pytest.approx(ref, rel=5e-16, abs=1e-300)
