@@ -45,6 +45,7 @@ from .core import (
     apply_rule,
     builtin_integrand,
     constraint_residuals,
+    constraint_rows,
     moment_f,
     moment_integral,
     psi,
@@ -62,7 +63,7 @@ from .operator import (
     tail_bound,
     window_for,
 )
-from .solver import SystemLayout, WienerHopfSystem, assemble_system, solve
+from .solver import WienerHopfSystem, assemble_system, solve
 
 __version__ = "0.1.0"
 
@@ -83,7 +84,6 @@ __all__ = [
     "RuleMethod",
     "SobolevNormEstimate",
     "SolveError",
-    "SystemLayout",
     "ToleranceError",
     "WienerHopfSystem",
     "apply_rule",
@@ -98,6 +98,7 @@ __all__ = [
     "closed_form_m2",
     "coefficients_via_convolution",
     "constraint_residuals",
+    "constraint_rows",
     "convergence_study",
     "convolve",
     "error_norm_squared",

@@ -22,7 +22,9 @@ from .core import (
     Integrand,
     QuadratureRule,
     RuleMethod,
+    _tail,
     apply_rule,
+    constraint_rows,
     moment_f,
     psi,
 )
@@ -34,15 +36,7 @@ def kernel_double_integral(m: int) -> float:
     Integrating the moment function once more turns both integrals into
     factorial tails: the value is sum_{k>=m} 1/(2k+1)!.
     """
-    total = 0.0
-    k = m
-    while True:
-        term = 1.0 / math.factorial(2 * k + 1)
-        updated = total + term
-        if updated == total:
-            return total
-        total = updated
-        k += 1
+    return _tail(1.0, 2 * m + 1)
 
 
 def error_norm_squared(rule: QuadratureRule) -> float:
@@ -78,14 +72,15 @@ class SobolevNormEstimate:
     error_estimate: float
 
 
-def sobolev_norm(f: Integrand, m: int, resolution: int = 256) -> SobolevNormEstimate:
+_PANELS = 256  # Gauss-Legendre panels of sobolev_norm
+
+
+def sobolev_norm(f: Integrand, m: int) -> SobolevNormEstimate:
     """L2 norm of f^(m) + f^(m-1) over [0, 1] by composite Gauss panels.
 
-    ``resolution`` panels of 10-point Gauss-Legendre; the discretisation
-    error is estimated by comparison with half resolution.
+    256 panels of 10-point Gauss-Legendre, a fixed resolution; the
+    discretisation error is estimated by comparison with 128 panels.
     """
-    if resolution < 64:
-        raise ValueError("resolution must be at least 64 panels")
     fm = f.derivative(m)
     fm1 = f.derivative(m - 1)
     x, w = np.polynomial.legendre.leggauss(10)
@@ -102,8 +97,8 @@ def sobolev_norm(f: Integrand, m: int, resolution: int = 256) -> SobolevNormEsti
                 vals.append(half * wg * g * g)
         return math.fsum(vals)
 
-    coarse = integral(resolution // 2)
-    fine = integral(resolution)
+    coarse = integral(_PANELS // 2)
+    fine = integral(_PANELS)
     norm_sq = max(fine, 0.0)
     value = math.sqrt(norm_sq)
     diff = abs(fine - coarse) + 4.0 * np.finfo(float).eps * (1.0 + norm_sq)
@@ -134,22 +129,18 @@ class ErrorReport:
     entries: tuple[ReportEntry, ...]
 
 
-def cauchy_schwarz_check(
-    rule: QuadratureRule, f: Integrand, exact: float | None = None
-) -> ReportEntry:
-    """Check |exact - rule(f)| <= ||error functional|| * ||f|| + slack.
+def cauchy_schwarz_check(rule: QuadratureRule, f: Integrand) -> ReportEntry:
+    """Check |f.exact_integral - rule(f)| <= ||error functional|| * ||f|| + slack.
 
     The slack combines the Sobolev-norm discretisation estimate with the
     roundoff floor of the squared-norm evaluation.
     """
-    return _certificate(rule, f, error_norm_squared(rule), exact)
+    return _certificate(rule, f, error_norm_squared(rule))
 
 
-def _certificate(
-    rule: QuadratureRule, f: Integrand, norm_sq: float, exact: float | None = None
-) -> ReportEntry:
+def _certificate(rule: QuadratureRule, f: Integrand, norm_sq: float) -> ReportEntry:
     # the Cauchy-Schwarz line for f, given the rule's squared error norm
-    reference = f.exact_integral if exact is None else exact
+    reference = f.exact_integral
     value = apply_rule(rule, f.fn)
     rule_norm = math.sqrt(max(norm_sq, 0.0))
     sob = sobolev_norm(f, rule.grid.m)
@@ -185,7 +176,6 @@ def convergence_study(
     m: int,
     n_values: Sequence[int],
     f: Integrand | None = None,
-    exact: float | None = None,
     norm_mode: bool = False,
     method: str = "auto",
 ) -> ConvergenceTable:
@@ -208,8 +198,7 @@ def convergence_study(
         if norm_mode:
             value = math.sqrt(max(error_norm_squared(rule), 0.0))
         else:
-            reference = f.exact_integral if exact is None else exact
-            value = abs(apply_rule(rule, f.fn) - reference)
+            value = abs(apply_rule(rule, f.fn) - f.exact_integral)
         ratio = order = None
         if prev is not None and n == 2 * prev[0] and value > floor and prev[1] > floor:
             ratio = prev[1] / value
@@ -243,10 +232,13 @@ def classical_rule(kind: str, n: int) -> QuadratureRule:
     raise ValueError(f"unknown classical rule {kind!r}; use trapezoid or simpson")
 
 
+_STEP = 1e-3  # Euclidean length of each admissible perturbation
+
+
 def admissible_perturbations(
-    rule: QuadratureRule, count: int = 20, scale: float = 1e-3, seed: int = 20260810
+    rule: QuadratureRule, count: int = 20, seed: int = 20260810
 ) -> list[np.ndarray]:
-    """Random directions in the null space of the constraint rows, scaled.
+    """Random directions of length 1e-3 in the null space of the constraint rows.
 
     Perturbing the weights along these directions keeps the rule admissible
     (constraints still hold to first order), so the optimal weights must not
@@ -254,10 +246,8 @@ def admissible_perturbations(
     """
     grid = rule.grid
     n, m = grid.n, grid.m
-    nodes = np.array([grid.node(beta) for beta in range(n + 1)])
-    rows = [nodes**alpha for alpha in range(m - 1)]
-    rows.append(np.exp(-nodes))
-    R = np.vstack(rows)
+    nodes = [grid.node(beta) for beta in range(n + 1)]
+    R = np.array([[g(x) for x in nodes] for _, g, _ in constraint_rows(m)])
     _, s, vt = np.linalg.svd(R)
     rank = int(np.sum(s > s[0] * n * np.finfo(float).eps))
     basis = vt[rank:].T
@@ -265,12 +255,12 @@ def admissible_perturbations(
     out = []
     for _ in range(count):
         v = basis @ rng.standard_normal(basis.shape[1])
-        v *= scale / np.linalg.norm(v)
+        v *= _STEP / np.linalg.norm(v)
         out.append(v)
     return out
 
 
-def stationarity_margin(rule: QuadratureRule, count: int = 20, scale: float = 1e-3) -> float:
+def stationarity_margin(rule: QuadratureRule, count: int = 20) -> float:
     """Most negative norm-squared change over admissible perturbations.
 
     Nonnegative up to roundoff at the constrained minimiser; values below
@@ -278,7 +268,7 @@ def stationarity_margin(rule: QuadratureRule, count: int = 20, scale: float = 1e
     """
     base = error_norm_squared(rule)
     worst = 0.0
-    for v in admissible_perturbations(rule, count, scale):
+    for v in admissible_perturbations(rule, count):
         perturbed = QuadratureRule(
             rule.grid,
             tuple(c + dv for c, dv in zip(rule.coefficients, v)),

@@ -110,6 +110,23 @@ class QuadratureRule:
         return self.grid.n
 
 
+def _tail(x: float, p: int) -> float:
+    """Series tail sum_{j>=0} x^(p+2j)/(p+2j)!, summed until it stops changing.
+
+    For the arguments used here (x >= 0, or p even) every term is
+    nonnegative, so the sum has no cancellation.
+    """
+    term = x**p / math.factorial(p)
+    total = term
+    while True:
+        term *= x * x / ((p + 1) * (p + 2))
+        p += 2
+        updated = total + term
+        if updated == total:
+            return total
+        total = updated
+
+
 def psi(m: int, x: float) -> float:
     """Kernel sign(x)/2 * (sinh x - sum_{k<m} x^(2k-1)/(2k-1)!), an even function.
 
@@ -128,35 +145,11 @@ def psi(m: int, x: float) -> float:
     if m == 1:
         return math.sinh(ax) / 2.0
     if ax <= 4.0:
-        # tail of the sinh series from order 2m-1 on; all terms positive
-        term = ax ** (2 * m - 1) / math.factorial(2 * m - 1)
-        total = term
-        k = m
-        while True:
-            term *= ax * ax / ((2 * k) * (2 * k + 1))
-            k += 1
-            updated = total + term
-            if updated == total:
-                return total / 2.0
-            total = updated
+        return _tail(ax, 2 * m - 1) / 2.0
     total = math.sinh(ax)
     for k in range(1, m):
         total -= ax ** (2 * k - 1) / math.factorial(2 * k - 1)
     return total / 2.0
-
-
-def _cosh_tail(m: int, s: float) -> float:
-    """Tail of the cosh series: sum_{k>=m} s^(2k)/(2k)!; positive terms."""
-    term = s ** (2 * m) / math.factorial(2 * m)
-    total = term
-    k = m
-    while True:
-        term *= s * s / ((2 * k + 1) * (2 * k + 2))
-        k += 1
-        updated = total + term
-        if updated == total:
-            return total
-        total = updated
 
 
 def moment_integral(m: int, t: float) -> float:
@@ -168,7 +161,7 @@ def moment_integral(m: int, t: float) -> float:
     """
     if m not in ORDERS:
         raise ValueError(f"order m must be in {ORDERS}, got {m}")
-    return (_cosh_tail(m, t) + _cosh_tail(m, 1.0 - t)) / 2.0
+    return (_tail(t, 2 * m) + _tail(1.0 - t, 2 * m)) / 2.0
 
 
 def moment_f(m: int, beta: int, grid: GridSpec) -> float:
@@ -181,7 +174,7 @@ def moment_f(m: int, beta: int, grid: GridSpec) -> float:
     # moment_f(beta) == moment_f(n - beta) holds bit for bit
     t = beta / grid.n
     s = (grid.n - beta) / grid.n
-    return (_cosh_tail(m, t) + _cosh_tail(m, s)) / 2.0
+    return (_tail(t, 2 * m) + _tail(s, 2 * m)) / 2.0
 
 
 def apply_rule(rule: QuadratureRule, f: Callable[[float], float]) -> float:
@@ -190,24 +183,27 @@ def apply_rule(rule: QuadratureRule, f: Callable[[float], float]) -> float:
     return math.fsum(c * f(beta / n) for beta, c in enumerate(rule.coefficients))
 
 
-def constraint_residuals(rule: QuadratureRule) -> dict[str, float]:
-    """Residuals of the side constraints an optimal rule must satisfy.
+def constraint_rows(m: int) -> list[tuple[str, Callable[[float], float], float]]:
+    """The side constraints of an order-m optimal rule, in system row order.
 
-    Keys: ``exp`` for |sum C_b e^(-x_b) - (1 - e^-1)| and ``monomial_a`` for
-    |sum C_b x_b^a - 1/(a+1)|, a = 0..m-2.  Meaningful only for optimal rules;
-    classical rules are not built to satisfy the exponential constraint.
+    Each row is (name, g, integral of g over [0, 1]): ``monomial_a`` for
+    x^a, a = 0..m-2, then ``exp`` for e^(-x).  An optimal rule integrates
+    every g exactly.
     """
-    n = rule.grid.n
-    out = {
-        "exp": abs(
-            math.fsum(c * math.exp(-beta / n) for beta, c in enumerate(rule.coefficients))
-            + math.expm1(-1.0)
-        )
-    }
-    for alpha in range(rule.grid.m - 1):
-        total = math.fsum(c * (beta / n) ** alpha for beta, c in enumerate(rule.coefficients))
-        out[f"monomial_{alpha}"] = abs(total - 1.0 / (alpha + 1))
-    return out
+    rows = [(f"monomial_{a}", lambda x, a=a: x**a, 1.0 / (a + 1)) for a in range(m - 1)]
+    rows.append(("exp", lambda x: math.exp(-x), -math.expm1(-1.0)))
+    return rows
+
+
+def constraint_residuals(rule: QuadratureRule) -> dict[str, float]:
+    """|sum C_b g(x_b) - integral of g| for each row of :func:`constraint_rows`.
+
+    Keys in the order ``exp``, ``monomial_0`` .. ``monomial_(m-2)``; each sum
+    streams over the nodes.  Meaningful only for optimal rules; classical
+    rules are not built to satisfy the exponential constraint.
+    """
+    rows = constraint_rows(rule.grid.m)
+    return {name: abs(apply_rule(rule, g) - integral) for name, g, integral in rows[-1:] + rows[:-1]}
 
 
 @dataclass(frozen=True)

@@ -284,11 +284,15 @@ def tail_bound(spec: OperatorSpec, window: int, growth: float = 1.0) -> float:
     return total
 
 
-def window_for(spec: OperatorSpec, tol: float, growth: float = 1.0, max_window: int = 200000) -> int:
+_MAX_WINDOW = 200000  # largest window window_for searches
+
+
+def window_for(spec: OperatorSpec, tol: float, growth: float = 1.0) -> int:
     """Smallest window with tail_bound <= tol (never below 1).
 
     Raises :class:`ToleranceError` when the tail is non-summable at this
-    growth rate (|lambda_max| * growth >= 1), i.e. no window can achieve tol.
+    growth rate (|lambda_max| * growth >= 1), i.e. no window can achieve tol,
+    or when tol needs a window above 200000.
     """
     if not spec.roots:
         return 1
@@ -300,10 +304,10 @@ def window_for(spec: OperatorSpec, tol: float, growth: float = 1.0, max_window: 
     lo, hi = 1, 2
     while tail_bound(spec, hi, growth) > tol:
         hi *= 2
-        if hi > max_window:
+        if hi > _MAX_WINDOW:
             raise ToleranceError(
-                f"window above {max_window} needed for tol {tol:g}",
-                achievable=tail_bound(spec, max_window, growth),
+                f"window above {_MAX_WINDOW} needed for tol {tol:g}",
+                achievable=tail_bound(spec, _MAX_WINDOW, growth),
             )
     while lo < hi:
         mid = (lo + hi) // 2
@@ -388,20 +392,23 @@ class IdentityReport:
         return max(vals) if vals else 0.0
 
 
+_IDENTITY_DPS = 50  # working digits of identity_residuals
+_WINDOW_FLOOR = 1e-14  # identity_residuals' window reaches |lambda_max|^window <= this
+
+
 def identity_residuals(
     m: int,
     h: float,
     betas: Sequence[int] = tuple(range(-5, 6)),
-    dps: int = 50,
-    window_floor: float = 1e-14,
     tail_target: float = 1e-13,
 ) -> IdentityReport:
-    """Evaluate the operator identities at extended precision.
+    """Evaluate the operator identities in mpmath at 50 digits.
 
-    The window is the smallest one with |lambda_max|^window <= window_floor,
+    The window is the smallest one with |lambda_max|^window <= 1e-14,
     enlarged where needed so each convergent family's truncation tail is below
     tail_target.  Callbacks are evaluated in mpmath so the residuals reflect
     the identities themselves rather than float64 representation noise.
+    The precision and the 1e-14 floor are fixed.
 
     D_m(gamma) is evaluated once per |gamma| <= window and each family's
     callback once per integer offset in [min(betas) - window,
@@ -409,15 +416,15 @@ def identity_residuals(
     evaluations per family, O(window * len(betas)) products, and O(window)
     extra memory.
     """
-    spec = build_operator(m, h, dps=dps)
+    spec = build_operator(m, h, dps=_IDENTITY_DPS)
     lmax = spec.lambda_max
-    w_floor = 1 if lmax == 0.0 else max(1, math.ceil(math.log(window_floor) / math.log(lmax)))
+    w_floor = 1 if lmax == 0.0 else max(1, math.ceil(math.log(_WINDOW_FLOOR) / math.log(lmax)))
     growth = math.exp(h)
     beta_span = max((abs(int(b)) for b in betas), default=0)
     # callback growth constants: exponentials and the kernel carry an extra
     # e^(h |beta|); monomials are dominated by a slow geometric envelope
     margin = 8.0 * max(1.0, beta_span) ** (2 * m) * math.exp(h * beta_span)
-    with mp.workdps(dps):
+    with mp.workdps(_IDENTITY_DPS):
         hm = mp.mpf(h)
         families: list[tuple[str, Callable[[int], object], float]] = [
             (_EXP_GROWING, lambda j: mp.exp(hm * j), growth),

@@ -15,39 +15,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridSpec, QuadratureRule, RuleMethod, SolveError, moment_f, psi
-
-
-@dataclass(frozen=True)
-class SystemLayout:
-    """Column/row indices of each unknown block."""
-
-    coefficients: range
-    polynomial: range
-    exponential: int
+from .core import GridSpec, QuadratureRule, RuleMethod, SolveError, constraint_rows, moment_f, psi
 
 
 @dataclass(frozen=True)
 class WienerHopfSystem:
-    """Assembled bordered system: matrix, right-hand side, unknown layout."""
+    """Assembled bordered system for order m on n intervals.
+
+    The unknowns are laid out as C_0..C_n (indices 0..n), the polynomial
+    multipliers P_0..P_(m-2) (n+1..n+m-1) and d (n+m).
+    """
 
     grid: GridSpec
     matrix: np.ndarray
     rhs: np.ndarray
-    layout: SystemLayout
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
 
 
 def assemble_system(m: int, n: int) -> WienerHopfSystem:
     """Build the (n+m+1) x (n+m+1) system for order m on n intervals.
 
     Rows 0..n pair the kernel block with the multiplier columns against the
-    kernel moments; the final m rows impose the monomial sums 1/(a+1) and the
-    exponential sum 1 - e^-1.  The kernel block is symmetric because the
-    kernel is even, and its diagonal is zero.
+    kernel moments; the final m rows are :func:`optquad.core.constraint_rows`,
+    each g sampled at the nodes against its exact integral.  The kernel
+    block is symmetric because the kernel is even, and its diagonal is zero.
 
     The block is filled one diagonal at a time, with one kernel call per
     distinct float x_i - x_j.  Rounding makes i/n - j/n differ from (i-j)/n,
@@ -69,59 +59,50 @@ def assemble_system(m: int, n: int) -> WienerHopfSystem:
         A[rows - k, rows] = vals
     for i in range(n + 1):
         b[i] = moment_f(m, i, grid)
-    for alpha in range(m - 1):
-        row = n + 1 + alpha
+    for row, (_, g, integral) in enumerate(constraint_rows(m), start=n + 1):
         for j in range(n + 1):
-            A[row, j] = A[j, row] = nodes[j] ** alpha
-        b[row] = 1.0 / (alpha + 1)
-    for j in range(n + 1):
-        A[n + m, j] = A[j, n + m] = math.exp(-nodes[j])
-    b[n + m] = -math.expm1(-1.0)
-    layout = SystemLayout(range(0, n + 1), range(n + 1, n + m), n + m)
-    return WienerHopfSystem(grid, A, b, layout)
+            A[row, j] = A[j, row] = g(nodes[j])
+        b[row] = integral
+    return WienerHopfSystem(grid, A, b)
 
 
-def solve(
-    system: WienerHopfSystem,
-    refine: int = 1,
-    cond_threshold: float = 1e14,
-    residual_tol: float = 1e-10,
-) -> QuadratureRule:
+_COND_LIMIT = 1e14  # largest 2-norm condition number solve accepts
+_RESIDUAL_TOL = 1e-10  # largest refined max-norm residual, relative to ||rhs||_inf
+
+
+def solve(system: WienerHopfSystem) -> QuadratureRule:
     """Solve the assembled system; returns a rule tagged DIRECT_SOLVE.
 
-    The 2-norm condition number is estimated for every solve and attached to
-    the rule; beyond ``cond_threshold`` the solve is declared failed.  After
-    ``refine`` steps of iterative refinement (residuals accumulated in
-    extended precision) the max-norm residual must be within
-    ``residual_tol * ||rhs||_inf``.
+    The 2-norm condition number (one SVD) is attached to the rule, and a
+    system with cond > 1e14 raises :class:`SolveError`.  An LU solve is
+    followed by one step of iterative refinement: the residual is formed in
+    extended precision and the correction solved for with a second LU
+    factorisation.  A max-norm residual above 1e-10 * ||rhs||_inf after that
+    step also raises :class:`SolveError`.  Neither limit can be changed.
     """
     A, b = system.matrix, system.rhs
     cond = float(np.linalg.cond(A))
-    if not math.isfinite(cond) or cond > cond_threshold:
+    if not math.isfinite(cond) or cond > _COND_LIMIT:
         raise SolveError(f"system too ill-conditioned: cond ~ {cond:.3e}")
     try:
         x = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:
         raise SolveError(f"singular system (cond ~ {cond:.3e}): {exc}") from exc
-    A_wide = A.astype(np.longdouble)
-    b_wide = b.astype(np.longdouble)
-    for _ in range(refine):
-        r = b_wide - A_wide @ x.astype(np.longdouble)
-        dx = np.linalg.solve(A, np.asarray(r, dtype=np.float64))
-        x = np.asarray(x.astype(np.longdouble) + dx.astype(np.longdouble), dtype=np.float64)
+    r = b.astype(np.longdouble) - A.astype(np.longdouble) @ x.astype(np.longdouble)
+    dx = np.linalg.solve(A, np.asarray(r, dtype=np.float64))
+    x = np.asarray(x.astype(np.longdouble) + dx.astype(np.longdouble), dtype=np.float64)
     residual = float(np.max(np.abs(A @ x - b)))
     scale = float(np.max(np.abs(b)))
-    if residual > residual_tol * scale:
+    if residual > _RESIDUAL_TOL * scale:
         raise SolveError(
-            f"residual {residual:.3e} exceeds {residual_tol:.1e} * ||rhs|| (cond ~ {cond:.3e})"
+            f"residual {residual:.3e} exceeds {_RESIDUAL_TOL:.1e} * ||rhs|| (cond ~ {cond:.3e})"
         )
     n, m = system.grid.n, system.grid.m
-    poly = tuple(float(x[i]) for i in system.layout.polynomial) or None
     return QuadratureRule(
         system.grid,
         tuple(float(v) for v in x[: n + 1]),
         RuleMethod.DIRECT_SOLVE,
-        multiplier_d=float(x[system.layout.exponential]),
-        polynomial_multipliers=poly,
+        multiplier_d=float(x[n + m]),
+        polynomial_multipliers=tuple(float(v) for v in x[n + 1 : n + m]) or None,
         condition_estimate=cond,
     )

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import optquad.analysis
@@ -8,11 +9,13 @@ from optquad import (
     RuleMethod,
     apply_rule,
     assemble_system,
+    build_rule,
     builtin_integrand,
     cauchy_schwarz_check,
     classical_rule,
     closed_form_m1,
     closed_form_m2,
+    constraint_rows,
     convergence_study,
     error_norm_squared,
     error_report,
@@ -76,6 +79,16 @@ class TestErrorNorm:
         rule = closed_form_m1(n) if m == 1 else closed_form_m2(n)
         assert stationarity_margin(rule) >= -1e-14
 
+    @pytest.mark.parametrize("n", [3, 16, 64])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_perturbations_are_admissible(self, m, n):
+        # each direction has length 1e-3 and leaves every constraint sum unchanged
+        nodes = [beta / n for beta in range(n + 1)]
+        for v in optquad.analysis.admissible_perturbations(build_rule(m, n)):
+            assert np.linalg.norm(v) == pytest.approx(1e-3, rel=1e-14)
+            for name, g, _ in constraint_rows(m):
+                assert abs(math.fsum(dv * g(x) for dv, x in zip(v, nodes))) <= 1e-15, name
+
 
 class TestSobolevNorm:
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -94,10 +107,6 @@ class TestSobolevNorm:
         est = sobolev_norm(builtin_integrand("x2"), 1)
         assert est.value == pytest.approx(math.sqrt(38.0 / 15.0), rel=1e-13)
         assert est.error_estimate < 1e-12
-
-    def test_resolution_floor(self):
-        with pytest.raises(ValueError):
-            sobolev_norm(builtin_integrand("sin"), 1, resolution=32)
 
     def test_missing_derivatives_rejected(self):
         from optquad import Integrand

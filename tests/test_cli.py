@@ -359,6 +359,11 @@ class TestExitCodes:
         assert code == 3
         assert "numeric failure" in err
 
+    def test_ill_conditioned_solve_exits_three(self, capsys):
+        code, out, err = run_cli("coeffs", "--m", "3", "--n", "128", capsys=capsys)
+        assert (code, out) == (3, "")
+        assert "too ill-conditioned: cond ~ 2.4" in err
+
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert run_cli(capsys=capsys)[0] == 2
 

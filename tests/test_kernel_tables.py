@@ -6,8 +6,6 @@ bit, those of the loops that make one scalar call per matrix entry or per
 (beta, gamma) pair, and their call counts must stay linear.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -17,12 +15,12 @@ import optquad.solver
 from optquad import (
     GridSpec,
     QuadratureRule,
+    RuleMethod,
     assemble_system,
     build_rule,
     classical_rule,
     error_norm_squared,
     identity_residuals,
-    solve,
 )
 from optquad.analysis import admissible_perturbations
 
@@ -34,11 +32,13 @@ SIZES = (7, 63, 100, 160, 256)
 
 
 def _optimal(m, n):
-    # m = 3 is past solve's default condition threshold from n = 128 on;
-    # bit identity needs some fixed weights, not accurate ones
+    # solve refuses m = 3 from n = 128 on (cond > 1e14); bit identity needs
+    # some fixed weights, not accurate ones, so take the plain LU solution
     if m < 3:
         return build_rule(m, n)
-    return solve(assemble_system(m, n), cond_threshold=math.inf)
+    system = assemble_system(m, n)
+    weights = np.linalg.solve(system.matrix, system.rhs)[: n + 1]
+    return QuadratureRule(system.grid, weights, RuleMethod.DIRECT_SOLVE)
 
 
 def _rules(m, n):

@@ -12,9 +12,9 @@ from optquad import (
     closed_form_m1,
     closed_form_m2,
     constraint_residuals,
+    constraint_rows,
     solve,
 )
-from optquad.solver import SystemLayout
 
 
 class TestAssembly:
@@ -24,12 +24,6 @@ class TestAssembly:
         assert system.matrix.shape == (size, size)
         assert system.rhs.shape == (size,)
 
-    def test_layout(self):
-        system = assemble_system(3, 4)
-        assert system.layout.coefficients == range(0, 5)
-        assert system.layout.polynomial == range(5, 7)
-        assert system.layout.exponential == 7
-
     @pytest.mark.parametrize("m, n", [(1, 4), (2, 6), (3, 5)])
     def test_kernel_block_symmetric_with_zero_diagonal(self, m, n):
         system = assemble_system(m, n)
@@ -38,13 +32,18 @@ class TestAssembly:
         assert np.all(np.diag(block) == 0.0)
 
     def test_constraint_rows(self):
+        # order 3: rows n+1, n+2 are the monomials 1, x and row n+3 is e^(-x),
+        # each mirrored into its column
         n = 4
-        system = assemble_system(2, n)
+        system = assemble_system(3, n)
         nodes = np.array([beta / n for beta in range(n + 1)])
-        assert np.allclose(system.matrix[n + 1, : n + 1], np.ones(n + 1), atol=0)
-        assert np.allclose(system.matrix[n + 2, : n + 1], np.exp(-nodes), rtol=1e-16)
-        assert system.rhs[n + 1] == 1.0
-        assert system.rhs[n + 2] == pytest.approx(-math.expm1(-1.0), abs=0)
+        A = system.matrix
+        assert np.array_equal(A[n + 1, : n + 1], np.ones(n + 1))
+        assert np.array_equal(A[n + 2, : n + 1], nodes)
+        assert np.allclose(A[n + 3, : n + 1], np.exp(-nodes), rtol=1e-16)
+        assert np.array_equal(A[: n + 1, n + 1 :], A[n + 1 :, : n + 1].T)
+        assert list(system.rhs[n + 1 :]) == [1.0, 0.5, -math.expm1(-1.0)]
+        assert [name for name, _, _ in constraint_rows(3)] == ["monomial_0", "monomial_1", "exp"]
 
     def test_too_few_nodes(self):
         with pytest.raises(ValueError):
@@ -95,10 +94,11 @@ class TestSolve:
     def test_singular_system_raises(self):
         grid = GridSpec(1, 1)
         matrix = np.ones((3, 3))
-        system = WienerHopfSystem(grid, matrix, np.ones(3), SystemLayout(range(2), range(2, 2), 2))
+        system = WienerHopfSystem(grid, matrix, np.ones(3))
         with pytest.raises(SolveError):
             solve(system)
 
     def test_condition_threshold(self):
-        with pytest.raises(SolveError):
-            solve(assemble_system(3, 8), cond_threshold=1e3)
+        # m = 3 is past the fixed 1e14 limit from n = 128 on; no caller can lift it
+        with pytest.raises(SolveError, match=r"cond ~ 2\.4\d*e\+14"):
+            solve(assemble_system(3, 128))
