@@ -31,9 +31,9 @@ class TestAssembly:
         assert np.array_equal(block, block.T)
         assert np.all(np.diag(block) == 0.0)
 
-    def test_constraint_rows(self):
-        # order 3: rows n+1, n+2 are the monomials 1, x and row n+3 is e^(-x),
-        # each mirrored into its column
+    def test_layout(self):
+        # order 3: C_0..C_n take columns 0..n, rows n+1, n+2 are the monomials
+        # 1, x and row n+3 is e^(-x), each mirrored into its column
         n = 4
         system = assemble_system(3, n)
         nodes = np.array([beta / n for beta in range(n + 1)])
@@ -44,6 +44,15 @@ class TestAssembly:
         assert np.array_equal(A[: n + 1, n + 1 :], A[n + 1 :, : n + 1].T)
         assert list(system.rhs[n + 1 :]) == [1.0, 0.5, -math.expm1(-1.0)]
         assert [name for name, _, _ in constraint_rows(3)] == ["monomial_0", "monomial_1", "exp"]
+
+    def test_constraint_rows(self):
+        n = 4
+        system = assemble_system(2, n)
+        nodes = np.array([beta / n for beta in range(n + 1)])
+        assert np.allclose(system.matrix[n + 1, : n + 1], np.ones(n + 1), atol=0)
+        assert np.allclose(system.matrix[n + 2, : n + 1], np.exp(-nodes), rtol=1e-16)
+        assert system.rhs[n + 1] == 1.0
+        assert system.rhs[n + 2] == pytest.approx(-math.expm1(-1.0), abs=0)
 
     def test_too_few_nodes(self):
         with pytest.raises(ValueError):
