@@ -251,6 +251,9 @@ def admissible_perturbations(
     _, s, vt = np.linalg.svd(R)
     rank = int(np.sum(s > s[0] * n * np.finfo(float).eps))
     basis = vt[rank:].T
+    if basis.shape[1] == 0:
+        # n + 1 == m: the constraints fix the weights, so no direction is admissible
+        return []
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):

@@ -47,7 +47,12 @@ def _json17(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = ",\n".join(f"{pad}  {_json17(v, indent + 1)}" for v in obj)
+        if all(type(v) is float for v in obj):
+            # one C-level format call for the whole array; "%.17g" % x is
+            # format(x, ".17g") for every double, nan and the infinities too
+            items = ((pad + "  %.17g,\n") * len(obj))[:-2] % tuple(obj)
+        else:
+            items = ",\n".join(f"{pad}  {_json17(v, indent + 1)}" for v in obj)
         return "[\n" + items + "\n" + pad + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
@@ -86,11 +91,10 @@ def document_json(rule: QuadratureRule) -> str:
 
 
 def document_csv(rule: QuadratureRule) -> str:
-    lines = ["beta,node,coefficient"]
     n = rule.grid.n
-    for beta, c in enumerate(rule.coefficients):
-        lines.append(f"{beta},{_f17(beta / n)},{_f17(c)}")
-    return "\n".join(lines) + "\n"
+    return "beta,node,coefficient\n" + "".join(
+        [f"{beta},{beta / n:.17g},{c:.17g}\n" for beta, c in enumerate(rule.coefficients)]
+    )
 
 
 def _emit(payload: str, out: str | None) -> None:

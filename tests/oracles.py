@@ -2,9 +2,10 @@
 
 Everything here is written directly from the defining expressions, using
 mpmath / scipy / numpy machinery rather than the package's own evaluation
-paths, so agreement is meaningful.  The exception is the last section: the
-straightforward loops the package's structured fast paths replaced, kept
-as bit-identity references and built on the package's scalar kernels.
+paths, so agreement is meaningful.  The exception is the last two
+sections: the straightforward loops the package's structured fast paths
+and bulk writers replaced, kept as bit-identity references and built on the
+package's scalar kernels.
 """
 
 from __future__ import annotations
@@ -266,3 +267,52 @@ def naive_identity_residuals(m: int, h: float, betas, dps: int = 50,
                 worst = max(worst, abs(val))
             residuals[name] = float(worst)
     return window, residuals, divergent
+
+
+# --- per-element writers and sums: one call per value ------------------------
+
+
+def _f17(x: float) -> str:
+    return format(float(x), ".17g")
+
+
+def per_element_json17(obj, indent: int = 0) -> str:
+    """Minimal JSON writer with 17-significant-digit floats."""
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = ",\n".join(
+            f'{pad}  "{k}": {per_element_json17(v, indent + 1)}' for k, v in obj.items()
+        )
+        return "{\n" + items + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = ",\n".join(f"{pad}  {per_element_json17(v, indent + 1)}" for v in obj)
+        return "[\n" + items + "\n" + pad + "]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return _f17(obj)
+    if isinstance(obj, str):
+        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def per_element_document_csv(rule) -> str:
+    lines = ["beta,node,coefficient"]
+    n = rule.grid.n
+    for beta, c in enumerate(rule.coefficients):
+        lines.append(f"{beta},{_f17(beta / n)},{_f17(c)}")
+    return "\n".join(lines) + "\n"
+
+
+def naive_apply_rule(rule, f) -> float:
+    """Sum C_beta * f(beta/n) with exact (compensated) summation."""
+    n = rule.grid.n
+    return math.fsum(c * f(beta / n) for beta, c in enumerate(rule.coefficients))

@@ -89,6 +89,14 @@ class TestErrorNorm:
             for name, g, _ in constraint_rows(m):
                 assert abs(math.fsum(dv * g(x) for dv, x in zip(v, nodes))) <= 1e-15, name
 
+    @pytest.mark.parametrize("m, n", [(2, 1), (3, 2)])
+    def test_no_directions_when_constraints_fix_the_weights(self, m, n):
+        # n + 1 == m nodes: the m constraint rows have full rank, so the
+        # admissible set is one point and the margin is exactly zero
+        rule = build_rule(m, n)
+        assert optquad.analysis.admissible_perturbations(rule) == []
+        assert stationarity_margin(rule) == 0.0
+
 
 class TestSobolevNorm:
     @pytest.mark.parametrize("m", [1, 2, 3])

@@ -1,12 +1,17 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from optquad import closed_form_m1, closed_form_m2
-from optquad.cli import main
+from optquad import build_rule, closed_form_m1, closed_form_m2
+from optquad.cli import _json17, document_csv, document_json, main, rule_document
+
+import oracles
 
 
 def run_cli(*args, capsys=None):
@@ -150,6 +155,103 @@ class TestGoldenStability:
         code, out, _ = run_cli("coeffs", "--m", str(m), "--n", str(n), "--format", "csv", capsys=capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN_CSV_SHA256[(m, n)]
+
+    # SHA-256 of `coeffs` (JSON) stdout.  m = 3 is left out: its weights come
+    # from a LAPACK solve and the document prints its condition number.
+    GOLDEN_JSON_SHA256 = {
+        (1, 1): "2c49a008a96b825b31b7fa724e0f955d13ea0df1936698783e8cfc813a292991",
+        (1, 8): "73ee3b0a1753f51951281a2ea0ae28d15c8d7980de9a1d4daabcba1d21dabe59",
+        (1, 28): "17d9cbcce74de8c3114070b039052396d179830ca07e812f08bbc8963ea940ab",
+        (1, 1024): "201d0ae8f46b0fcc648492e2311e1c4f661c663f828c63fc9111e7283c3b2347",
+        (1, 65536): "f81db5c7d44e47d4fef1d097d5db9c1945faf9a9c00a9c1c93de086ad8f3412f",
+        (2, 1): "60794fae3248a5bf9c786c095e942963360bf2f7097680a0051e6345c76fd257",
+        (2, 8): "998168e1e82a05d3489a1bedeade275905c2239fbc4026d42e638d7a05aa4d9e",
+        (2, 28): "62ad70a657a0514d0dfb81af0892f1593b9dcafd2595a4c7627fdd5250579dc7",
+        (2, 1024): "547144ae640d01a0ef32e37321617e0822d7fd247f0cefdbd1a5596aaf918b47",
+        (2, 65536): "b9444fcf9bc0a6a06096515e28aab590588eba78e86a39cb99b4c2e5a772aba3",
+    }
+
+    @pytest.mark.parametrize("m, n", sorted(GOLDEN_JSON_SHA256))
+    def test_json_bytes_are_pinned(self, m, n, capsys):
+        code, out, _ = run_cli("coeffs", "--m", str(m), "--n", str(n), capsys=capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN_JSON_SHA256[(m, n)]
+
+    # SHA-256 of `convergence --norm-mode --format json --n-list 4,8,16,32` stdout
+    GOLDEN_NORM_JSON_SHA256 = {
+        1: "b56fd7b024c5100afff754f87f0e1fa772a869484af579df2d4932aee7873e9a",
+        2: "d10c8f18f9f38e58779ab6af77df2ba0adcc9a11b53824ca6c4b95bf4285f367",
+    }
+
+    @pytest.mark.parametrize("m", sorted(GOLDEN_NORM_JSON_SHA256))
+    def test_norm_table_json_bytes_are_pinned(self, m, capsys):
+        code, out, _ = run_cli(
+            "convergence", "--m", str(m), "--n-list", "4,8,16,32", "--norm-mode",
+            "--format", "json", capsys=capsys,
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN_NORM_JSON_SHA256[m]
+
+
+# doubles at the edges of the format: signed zeros, the smallest subnormal
+# and normal, the largest double, the infinities and nan
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    -1.7976931348623157e308, math.inf, -math.inf, math.nan,
+]
+floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(EDGE_FLOATS)
+float_arrays = st.lists(floats, max_size=40)
+leaves = (
+    floats
+    | floats.map(np.float64)
+    | st.integers()
+    | st.booleans()
+    | st.none()
+    | st.text(max_size=8)
+    | float_arrays
+    | float_arrays.map(tuple)
+)
+documents = st.recursive(
+    leaves,
+    lambda children: (
+        st.lists(children, max_size=6)
+        | st.lists(children, max_size=6).map(tuple)
+        | st.dictionaries(st.text(max_size=6), children, max_size=6)
+    ),
+    max_leaves=40,
+)
+
+
+class TestBulkWriters:
+    """The bulk writers emit the bytes of the per-element writers they replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(documents)
+    def test_json17_matches_per_element_writer(self, doc):
+        assert _json17(doc) == oracles.per_element_json17(doc)
+
+    @given(float_arrays, st.integers(min_value=0, max_value=4))
+    def test_float_array_at_any_depth(self, values, indent):
+        assert _json17(values, indent) == oracles.per_element_json17(values, indent)
+
+    def test_edge_floats_and_float_subclasses(self):
+        doc = {
+            "edges": EDGE_FLOATS,
+            "edges_tuple": tuple(EDGE_FLOATS),
+            "mixed": [1.5, 2, True, None, -0.0, "x"],
+            "numpy": [np.float64(x) for x in EDGE_FLOATS],
+            "empty": [],
+            "nested": [[0.1, 0.2], (), {}],
+        }
+        assert _json17(doc) == oracles.per_element_json17(doc)
+
+    @pytest.mark.parametrize(
+        "m, n", [(m, n) for m in (1, 2) for n in (1, 7, 64, 4096)] + [(3, 2), (3, 7), (3, 64)]
+    )
+    def test_documents_match_per_element_writers(self, m, n):
+        rule = build_rule(m, n)
+        assert document_csv(rule) == oracles.per_element_document_csv(rule)
+        assert document_json(rule) == oracles.per_element_json17(rule_document(rule)) + "\n"
 
 
 class TestIntegrate:

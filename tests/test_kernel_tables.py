@@ -3,8 +3,13 @@
 error_norm_squared, assemble_system and identity_residuals evaluate each
 distinct kernel or operator value once.  Their outputs must equal, bit for
 bit, those of the loops that make one scalar call per matrix entry or per
-(beta, gamma) pair, and their call counts must stay linear.
+(beta, gamma) pair, and their call counts must stay linear.  apply_rule
+streams its products into one correctly rounded sum, which must equal the
+per-node generator loop.
 """
+
+import functools
+import math
 
 import numpy as np
 import pytest
@@ -13,14 +18,17 @@ import optquad.analysis
 import optquad.operator
 import optquad.solver
 from optquad import (
+    BUILTIN_INTEGRANDS,
     GridSpec,
     QuadratureRule,
     RuleMethod,
+    apply_rule,
     assemble_system,
     build_rule,
     classical_rule,
     error_norm_squared,
     identity_residuals,
+    solve,
 )
 from optquad.analysis import admissible_perturbations
 
@@ -130,3 +138,53 @@ def test_identity_operator_calls_linear_in_window(monkeypatch, m, h):
     calls = _counting(monkeypatch, optquad.operator, "operator_value")
     report = identity_residuals(m, h)
     assert len(calls) <= 2 * report.window + 1
+
+
+def _large_rules(m, n):
+    # admissible_perturbations takes a full SVD, so at large n the perturbed
+    # rule moves along a seeded random direction instead
+    closed = build_rule(m, n, "closed")
+    step = np.random.default_rng(n).standard_normal(n + 1) * 1e-3
+    return {
+        "closed": closed,
+        "perturbed": QuadratureRule(closed.grid, np.add(closed.coefficients, step), closed.method),
+        "trapezoid": classical_rule("trapezoid", n),
+        "simpson": classical_rule("simpson", n),
+    }
+
+
+@functools.cache
+def _sum_rules():
+    rules = {}
+    for m in (1, 2, 3):
+        for n in (7, 64):
+            rules[f"solve-m{m}-n{n}"] = solve(assemble_system(m, n))
+        for n in SIZES:
+            rules.update({f"{name}-m{m}-n{n}": rule for name, rule in _rules(m, n).items()})
+    for m in (1, 2):
+        for n in (1024, 65536):
+            rules.update({f"{name}-m{m}-n{n}": rule for name, rule in _large_rules(m, n).items()})
+    return rules
+
+
+@pytest.mark.parametrize("integrand", sorted(BUILTIN_INTEGRANDS))
+def test_apply_rule_equals_generator_loop(integrand):
+    f = BUILTIN_INTEGRANDS[integrand].fn
+    for name, rule in _sum_rules().items():
+        assert apply_rule(rule, f) == oracles.naive_apply_rule(rule, f), name
+
+
+@pytest.mark.parametrize("kind", ["array", "generator"])
+def test_rule_converts_and_validates_any_iterable(kind):
+    def weights(values):
+        return np.array(values) if kind == "array" else (v for v in values)
+
+    rule = QuadratureRule(GridSpec(2, 2), weights([0.25, 0.5, 0.25]), RuleMethod.TRAPEZOID)
+    assert rule.coefficients == (0.25, 0.5, 0.25)
+    assert all(type(c) is float for c in rule.coefficients)
+    assert apply_rule(rule, lambda x: x) == 0.5
+    with pytest.raises(ValueError, match="expected 3 coefficients, got 2"):
+        QuadratureRule(GridSpec(2, 2), weights([0.5, 0.5]), RuleMethod.TRAPEZOID)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            QuadratureRule(GridSpec(2, 2), weights([0.25, bad, 0.25]), RuleMethod.TRAPEZOID)
