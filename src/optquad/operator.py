@@ -19,9 +19,11 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
+from operator import attrgetter, mul
 from typing import Callable, NamedTuple, Sequence
 
 import mpmath as mp
+from mpmath.libmp import mpf_mul, mpf_sum, round_nearest
 
 from . import _series
 from .core import ConstructionError, ORDERS, ToleranceError
@@ -35,12 +37,31 @@ class _Arith(NamedTuple):
     expm1: Callable
     sqrt: Callable
     copysign: Callable
-    fsum: Callable
+    dot: Callable  # (table, samples) -> sum of rounded products, summed exactly
     context: Callable  # () -> context manager that sets the working precision
 
 
+def _float_dot(table, samples):
+    return math.fsum(map(mul, table, samples))
+
+
+_MPF_RAW = attrgetter("_mpf_")
+
+
+def _mp_dot(table, samples):
+    # mp.fsum(d * g) on mpf operands, without an object per product: each
+    # product rounded once at the working precision, then one exact sum and
+    # one rounding
+    prec = mp.mp.prec
+    products = [
+        mpf_mul(d, g, prec, round_nearest)
+        for d, g in zip(map(_MPF_RAW, table), map(_MPF_RAW, samples))
+    ]
+    return mp.mpf(mpf_sum(products, prec, round_nearest))
+
+
 _FLOAT = _Arith(
-    float, math.exp, math.expm1, math.sqrt, math.copysign, math.fsum, contextlib.nullcontext
+    float, math.exp, math.expm1, math.sqrt, math.copysign, _float_dot, contextlib.nullcontext
 )
 
 
@@ -48,7 +69,7 @@ def _arith(dps: int | None) -> _Arith:
     if dps is None:
         return _FLOAT
     return _Arith(
-        mp.mpf, mp.exp, mp.expm1, mp.sqrt, lambda x, y: mp.sign(y) * abs(x), mp.fsum,
+        mp.mpf, mp.exp, mp.expm1, mp.sqrt, lambda x, y: mp.sign(y) * abs(x), _mp_dot,
         lambda: mp.workdps(dps),
     )
 
@@ -303,12 +324,12 @@ def window_for(spec: OperatorSpec, tol: float, growth: float = 1.0) -> int:
         )
     lo, hi = 1, 2
     while tail_bound(spec, hi, growth) > tol:
-        hi *= 2
-        if hi > _MAX_WINDOW:
+        if hi == _MAX_WINDOW:
             raise ToleranceError(
                 f"window above {_MAX_WINDOW} needed for tol {tol:g}",
                 achievable=tail_bound(spec, _MAX_WINDOW, growth),
             )
+        hi = min(2 * hi, _MAX_WINDOW)
     while lo < hi:
         mid = (lo + hi) // 2
         if tail_bound(spec, mid, growth) <= tol:
@@ -331,8 +352,10 @@ def convolve(
     The truncation error is bounded by tail_bound(spec, window, growth) times
     the callback's growth constant; pass ``tail_tol`` to enforce that
     g-independent factor up front (raises :class:`ToleranceError` with the
-    achievable bound if the window is too small).  Summation is exact for
-    float inputs and keeps mpmath precision for extended-precision specs.
+    achievable bound if the window is too small).  Each sample is taken in
+    the spec's precision (float, or mpmath at ``dps`` digits), each product
+    is rounded once in that precision, and the products are summed exactly
+    before one final rounding.
     """
     if window < 1:
         raise ValueError("window must be a positive integer")
@@ -343,22 +366,23 @@ def convolve(
                 f"window {window} gives tail bound {bound:.3g} > {tail_tol:.3g}",
                 achievable=bound,
             )
+    ar = _arith(spec.dps)
     # term arithmetic must run at the spec's precision, not the ambient one
-    with _arith(spec.dps).context():
-        return _windowed_sum(spec, _operator_table(spec, window), g, beta)
+    with ar.context():
+        samples = [ar.num(g(beta - gamma)) for gamma in range(-window, window + 1)]
+        return ar.dot(_operator_table(spec, window), samples)
 
 
 def _operator_table(spec: OperatorSpec, window: int) -> list:
     """D_m(gamma) for gamma = -window..window, one evaluation per |gamma|."""
-    half = [operator_value(spec, gamma) for gamma in range(window + 1)]
+    num = _arith(spec.dps).num
+    half = [num(operator_value(spec, gamma)) for gamma in range(window + 1)]
     return half[:0:-1] + half
 
 
-def _windowed_sum(spec: OperatorSpec, table: list, g: Callable[[int], object], beta: int):
-    """sum_gamma D_m(gamma) g(beta - gamma) over the table's offsets, summed exactly."""
-    window = len(table) // 2
-    terms = (d * g(beta - gamma) for gamma, d in zip(range(-window, window + 1), table))
-    return _arith(spec.dps).fsum(terms)
+def _mirrored(nonneg: list, neg: list) -> list:
+    """g(j) for j = top..-top, descending, from nonneg[j] = g(j) and neg[j] = g(-j), j = 0..top."""
+    return nonneg[::-1] + neg[1:]
 
 
 # identity families checked by identity_residuals
@@ -406,53 +430,62 @@ def identity_residuals(
 
     The window is the smallest one with |lambda_max|^window <= 1e-14,
     enlarged where needed so each convergent family's truncation tail is below
-    tail_target.  Callbacks are evaluated in mpmath so the residuals reflect
+    tail_target.  Samples are evaluated in mpmath so the residuals reflect
     the identities themselves rather than float64 representation noise.
     The precision and the 1e-14 floor are fixed.
 
-    D_m(gamma) is evaluated once per |gamma| <= window and each family's
-    callback once per integer offset in [min(betas) - window,
-    max(betas) + window]: O(window + len(betas)) extended-precision
-    evaluations per family, O(window * len(betas)) products, and O(window)
-    extra memory.
+    D_m(gamma) is evaluated once per |gamma| <= window.  The samples are
+    evaluated once per |j| <= max|beta| + window at x_j = h*j and mirrored to
+    -j: e^(+-x) swap, the kernel is even and x^k takes the sign (-1)^k, each
+    exactly in round-to-nearest.  That is O(window + max|beta|)
+    extended-precision evaluations per family, O(window * len(betas))
+    products, and O(window + max|beta|) extra memory.  Each product is
+    rounded once at 50 digits and each windowed sum is exact before its one
+    rounding, as mp.fsum(D_m(gamma) * g(beta - gamma)) over the window.
     """
     spec = build_operator(m, h, dps=_IDENTITY_DPS)
     lmax = spec.lambda_max
     w_floor = 1 if lmax == 0.0 else max(1, math.ceil(math.log(_WINDOW_FLOOR) / math.log(lmax)))
     growth = math.exp(h)
     beta_span = max((abs(int(b)) for b in betas), default=0)
-    # callback growth constants: exponentials and the kernel carry an extra
+    # sample growth constants: exponentials and the kernel carry an extra
     # e^(h |beta|); monomials are dominated by a slow geometric envelope
     margin = 8.0 * max(1.0, beta_span) ** (2 * m) * math.exp(h * beta_span)
-    with mp.workdps(_IDENTITY_DPS):
-        hm = mp.mpf(h)
-        families: list[tuple[str, Callable[[int], object], float]] = [
-            (_EXP_GROWING, lambda j: mp.exp(hm * j), growth),
-            (_EXP_DECAYING, lambda j: mp.exp(-hm * j), growth),
-            (_DELTA, lambda j: _psi_mp(m, hm * j), growth),
-        ]
-        for k in range(0, 2 * m - 3 + 1):
-            families.append((f"monomial_{k}", lambda j, k=k: (hm * j) ** k, 1.1))
+    degrees = range(0, 2 * m - 3 + 1)
+    families = {_EXP_GROWING: growth, _EXP_DECAYING: growth, _DELTA: growth}
+    families.update((f"monomial_{k}", 1.1) for k in degrees)
+    divergent = tuple(name for name, gr in families.items() if spec.roots and lmax * gr >= 1.0)
+    window = w_floor
+    for name, gr in families.items():
+        if name in divergent or not spec.roots:
+            continue
+        window = max(window, window_for(spec, tail_target / margin, growth=gr))
 
-        divergent = tuple(
-            name for name, _, gr in families if spec.roots and lmax * gr >= 1.0
-        )
-        window = w_floor
-        for name, _, gr in families:
-            if name in divergent or not spec.roots:
-                continue
-            window = max(window, window_for(spec, tail_target / margin, growth=gr))
-
-        # every family shares the D_m table and samples each integer offset
-        # once; the sums keep the per-beta order of convolve
+    ar = _arith(_IDENTITY_DPS)
+    with ar.context():
+        # every family shares the D_m table; samples[i] is g(top - i), so the
+        # slice for beta lists g(beta - gamma) in convolve's gamma order
         table = _operator_table(spec, window)
-        points = range(min(betas, default=0) - window, max(betas, default=0) + window + 1)
+        top = beta_span + window
+        hm = mp.mpf(h)
+        xs = [hm * j for j in range(top + 1)]
+        grow = [mp.exp(x) for x in xs]
+        decay = [mp.exp(-x) for x in xs]
+        kernel = [_psi_mp(m, x) for x in xs]
+        samples = {
+            _EXP_GROWING: _mirrored(grow, decay),
+            _EXP_DECAYING: _mirrored(decay, grow),
+            _DELTA: _mirrored(kernel, kernel),
+        }
+        for k in degrees:
+            powers = [x**k for x in xs]
+            samples[f"monomial_{k}"] = _mirrored(powers, [-v for v in powers] if k % 2 else powers)
         residuals: dict[str, float] = {}
-        for name, g, _ in families:
-            samples = {j: g(j) for j in points}
+        for name, values in samples.items():
             worst = mp.mpf(0)
             for beta in betas:
-                val = _windowed_sum(spec, table, samples.__getitem__, beta)
+                first = top - int(beta) - window
+                val = ar.dot(table, values[first : first + 2 * window + 1])
                 if name == _DELTA and beta == 0:
                     val -= 1
                 worst = max(worst, abs(val))
@@ -465,5 +498,5 @@ def _psi_mp(m: int, x):
         return mp.mpf(0)
     s = mp.sinh(x)
     for k in range(1, m):
-        s -= x ** (2 * k - 1) / mp.factorial(2 * k - 1)
+        s -= x ** (2 * k - 1) / math.factorial(2 * k - 1)
     return mp.sign(x) / 2 * s

@@ -11,6 +11,7 @@ per-node generator loop.
 import functools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -24,13 +25,18 @@ from optquad import (
     RuleMethod,
     apply_rule,
     assemble_system,
+    build_operator,
     build_rule,
     classical_rule,
+    convolve,
     error_norm_squared,
     identity_residuals,
+    operator_value,
+    psi,
     solve,
 )
 from optquad.analysis import admissible_perturbations
+from optquad.operator import _psi_mp
 
 import oracles
 
@@ -106,6 +112,14 @@ IDENTITY_CELLS = [
     (3, 0.1, range(-3, 4)),
     (3, 0.125, range(-5, 14)),
     (3, 1.0, range(-2, 3)),
+    # cells optquad verify runs (h = 1/n, default betas)
+    (2, 1.0 / 16.0, range(-5, 6)),
+    (3, 0.25, range(-5, 6)),
+    (3, 1.0 / 64.0, range(-5, 6)),
+    (2, 1.0 / 160.0, range(-5, 6)),
+    # betas without 0, and only negative betas
+    (3, 0.125, range(3, 9)),
+    (2, 0.125, range(-7, -1)),
 ]
 
 
@@ -117,6 +131,41 @@ def test_identity_report_equals_per_beta_loop(m, h, betas):
     assert report.window == window
     assert report.residuals == residuals
     assert report.divergent == divergent
+
+
+def _per_term_convolution(spec, g, beta, window, fsum):
+    return fsum(operator_value(spec, gamma) * g(beta - gamma) for gamma in range(-window, window + 1))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("h", [0.5, 0.125, 1.0 / 64.0])
+def test_convolve_equals_per_term_fsum(m, h):
+    float_spec = build_operator(m, h)
+    float_samples = [
+        lambda j: math.exp(h * j),
+        lambda j: psi(m, h * j),
+        lambda j: (h * j) ** 3,
+        lambda j: 1,
+    ]
+    mp_spec = build_operator(m, h, dps=50)
+    with mp.workdps(50):
+        hm = mp.mpf(h)
+    mp_samples = [
+        lambda j: mp.exp(-hm * j),
+        lambda j: _psi_mp(m, hm * j),
+        lambda j: (hm * j) ** 2,
+        lambda j: 1.5,
+    ]
+    # m = 1 has support {-1, 0, 1}: wider windows add exact zeros
+    for window in (1, 3, 40):
+        for beta in (-4, 0, 7):
+            for g in float_samples:
+                expect = _per_term_convolution(float_spec, g, beta, window, math.fsum)
+                assert convolve(float_spec, g, beta, window) == expect
+            for g in mp_samples:
+                with mp.workdps(50):
+                    expect = _per_term_convolution(mp_spec, g, beta, window, mp.fsum)
+                assert convolve(mp_spec, g, beta, window) == expect
 
 
 @pytest.mark.parametrize("m, n", [(1, 64), (2, 256), (3, 100)])

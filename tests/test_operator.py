@@ -2,6 +2,7 @@ import math
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from optquad import (
     CharacteristicPolynomial,
@@ -19,6 +20,7 @@ from optquad import (
     tail_bound,
     window_for,
 )
+from optquad.operator import _MAX_WINDOW, _psi_mp
 
 import oracles
 
@@ -313,6 +315,24 @@ class TestWindows:
         with pytest.raises(ValueError):
             convolve(spec, lambda j: 1.0, 0, 0)
 
+    def test_window_between_last_doubling_and_cap(self):
+        # doubling from 2 passes 131072 and then the cap: windows in
+        # (131072, 200000] must still be found
+        spec = build_operator(2, 0.25)
+        growth = (1 - 1e-4) / spec.lambda_max
+        tol = tail_bound(spec, 150000, growth)
+        w = window_for(spec, tol, growth=growth)
+        assert w <= 150000
+        assert tail_bound(spec, w, growth) <= tol < tail_bound(spec, w - 1, growth)
+
+    def test_tol_beyond_cap_raises_with_achievable_bound(self):
+        spec = build_operator(2, 0.25)
+        growth = (1 - 1e-4) / spec.lambda_max
+        tol = 0.5 * tail_bound(spec, _MAX_WINDOW, growth)
+        with pytest.raises(ToleranceError) as info:
+            window_for(spec, tol, growth=growth)
+        assert info.value.achievable > tol
+
 
 class TestAgainstClosedForm:
     @pytest.mark.parametrize("h", H_SET)
@@ -326,6 +346,32 @@ class TestAgainstClosedForm:
         # at dps=50 the only residual left is the geometric tail truncation
         report = identity_residuals(m, 0.5, betas=range(-2, 3), tail_target=1e-20)
         assert report.residuals["delta"] <= 1e-18
+
+
+class TestMirroredSamples:
+    """identity_residuals samples x_j = h*j for j >= 0 and mirrors them to -j.
+
+    Each mirror must be exact at 50 digits, so the mirrored samples equal the
+    ones evaluated at -j bit for bit.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        m=st.sampled_from([1, 2, 3]),
+        j=st.integers(1, 600),
+        n=st.integers(1, 512),
+        k=st.integers(0, 3),
+    )
+    def test_mirrors_are_exact(self, m, j, n, k):
+        with mp.workdps(50):
+            hm = mp.mpf(1.0 / n)
+            x = hm * j
+            assert _psi_mp(m, hm * (-j)) == _psi_mp(m, x)
+            assert mp.exp(hm * (-j)) == mp.exp(-x)
+            assert mp.exp(-hm * j) == mp.exp(-x)
+            assert (hm * (-j)) ** k == (-1) ** k * x**k
+            # the kernel as printed, with mpmath's own factorials
+            assert _psi_mp(m, x) == oracles.mp_psi(m, x, dps=50)
 
 
 def test_mp_psi_consistent_with_float():
