@@ -246,18 +246,19 @@ def admissible_perturbations(
     """
     grid = rule.grid
     n, m = grid.n, grid.m
+    if n + 1 == m:
+        # the constraints fix the weights, so no direction is admissible
+        return []
     nodes = [grid.node(beta) for beta in range(n + 1)]
     R = np.array([[g(x) for x in nodes] for _, g, _ in constraint_rows(m)])
-    _, s, vt = np.linalg.svd(R)
-    rank = int(np.sum(s > s[0] * n * np.finfo(float).eps))
-    basis = vt[rank:].T
-    if basis.shape[1] == 0:
-        # n + 1 == m: the constraints fix the weights, so no direction is admissible
-        return []
+    # the rows sample the Chebyshev system x^0..x^(m-2), e^(-x) at n + 1 > m
+    # distinct nodes: they have full rank m, so q's m columns span them
+    q = np.linalg.qr(R.T)[0]
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
-        v = basis @ rng.standard_normal(basis.shape[1])
+        z = rng.standard_normal(n + 1)
+        v = z - q @ (q.T @ z)
         v *= _STEP / np.linalg.norm(v)
         out.append(v)
     return out

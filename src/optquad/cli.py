@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .analysis import classical_rule, convergence_study, error_norm_squared
-from .coefficients import METHODS, _closed_weights, build_rule
+from .coefficients import _METHODS, METHODS, _closed_weights, build_rule
 from .core import (
     QuadratureError,
     QuadratureRule,
@@ -21,8 +21,7 @@ from .core import (
     builtin_integrand,
     constraint_residuals,
 )
-from .operator import identity_residuals
-from .solver import assemble_system, solve
+from .operator import _EXTENDED_DPS, identity_residuals
 
 SCHEMA_VERSION = 1
 
@@ -130,18 +129,17 @@ def _verify_checks(m: int, n: int) -> list[dict]:
     def add(name: str, value: float, tol: float) -> None:
         checks.append({"name": name, "value": value, "tolerance": tol, "passed": bool(value <= tol)})
 
-    rules: dict[str, QuadratureRule] = {}
-    if m in (1, 2):
-        rules["closed"] = build_rule(m, n, "closed")
-    rules["solve"] = solve(assemble_system(m, n))
+    # every construction the method table offers for m; auto repeats one of them
+    rules = {name: build_rule(m, n, name) for name, (orders, _) in _METHODS.items()
+             if name != "auto" and m in orders}
     for name, rule in rules.items():
         add(f"{name}_constraints", max(constraint_residuals(rule).values()), 1e-12)
     if "closed" in rules:
         closed = rules["closed"].coefficients
         dev = max(abs(a - b) for a, b in zip(closed, rules["solve"].coefficients))
         add("closed_vs_solve", dev, 1e-12 if m == 1 else 1e-9)
-        # the same closed-form code run at 50 digits, with the exact spacing 1/n
-        extended = _closed_weights(m, n, dps=50)
+        # the same closed-form code run in extended precision, with the exact spacing 1/n
+        extended = _closed_weights(m, n, dps=_EXTENDED_DPS)
         add("closed_vs_extended", float(max(abs(a - b) for a, b in zip(closed, extended))), 1e-12)
     report = identity_residuals(m, 1.0 / n)
     if report.divergent:
@@ -285,6 +283,10 @@ def main(argv: list[str] | None = None) -> int:
     except QuadratureError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return NUMERIC_ERROR
+    except OSError as exc:
+        # only --out is ever written
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 def console_entry() -> None:

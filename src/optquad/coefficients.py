@@ -89,7 +89,7 @@ _METHODS = {
     "closed": ((1, 2), lambda m, n: closed_form_m1(n) if m == 1 else closed_form_m2(n)),
     "solve": (ORDERS, lambda m, n: solve(assemble_system(m, n))),
     # the closed form where it exists, otherwise the direct solve
-    "auto": (ORDERS, lambda m, n: build_rule(m, n, "closed" if m in (1, 2) else "solve")),
+    "auto": (ORDERS, lambda m, n: build_rule(m, n, "closed" if m in _METHODS["closed"][0] else "solve")),
 }
 METHODS = tuple(_METHODS)
 

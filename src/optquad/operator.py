@@ -16,6 +16,7 @@ central values would swamp the identities.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import math
 from dataclasses import dataclass
@@ -309,34 +310,27 @@ _MAX_WINDOW = 200000  # largest window window_for searches
 
 
 def window_for(spec: OperatorSpec, tol: float, growth: float = 1.0) -> int:
-    """Smallest window with tail_bound <= tol (never below 1).
+    """Smallest window in [1, 200000] with tail_bound <= tol; tail_bound falls as the window grows.
 
-    Raises :class:`ToleranceError` when the tail is non-summable at this
-    growth rate (|lambda_max| * growth >= 1), i.e. no window can achieve tol,
-    or when tol needs a window above 200000.
+    Raises ValueError unless tol > 0, and :class:`ToleranceError` when the
+    tail is non-summable at this growth rate (|lambda_max| * growth >= 1),
+    i.e. no window can achieve tol, or when tol needs a window above 200000.
     """
-    if not spec.roots:
-        return 1
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     if spec.lambda_max * growth >= 1.0:
         raise ToleranceError(
             f"tail is non-summable: |lambda_max| * growth = {spec.lambda_max * growth:.6g} >= 1",
             achievable=math.inf,
         )
-    lo, hi = 1, 2
-    while tail_bound(spec, hi, growth) > tol:
-        if hi == _MAX_WINDOW:
-            raise ToleranceError(
-                f"window above {_MAX_WINDOW} needed for tol {tol:g}",
-                achievable=tail_bound(spec, _MAX_WINDOW, growth),
-            )
-        hi = min(2 * hi, _MAX_WINDOW)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if tail_bound(spec, mid, growth) <= tol:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    windows = range(1, _MAX_WINDOW + 1)
+    i = bisect.bisect_left(windows, True, key=lambda w: tail_bound(spec, w, growth) <= tol)
+    if i == len(windows):
+        raise ToleranceError(
+            f"window above {_MAX_WINDOW} needed for tol {tol:g}",
+            achievable=tail_bound(spec, _MAX_WINDOW, growth),
+        )
+    return windows[i]
 
 
 def convolve(
@@ -385,12 +379,6 @@ def _mirrored(nonneg: list, neg: list) -> list:
     return nonneg[::-1] + neg[1:]
 
 
-# identity families checked by identity_residuals
-_EXP_GROWING = "exp_growing"
-_EXP_DECAYING = "exp_decaying"
-_DELTA = "delta"
-
-
 @dataclass(frozen=True)
 class IdentityReport:
     """Max absolute residuals of the operator's defining identities.
@@ -416,7 +404,7 @@ class IdentityReport:
         return max(vals) if vals else 0.0
 
 
-_IDENTITY_DPS = 50  # working digits of identity_residuals
+_EXTENDED_DPS = 50  # working digits of the extended-precision checks
 _WINDOW_FLOOR = 1e-14  # identity_residuals' window reaches |lambda_max|^window <= this
 
 
@@ -443,25 +431,24 @@ def identity_residuals(
     rounded once at 50 digits and each windowed sum is exact before its one
     rounding, as mp.fsum(D_m(gamma) * g(beta - gamma)) over the window.
     """
-    spec = build_operator(m, h, dps=_IDENTITY_DPS)
+    if len(betas) == 0:
+        raise ValueError("betas is empty: there is no offset to check")
+    spec = build_operator(m, h, dps=_EXTENDED_DPS)
     lmax = spec.lambda_max
     w_floor = 1 if lmax == 0.0 else max(1, math.ceil(math.log(_WINDOW_FLOOR) / math.log(lmax)))
     growth = math.exp(h)
-    beta_span = max((abs(int(b)) for b in betas), default=0)
+    beta_span = max(abs(int(b)) for b in betas)
     # sample growth constants: exponentials and the kernel carry an extra
     # e^(h |beta|); monomials are dominated by a slow geometric envelope
     margin = 8.0 * max(1.0, beta_span) ** (2 * m) * math.exp(h * beta_span)
     degrees = range(0, 2 * m - 3 + 1)
-    families = {_EXP_GROWING: growth, _EXP_DECAYING: growth, _DELTA: growth}
+    families = {"exp_growing": growth, "exp_decaying": growth, "delta": growth}
     families.update((f"monomial_{k}", 1.1) for k in degrees)
-    divergent = tuple(name for name, gr in families.items() if spec.roots and lmax * gr >= 1.0)
-    window = w_floor
-    for name, gr in families.items():
-        if name in divergent or not spec.roots:
-            continue
-        window = max(window, window_for(spec, tail_target / margin, growth=gr))
+    summable = {gr for gr in families.values() if lmax * gr < 1.0}
+    divergent = tuple(name for name, gr in families.items() if gr not in summable)
+    window = max([w_floor] + [window_for(spec, tail_target / margin, growth=gr) for gr in summable])
 
-    ar = _arith(_IDENTITY_DPS)
+    ar = _arith(_EXTENDED_DPS)
     with ar.context():
         # every family shares the D_m table; samples[i] is g(top - i), so the
         # slice for beta lists g(beta - gamma) in convolve's gamma order
@@ -473,9 +460,9 @@ def identity_residuals(
         decay = [mp.exp(-x) for x in xs]
         kernel = [_psi_mp(m, x) for x in xs]
         samples = {
-            _EXP_GROWING: _mirrored(grow, decay),
-            _EXP_DECAYING: _mirrored(decay, grow),
-            _DELTA: _mirrored(kernel, kernel),
+            "exp_growing": _mirrored(grow, decay),
+            "exp_decaying": _mirrored(decay, grow),
+            "delta": _mirrored(kernel, kernel),
         }
         for k in degrees:
             powers = [x**k for x in xs]
@@ -486,7 +473,7 @@ def identity_residuals(
             for beta in betas:
                 first = top - int(beta) - window
                 val = ar.dot(table, values[first : first + 2 * window + 1])
-                if name == _DELTA and beta == 0:
+                if name == "delta" and beta == 0:
                     val -= 1
                 worst = max(worst, abs(val))
             residuals[name] = float(worst)

@@ -3,9 +3,9 @@
 Everything here is written directly from the defining expressions, using
 mpmath / scipy / numpy machinery rather than the package's own evaluation
 paths, so agreement is meaningful.  The exception is the last two
-sections: the straightforward loops the package's structured fast paths
-and bulk writers replaced, kept as bit-identity references and built on the
-package's scalar kernels.
+sections: the straightforward loops and searches the package's structured
+fast paths and bulk writers replaced, kept as bit-identity references and
+built on the package's scalar kernels.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from optquad.analysis import kernel_double_integral
-from optquad.core import GridSpec, moment_f, psi
-from optquad.operator import _psi_mp, build_operator, operator_value, window_for
+from optquad.core import GridSpec, ToleranceError, moment_f, psi
+from optquad.operator import _psi_mp, build_operator, operator_value, tail_bound, window_for
 
 DPS = 45
 
@@ -267,6 +267,30 @@ def naive_identity_residuals(m: int, h: float, betas, dps: int = 50,
                 worst = max(worst, abs(val))
             residuals[name] = float(worst)
     return window, residuals, divergent
+
+
+def doubling_window_for(spec, tol: float, growth: float = 1.0, cap: int = 200000) -> int:
+    """Smallest window with tail_bound <= tol: doubling from 2, clamped at cap, then bisection.
+
+    Raises ToleranceError with achievable=inf for a non-summable tail, and
+    with the bound at cap when no window up to cap reaches tol.
+    """
+    if not spec.roots:
+        return 1
+    if spec.lambda_max * growth >= 1.0:
+        raise ToleranceError("tail is non-summable", achievable=math.inf)
+    lo, hi = 1, 2
+    while tail_bound(spec, hi, growth) > tol:
+        if hi == cap:
+            raise ToleranceError(f"window above {cap} needed", achievable=tail_bound(spec, cap, growth))
+        hi = min(2 * hi, cap)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if tail_bound(spec, mid, growth) <= tol:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 # --- per-element writers and sums: one call per value ------------------------

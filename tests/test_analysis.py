@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,12 +83,21 @@ class TestErrorNorm:
     @pytest.mark.parametrize("n", [3, 16, 64])
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_perturbations_are_admissible(self, m, n):
-        # each direction has length 1e-3 and leaves every constraint sum unchanged
-        nodes = [beta / n for beta in range(n + 1)]
-        for v in optquad.analysis.admissible_perturbations(build_rule(m, n)):
-            assert np.linalg.norm(v) == pytest.approx(1e-3, rel=1e-14)
-            for name, g, _ in constraint_rows(m):
-                assert abs(math.fsum(dv * g(x) for dv, x in zip(v, nodes))) <= 1e-15, name
+        _assert_admissible(m, n, optquad.analysis.admissible_perturbations(build_rule(m, n)))
+
+    def test_perturbations_take_memory_linear_in_n(self):
+        # the projector holds the m constraint directions, not a null-space
+        # basis of (n+1)^2 doubles (129 MiB at n = 4096)
+        rule = build_rule(2, 4096)
+        tracemalloc.start()
+        try:
+            directions = optquad.analysis.admissible_perturbations(rule, count=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert len(directions) == 2
+        _assert_admissible(2, 4096, directions)
 
     @pytest.mark.parametrize("m, n", [(2, 1), (3, 2)])
     def test_no_directions_when_constraints_fix_the_weights(self, m, n):
@@ -96,6 +106,15 @@ class TestErrorNorm:
         rule = build_rule(m, n)
         assert optquad.analysis.admissible_perturbations(rule) == []
         assert stationarity_margin(rule) == 0.0
+
+
+def _assert_admissible(m, n, directions):
+    # each direction has length 1e-3 and leaves every constraint sum unchanged
+    nodes = [beta / n for beta in range(n + 1)]
+    for v in directions:
+        assert np.linalg.norm(v) == pytest.approx(1e-3, rel=1e-14)
+        for name, g, _ in constraint_rows(m):
+            assert abs(math.fsum(dv * g(x) for dv, x in zip(v, nodes))) <= 1e-15, name
 
 
 class TestSobolevNorm:

@@ -347,6 +347,17 @@ class TestVerify:
         assert out == ""
         assert json.loads(target.read_text())["passed"] is True
 
+    def test_checks_every_registered_construction(self, capsys, monkeypatch):
+        import optquad.coefficients as coefficients_mod
+
+        # a construction registered in the method table alone is checked
+        monkeypatch.setitem(coefficients_mod._METHODS, "copy", ((2,), lambda m, n: closed_form_m2(n)))
+        for m, first in [(1, ["closed_constraints", "solve_constraints", "closed_vs_solve"]),
+                         (2, ["closed_constraints", "solve_constraints", "copy_constraints"])]:
+            code, out, _ = run_cli("verify", "--m", str(m), "--n", "4", capsys=capsys)
+            assert code == 0
+            assert [c["name"] for c in json.loads(out)["checks"]][:3] == first
+
     def test_failure_exit_code_when_a_check_fails(self, capsys, monkeypatch):
         import optquad.cli as cli_mod
 
@@ -465,6 +476,14 @@ class TestExitCodes:
         code, out, err = run_cli("coeffs", "--m", "3", "--n", "128", capsys=capsys)
         assert (code, out) == (3, "")
         assert "too ill-conditioned: cond ~ 2.4" in err
+
+    @pytest.mark.parametrize("command", ["coeffs", "verify"])
+    def test_unwritable_out_is_usage_error(self, command, tmp_path, capsys):
+        # exit 1 would read as a failed verify check
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(command, "--m", "1", "--n", "4", "--out", str(target), capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {target}: ")
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert run_cli(capsys=capsys)[0] == 2

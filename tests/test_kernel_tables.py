@@ -190,8 +190,8 @@ def test_identity_operator_calls_linear_in_window(monkeypatch, m, h):
 
 
 def _large_rules(m, n):
-    # admissible_perturbations takes a full SVD, so at large n the perturbed
-    # rule moves along a seeded random direction instead
+    # apply_rule sums any weights, so the perturbed rule needs no admissible
+    # direction: it moves along a seeded random one
     closed = build_rule(m, n, "closed")
     step = np.random.default_rng(n).standard_normal(n + 1) * 1e-3
     return {

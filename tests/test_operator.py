@@ -1,8 +1,9 @@
+import functools
 import math
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from optquad import (
     CharacteristicPolynomial,
@@ -275,6 +276,10 @@ class TestExtendedPrecisionIdentities:
         assert not report.divergent
         assert report.max_convergent_residual <= 1e-12
 
+    def test_rejects_empty_betas(self):
+        with pytest.raises(ValueError, match="betas is empty"):
+            identity_residuals(2, 0.5, betas=[])
+
     def test_divergent_families_detected(self):
         report = identity_residuals(3, 1.0, betas=range(-2, 3))
         assert set(report.divergent) == {"exp_growing", "exp_decaying", "delta"}
@@ -332,6 +337,45 @@ class TestWindows:
         with pytest.raises(ToleranceError) as info:
             window_for(spec, tol, growth=growth)
         assert info.value.achievable > tol
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-12])
+    def test_rejects_tolerance_that_is_not_positive(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            window_for(build_operator(2, 0.5), tol)
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_equals_doubling_search(self, data):
+        # one bisection over [1, _MAX_WINDOW] against the doubling search it
+        # replaced: the same window, or the same ToleranceError bound
+        m = data.draw(st.sampled_from([1, 2, 3]))
+        spec = _window_spec(m, data.draw(st.integers(1, 512)), data.draw(st.sampled_from([None, 50])))
+        # growth from 1 up to the summability limit 1 / lambda_max itself;
+        # just below it the window passes the cap
+        top = 1.0 / spec.lambda_max if m > 1 else 10.0
+        gap = data.draw(st.just(0.0) | st.floats(-8.0, 0.0).map(lambda e: 10.0**e))
+        growth = max(1.0, top * (1.0 - gap))
+        if data.draw(st.booleans()):
+            # an exact tail bound: the edge between two windows, or beyond the cap
+            tol = tail_bound(spec, int(10.0 ** data.draw(st.floats(0.0, 5.4))), growth)
+        else:
+            tol = 10.0 ** data.draw(st.floats(-40.0, 0.0))
+        assume(tol > 0)
+        assert _window_outcome(window_for, spec, tol, growth) == _window_outcome(
+            oracles.doubling_window_for, spec, tol, growth
+        )
+
+
+@functools.cache
+def _window_spec(m, n, dps):
+    return build_operator(m, 1.0 / n, dps=dps)
+
+
+def _window_outcome(search, spec, tol, growth):
+    try:
+        return search(spec, tol, growth)
+    except ToleranceError as exc:
+        return "ToleranceError", exc.achievable
 
 
 class TestAgainstClosedForm:
