@@ -12,7 +12,7 @@ Orders >= 3 have no closed form here; use :mod:`optquad.solver`.
 from __future__ import annotations
 
 from . import _series
-from .core import ORDERS, ConstructionError, GridSpec, QuadratureRule, RuleMethod
+from .core import ORDERS, GridSpec, QuadratureRule, RuleMethod
 from .operator import _arith, characteristic_polynomial, stable_roots
 from .solver import assemble_system, solve
 
@@ -56,9 +56,8 @@ def _closed_weights(m: int, n: int, dps: int | None = None) -> list:
             return [w] + [2 * w] * (n - 1) + [w]
         lam = stable_roots(characteristic_polynomial(2, h, dps))[0]
         pw = _powers(lam, n + 1)
+        # nonzero: 0 < |lam| < 1 (stable_roots checks it), so lam * (1 + lam^n) != 0, and em1 > 0
         denom = 2 * em1 ** 2 * (lam + pw[n + 1])
-        if denom == 0:
-            raise ConstructionError(f"boundary-layer denominator vanished at n={n}")
         K = _series.value("k_num", h, dps) * (lam - 1) / denom
         t = h / em1
         kterm = K * (lam - pw[n])

@@ -333,33 +333,17 @@ def window_for(spec: OperatorSpec, tol: float, growth: float = 1.0) -> int:
     return windows[i]
 
 
-def convolve(
-    spec: OperatorSpec,
-    g: Callable[[int], object],
-    beta: int,
-    window: int,
-    tail_tol: float | None = None,
-    growth: float = 1.0,
-) -> object:
+def convolve(spec: OperatorSpec, g: Callable[[int], object], beta: int, window: int) -> object:
     """Windowed discrete convolution sum_{|gamma|<=window} D_m(gamma) g(beta-gamma).
 
     The truncation error is bounded by tail_bound(spec, window, growth) times
-    the callback's growth constant; pass ``tail_tol`` to enforce that
-    g-independent factor up front (raises :class:`ToleranceError` with the
-    achievable bound if the window is too small).  Each sample is taken in
-    the spec's precision (float, or mpmath at ``dps`` digits), each product
-    is rounded once in that precision, and the products are summed exactly
-    before one final rounding.
+    the callback's growth constant.  Each sample is taken in the spec's
+    precision (float, or mpmath at ``dps`` digits), each product is rounded
+    once in that precision, and the products are summed exactly before one
+    final rounding.
     """
     if window < 1:
         raise ValueError("window must be a positive integer")
-    if tail_tol is not None:
-        bound = tail_bound(spec, window, growth)
-        if not bound <= tail_tol:
-            raise ToleranceError(
-                f"window {window} gives tail bound {bound:.3g} > {tail_tol:.3g}",
-                achievable=bound,
-            )
     ar = _arith(spec.dps)
     # term arithmetic must run at the spec's precision, not the ambient one
     with ar.context():
@@ -405,7 +389,6 @@ class IdentityReport:
 
 
 _EXTENDED_DPS = 50  # working digits of the extended-precision checks
-_WINDOW_FLOOR = 1e-14  # identity_residuals' window reaches |lambda_max|^window <= this
 
 
 def identity_residuals(
@@ -416,11 +399,11 @@ def identity_residuals(
 ) -> IdentityReport:
     """Evaluate the operator identities in mpmath at 50 digits.
 
-    The window is the smallest one with |lambda_max|^window <= 1e-14,
-    enlarged where needed so each convergent family's truncation tail is below
-    tail_target.  Samples are evaluated in mpmath so the residuals reflect
-    the identities themselves rather than float64 representation noise.
-    The precision and the 1e-14 floor are fixed.
+    The window is the smallest one whose truncation tail is below
+    tail_target for every convergent family.  Samples are evaluated in
+    mpmath so the residuals reflect the identities themselves rather than
+    float64 representation noise.  The precision is fixed.  Offsets must be
+    integers; any other raises ValueError.
 
     D_m(gamma) is evaluated once per |gamma| <= window.  The samples are
     evaluated once per |j| <= max|beta| + window at x_j = h*j and mirrored to
@@ -433,11 +416,14 @@ def identity_residuals(
     """
     if len(betas) == 0:
         raise ValueError("betas is empty: there is no offset to check")
+    fractional = [b for b in betas if b != int(b)]
+    if fractional:
+        raise ValueError(f"offsets must be integers, got {fractional}")
+    betas = [int(b) for b in betas]
     spec = build_operator(m, h, dps=_EXTENDED_DPS)
     lmax = spec.lambda_max
-    w_floor = 1 if lmax == 0.0 else max(1, math.ceil(math.log(_WINDOW_FLOOR) / math.log(lmax)))
     growth = math.exp(h)
-    beta_span = max(abs(int(b)) for b in betas)
+    beta_span = max(abs(b) for b in betas)
     # sample growth constants: exponentials and the kernel carry an extra
     # e^(h |beta|); monomials are dominated by a slow geometric envelope
     margin = 8.0 * max(1.0, beta_span) ** (2 * m) * math.exp(h * beta_span)
@@ -446,7 +432,8 @@ def identity_residuals(
     families.update((f"monomial_{k}", 1.1) for k in degrees)
     summable = {gr for gr in families.values() if lmax * gr < 1.0}
     divergent = tuple(name for name, gr in families.items() if gr not in summable)
-    window = max([w_floor] + [window_for(spec, tail_target / margin, growth=gr) for gr in summable])
+    # tail_bound grows with the growth rate, so the fastest summable one sets the window
+    window = window_for(spec, tail_target / margin, growth=max(summable))
 
     ar = _arith(_EXTENDED_DPS)
     with ar.context():
@@ -471,7 +458,7 @@ def identity_residuals(
         for name, values in samples.items():
             worst = mp.mpf(0)
             for beta in betas:
-                first = top - int(beta) - window
+                first = top - beta - window
                 val = ar.dot(table, values[first : first + 2 * window + 1])
                 if name == "delta" and beta == 0:
                     val -= 1

@@ -121,30 +121,19 @@ def np_inner_roots(m: int, h: float) -> list[float]:
 
 
 def panel_double_integral(m: int, panels: int = 24, order: int = 12) -> float:
-    """Deterministic tensor Gauss-Legendre value of the kernel's double integral.
+    """Composite Gauss-Legendre value of the kernel's double integral.
 
-    The square is split along the diagonal kink; each triangle maps to the
-    unit square via y = x * t, where the integrand is analytic.  Both
-    triangles contribute equally because the kernel is even.  Values are
-    memoised per (m, panels, order) however the arguments are passed.
+    The kernel is even, so its integral over the unit square is
+    2 * int_0^1 (1 - t) psi(t) dt, whose integrand is analytic on [0, 1];
+    this sums it over ``panels`` equal panels of ``order`` points each.
     """
-    return _panel_double_integral(m, panels, order)
-
-
-@functools.lru_cache(maxsize=None)
-def _panel_double_integral(m: int, panels: int, order: int) -> float:
     x, w = np.polynomial.legendre.leggauss(order)
-    xs = (x + 1.0) / 2.0
-    ws = w / 2.0
-    total = []
+    terms = []
     for i in range(panels):
-        for gi, wi in zip(xs, ws):
-            u = (i + gi) / panels
-            for j in range(panels):
-                for gj, wj in zip(xs, ws):
-                    v = (j + gj) / panels
-                    total.append(wi * wj / panels**2 * u * float(mp_psi(m, u * (1.0 - v))))
-    return 2.0 * math.fsum(total)
+        for xi, wi in zip(x, w):
+            t = (i + (xi + 1.0) / 2.0) / panels
+            terms.append(wi / (2.0 * panels) * (1.0 - t) * float(mp_psi(m, t)))
+    return 2.0 * math.fsum(terms)
 
 
 def central_difference(f, x: float, k: int) -> float:
@@ -229,15 +218,14 @@ def naive_assemble_system(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return A, b
 
 
-def naive_identity_residuals(m: int, h: float, betas, dps: int = 50,
-                             window_floor: float = 1e-14, tail_target: float = 1e-13):
+def naive_identity_residuals(m: int, h: float, betas, dps: int = 50, tail_target: float = 1e-13):
     """The operator identities, rebuilding every D_m(gamma) and sample for each beta.
 
+    The window is the largest of the convergent families' own windows.
     Returns (window, residuals, divergent) as IdentityReport holds them.
     """
     spec = build_operator(m, h, dps=dps)
     lmax = spec.lambda_max
-    w_floor = 1 if lmax == 0.0 else max(1, math.ceil(math.log(window_floor) / math.log(lmax)))
     growth = math.exp(h)
     beta_span = max((abs(int(b)) for b in betas), default=0)
     margin = 8.0 * max(1.0, beta_span) ** (2 * m) * math.exp(h * beta_span)
@@ -251,7 +239,7 @@ def naive_identity_residuals(m: int, h: float, betas, dps: int = 50,
         for k in range(0, 2 * m - 2):
             families.append((f"monomial_{k}", lambda j, k=k: (hm * j) ** k, 1.1))
         divergent = tuple(name for name, _, gr in families if spec.roots and lmax * gr >= 1.0)
-        window = w_floor
+        window = 1
         for name, _, gr in families:
             if name in divergent or not spec.roots:
                 continue

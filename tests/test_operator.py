@@ -1,5 +1,6 @@
 import functools
 import math
+import random
 
 import mpmath as mp
 import pytest
@@ -280,6 +281,14 @@ class TestExtendedPrecisionIdentities:
         with pytest.raises(ValueError, match="betas is empty"):
             identity_residuals(2, 0.5, betas=[])
 
+    @pytest.mark.parametrize("betas", [[0.5], [1, 2.5]])
+    def test_rejects_fractional_offsets(self, betas):
+        with pytest.raises(ValueError, match=r"offsets must be integers, got \[(0|2)\.5\]"):
+            identity_residuals(2, 0.5, betas=betas)
+
+    def test_integral_float_offsets_read_as_integers(self):
+        assert identity_residuals(2, 0.5, betas=[0, 1.0, -2]) == identity_residuals(2, 0.5, betas=[0, 1, -2])
+
     def test_divergent_families_detected(self):
         report = identity_residuals(3, 1.0, betas=range(-2, 3))
         assert set(report.divergent) == {"exp_growing", "exp_decaying", "delta"}
@@ -304,11 +313,16 @@ class TestWindows:
         assert window_for(spec, 1e-30) == 1
         assert tail_bound(spec, 1) == 0.0
 
-    def test_window_too_small_raises_with_bound(self):
-        spec = build_operator(2, 0.5)
-        with pytest.raises(ToleranceError) as info:
-            convolve(spec, lambda j: 1.0, 0, 3, tail_tol=1e-12)
-        assert info.value.achievable > 1e-12
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_identity_window_reaches_root_floor(self, m):
+        # the tail-bound window alone already takes |lambda_max|^window to
+        # 1e-14 on every spacing verify uses and on random spacings up to 1.5
+        rng = random.Random(11)
+        spacings = [1.0 / n for n in range(1, 65)] + [rng.uniform(1e-9, 1.5) for _ in range(20)]
+        for h in spacings:
+            lmax = build_operator(m, h, dps=50).lambda_max
+            floor = math.ceil(math.log(1e-14) / math.log(lmax))
+            assert identity_residuals(m, h, betas=[0]).window >= floor, h
 
     def test_nonsummable_growth_raises(self):
         spec = build_operator(3, 1.0)
