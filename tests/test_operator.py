@@ -314,11 +314,13 @@ class TestWindows:
         assert tail_bound(spec, 1) == 0.0
 
     @pytest.mark.parametrize("m", [2, 3])
-    def test_identity_window_reaches_root_floor(self, m):
+    @pytest.mark.parametrize("spacings", [
+        [1.0 / n for n in range(1, 65)],
+        [random.Random(11).uniform(1e-9, 1.5) for _ in range(20)],
+    ], ids=["h=1/n", "seeded"])
+    def test_identity_window_reaches_root_floor(self, m, spacings):
         # the tail-bound window alone already takes |lambda_max|^window to
-        # 1e-14 on every spacing verify uses and on random spacings up to 1.5
-        rng = random.Random(11)
-        spacings = [1.0 / n for n in range(1, 65)] + [rng.uniform(1e-9, 1.5) for _ in range(20)]
+        # 1e-14 on the spacings 1/n and on random spacings up to 1.5
         for h in spacings:
             lmax = build_operator(m, h, dps=50).lambda_max
             floor = math.ceil(math.log(1e-14) / math.log(lmax))
