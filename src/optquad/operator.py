@@ -403,7 +403,8 @@ def identity_residuals(
     tail_target for every convergent family.  Samples are evaluated in
     mpmath so the residuals reflect the identities themselves rather than
     float64 representation noise.  The precision is fixed.  Offsets must be
-    integers; any other raises ValueError.
+    integers; any other raises ValueError, and so does an h * max|beta| whose
+    sample growth e^(h max|beta|) is beyond float range.
 
     D_m(gamma) is evaluated once per |gamma| <= window.  The samples are
     evaluated once per |j| <= max|beta| + window at x_j = h*j and mirrored to
@@ -420,13 +421,21 @@ def identity_residuals(
     if fractional:
         raise ValueError(f"offsets must be integers, got {fractional}")
     betas = [int(b) for b in betas]
-    spec = build_operator(m, h, dps=_EXTENDED_DPS)
-    lmax = spec.lambda_max
-    growth = math.exp(h)
     beta_span = max(abs(b) for b in betas)
     # sample growth constants: exponentials and the kernel carry an extra
     # e^(h |beta|); monomials are dominated by a slow geometric envelope
-    margin = 8.0 * max(1.0, beta_span) ** (2 * m) * math.exp(h * beta_span)
+    try:
+        margin = 8.0 * max(1.0, beta_span) ** (2 * m) * math.exp(h * beta_span)
+    except OverflowError:
+        margin = math.inf
+    if math.isinf(margin):
+        raise ValueError(
+            f"the sample growth e^(h*max|beta|) at h = {h}, max|beta| = {beta_span}"
+            " is beyond float range"
+        )
+    spec = build_operator(m, h, dps=_EXTENDED_DPS)
+    lmax = spec.lambda_max
+    growth = math.exp(h)
     degrees = range(0, 2 * m - 3 + 1)
     families = {"exp_growing": growth, "exp_decaying": growth, "delta": growth}
     families.update((f"monomial_{k}", 1.1) for k in degrees)

@@ -194,6 +194,37 @@ def naive_error_norm_squared(rule) -> float:
     return (-1) ** m * math.fsum(terms)
 
 
+def fixed_panel_sobolev_norm(f, m: int) -> tuple[float, float]:
+    """(value, error estimate) of ||f^(m) + f^(m-1)||_L2 on 256 fixed panels.
+
+    10-point Gauss-Legendre panels, one point at a time; the estimate
+    compares them with 128 panels.
+    """
+    fm = f.derivative(m)
+    fm1 = f.derivative(m - 1)
+    x, w = np.polynomial.legendre.leggauss(10)
+
+    def integral(panels: int) -> float:
+        vals = []
+        for i in range(panels):
+            a = i / panels
+            half = 0.5 / panels
+            mid = a + half
+            for xg, wg in zip(x, w):
+                t = mid + half * xg
+                g = fm(t) + fm1(t)
+                vals.append(half * wg * g * g)
+        return math.fsum(vals)
+
+    coarse = integral(128)
+    fine = integral(256)
+    norm_sq = max(fine, 0.0)
+    value = math.sqrt(norm_sq)
+    diff = abs(fine - coarse) + 4.0 * np.finfo(float).eps * (1.0 + norm_sq)
+    err = diff / (2.0 * value) if value > 0.0 else math.sqrt(diff)
+    return value, float(err)
+
+
 def naive_assemble_system(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The bordered system's matrix and rhs, one kernel call per lower-triangle entry."""
     grid = GridSpec(m, n)

@@ -1,11 +1,17 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 import optquad.analysis
 from optquad import (
+    BUILTIN_INTEGRANDS,
+    Integrand,
     QuadratureRule,
     RuleMethod,
     apply_rule,
@@ -136,11 +142,112 @@ class TestSobolevNorm:
         assert est.error_estimate < 1e-12
 
     def test_missing_derivatives_rejected(self):
-        from optquad import Integrand
-
         bare = Integrand("bare", lambda x: x)
         with pytest.raises(ValueError):
             sobolev_norm(bare, 2)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(BUILTIN_INTEGRANDS))
+    def test_builtins_within_estimate_of_mpmath(self, name, m):
+        est = sobolev_norm(builtin_integrand(name), m)
+        assert type(est.value) is float and type(est.error_estimate) is float
+        d = _MP_DERIVATIVES[name]
+        with mp.workdps(30):
+            ref = mp.sqrt(mp.quad(lambda t: (d(m, t) + d(m - 1, t)) ** 2, [0, 0.25, 0.5, 1]))
+            assert abs(est.value - ref) <= est.error_estimate
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("k", [10, 150, 400])
+    def test_oscillatory_within_estimate(self, k, m):
+        # f = sin(kx): f^(j) = P_j sin(kx) + Q_j cos(kx), and the square of
+        # P sin + Q cos integrates in closed form over [0, 1]
+        f = Integrand(
+            f"sin{k}",
+            lambda x: math.sin(k * x),
+            (
+                lambda x: k * math.cos(k * x),
+                lambda x: -k * k * math.sin(k * x),
+                lambda x: -k * k * k * math.cos(k * x),
+            ),
+        )
+        est = sobolev_norm(f, m)
+        with mp.workdps(30):
+            pq = [(1, 0), (0, k), (-k * k, 0), (0, -k * k * k)]
+            p, q = (a + b for a, b in zip(pq[m], pq[m - 1]))
+            s2, c2 = mp.sin(2 * k), mp.cos(2 * k)
+            ref = mp.sqrt(
+                p * p * (mp.mpf(1) / 2 - s2 / (4 * k))
+                + q * q * (mp.mpf(1) / 2 + s2 / (4 * k))
+                + p * q * (1 - c2) / (2 * k)
+            )
+            assert abs(est.value - ref) <= est.error_estimate
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_INTEGRANDS))
+    def test_smooth_builtins_stop_early(self, name):
+        # the fixed 256-vs-128-panel scheme made 7,680 callback calls
+        f, calls = _counted(builtin_integrand(name))
+        for m in (1, 2, 3):
+            calls.clear()
+            sobolev_norm(f, m)
+            assert len(calls) <= 1200, m
+
+    def test_jump_reaches_the_cap_with_the_fixed_panel_bits(self):
+        # f' jumps at 1/3, inside a panel at every level, so no two levels
+        # agree: all six levels run and the last two are the old 128 and 256
+        f, calls = _counted(
+            Integrand("kink", lambda x: min(x, 1.0 / 3.0), (lambda x: 1.0 if x < 1.0 / 3.0 else 0.0,))
+        )
+        est = sobolev_norm(f, 1)
+        assert len(calls) == 2 * 10 * (8 + 16 + 32 + 64 + 128 + 256)
+        assert (est.value, est.error_estimate) == oracles.fixed_panel_sobolev_norm(f, 1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        f = Integrand("broken", lambda x: bad, (lambda x: bad,))
+        with pytest.raises(ValueError, match="broken"):
+            sobolev_norm(f, 1)
+        with pytest.raises(ValueError, match="broken"):
+            cauchy_schwarz_check(closed_form_m1(4), f)
+
+    def test_square_beyond_float_range_rejected(self):
+        f = Integrand("huge", lambda x: 1e200, (lambda x: 0.0,))
+        with pytest.raises(ValueError, match="huge"):
+            sobolev_norm(f, 1)
+
+    def test_import_leaves_gauss_table_unloaded(self):
+        # the Gauss nodes come from numpy.polynomial on first use only
+        src = os.path.dirname(os.path.dirname(optquad.analysis.__file__))
+        code = f"import sys; sys.path.insert(0, {src!r}); import optquad; print('numpy.polynomial' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "False"
+
+
+def _counted(f):
+    # f with every callback logging its argument to the returned list
+    calls = []
+
+    def wrap(fn):
+        return lambda x: calls.append(x) or fn(x)
+
+    return Integrand(f.name, wrap(f.fn), tuple(map(wrap, f.derivatives)), f.exact_integral), calls
+
+
+def _mp_runge(k, x):
+    # 1/(1 + 25x^2) = Re 1/(1 + 5ix), whose k-th derivative is k! (-5i)^k / (1 + 5ix)^(k+1)
+    return mp.re(mp.factorial(k) * (-5j) ** k / (1 + 5j * x) ** (k + 1))
+
+
+_MP_DERIVATIVES = {
+    "exp-neg": lambda k, x: (-1) ** k * mp.exp(-x),
+    "one": lambda k, x: mp.mpf(k == 0),
+    "x": lambda k, x: (x, 1, 0, 0)[k],
+    "x2": lambda k, x: (x * x, 2 * x, 2, 0)[k],
+    "sin": lambda k, x: mp.sin(x + k * mp.pi / 2),
+    "exp": lambda k, x: mp.exp(x),
+    "runge": _mp_runge,
+}
 
 
 class TestCauchySchwarz:

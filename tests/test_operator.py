@@ -286,6 +286,14 @@ class TestExtendedPrecisionIdentities:
         with pytest.raises(ValueError, match=r"offsets must be integers, got \[(0|2)\.5\]"):
             identity_residuals(2, 0.5, betas=betas)
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("h", [141.0, 150.0])
+    def test_rejects_sample_growth_beyond_float_range(self, m, h):
+        # e^(150 * 5) overflows math.exp; at h = 141, e^705 is finite but
+        # the margin 8 * 5^(2m) * e^705 is not
+        with pytest.raises(ValueError, match=rf"h = {h}, max\|beta\| = 5 is beyond float range"):
+            identity_residuals(m, h)
+
     def test_integral_float_offsets_read_as_integers(self):
         assert identity_residuals(2, 0.5, betas=[0, 1.0, -2]) == identity_residuals(2, 0.5, betas=[0, 1, -2])
 
