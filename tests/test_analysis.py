@@ -184,12 +184,15 @@ class TestSobolevNorm:
 
     @pytest.mark.parametrize("name", sorted(BUILTIN_INTEGRANDS))
     def test_smooth_builtins_stop_early(self, name):
-        # the fixed 256-vs-128-panel scheme made 7,680 callback calls
+        # the fixed 256-vs-128-panel scheme made 7,680 callback calls; three
+        # agreeing levels end at 32 panels (1,120 calls), and runge, whose
+        # 8- and 16-panel levels differ, at 64 (2,400)
         f, calls = _counted(builtin_integrand(name))
+        last = 64 if name == "runge" else 32
         for m in (1, 2, 3):
             calls.clear()
             sobolev_norm(f, m)
-            assert len(calls) <= 1200, m
+            assert len(calls) == 2 * 10 * (2 * last - 8), m
 
     def test_jump_reaches_the_cap_with_the_fixed_panel_bits(self):
         # f' jumps at 1/3, inside a panel at every level, so no two levels
@@ -200,6 +203,27 @@ class TestSobolevNorm:
         est = sobolev_norm(f, 1)
         assert len(calls) == 2 * 10 * (8 + 16 + 32 + 64 + 128 + 256)
         assert (est.value, est.error_estimate) == oracles.fixed_panel_sobolev_norm(f, 1)
+
+    def test_bump_between_the_first_two_levels_is_covered(self):
+        # a bump of width 1e-3 in the widest gap shared by the 8- and
+        # 16-panel nodes: those two levels agree on almost nothing, the
+        # 32-panel level sees the bump and the loop refines to the cap
+        c = 0.45965
+        est = sobolev_norm(_bump(c, 1e-3), 1)
+        assert abs(est.value - _bump_norm(c, 1e-3)) <= est.error_estimate
+        assert est.value == pytest.approx(0.035402, rel=1e-4)
+
+    def test_bump_covered_wherever_the_fixed_scheme_covers(self):
+        # every level repeats with period 1/8, so centres spread over one
+        # period meet every placement of a bump against the nodes
+        sigma = 6e-4
+        for c in np.arange(0.375, 0.5, 1e-3):
+            f = _bump(c, sigma)
+            ref = _bump_norm(c, sigma)
+            value, estimate = oracles.fixed_panel_sobolev_norm(f, 1)
+            if abs(value - ref) <= estimate:
+                est = sobolev_norm(f, 1)
+                assert abs(est.value - ref) <= est.error_estimate, c
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_sample_rejected(self, bad):
@@ -232,6 +256,17 @@ def _counted(f):
         return lambda x: calls.append(x) or fn(x)
 
     return Integrand(f.name, wrap(f.fn), tuple(map(wrap, f.derivatives)), f.exact_integral), calls
+
+
+def _bump(c, sigma):
+    # f^(1) + f^(0) is a Gaussian bump of width sigma at c (f itself is 0)
+    return Integrand("bump", lambda x: 0.0, (lambda x: math.exp(-(((x - c) / sigma) ** 2)),))
+
+
+def _bump_norm(c, sigma):
+    # L2 norm over [0, 1] of the bump: exp(-2u^2/sigma^2) integrates to erfs
+    s = sigma / math.sqrt(2.0)
+    return math.sqrt(s * math.sqrt(math.pi) / 2.0 * (math.erf((1.0 - c) / s) + math.erf(c / s)))
 
 
 def _mp_runge(k, x):
