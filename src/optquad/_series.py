@@ -13,8 +13,9 @@ computed with Fraction arithmetic and rounded once to float.  Thirty terms
 keep every quantity within 3e-16 relative for h in (0, 1.6]; past that the
 truncation error grows fast (7.7e-15 at h = 2, 1.4e-12 at h = 2.5), so the
 float path refuses h > 1.5.  Every grid has h = 1/n <= 1.  Given ``dps``,
-:func:`value` instead evaluates the printed sum in mpmath, for any h, and
-the cancellation costs digits out of ``dps``.
+:func:`value` instead evaluates the printed sum in mpmath, for any h > 0,
+with enough extra digits to cover the cancellation, and rounds the result
+to ``dps`` digits.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ import mpmath as mp
 
 _KMAX = 30
 _H_MAX = 1.5  # largest spacing the 30-term float series is trusted at
+# digits kept beyond the order * log10(1/h) that the printed sums cancel; they
+# cancel at most 2.2 digits more than that (measured for h in [1e-300, 500])
+_GUARD_DIGITS = 5
 
 # (coefficient, power of h, exponential multiple) triples for each quantity
 _TERMS = {
@@ -68,8 +72,10 @@ def value(name: str, h: float, dps: int | None = None):
 
     With ``dps=None``: the float series, stable for small h; h above
     ``_H_MAX`` raises ValueError.  With ``dps``: the printed sum of
-    c * h^a * e^(b*h) as an mpmath float at ``dps`` digits, which loses
-    ~(order * log10(1/h)) of them to cancellation.
+    c * h^a * e^(b*h), an mpmath float good to ``dps`` digits.  The sum is
+    taken at ``dps`` plus the ~(order * log10(1/h)) digits its cancellation
+    costs plus guard digits, the order being the power of h the quantity
+    vanishes like, and rounded to ``dps``.
     """
     if dps is None:
         if h > _H_MAX:
@@ -82,7 +88,11 @@ def value(name: str, h: float, dps: int | None = None):
         for k in range(_KMAX, -1, -1):
             val = val * h + coeffs[k]
         return val
-    with mp.workdps(dps):
+    order = next(k for k, c in enumerate(_coeffs(name)) if c)
+    lost = order * max(0.0, -math.log10(h))
+    with mp.workdps(dps + math.ceil(lost) + _GUARD_DIGITS):
         hm = mp.mpf(h)
         exps = (1, mp.exp(hm), mp.exp(2 * hm))
-        return mp.fsum(hm**a * exps[b] * c.numerator / c.denominator for c, a, b in _TERMS[name])
+        total = mp.fsum(hm**a * exps[b] * c.numerator / c.denominator for c, a, b in _TERMS[name])
+    with mp.workdps(dps):
+        return +total

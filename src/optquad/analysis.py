@@ -211,10 +211,9 @@ def convergence_study(
     m: int,
     n_values: Sequence[int],
     f: Integrand | None = None,
-    norm_mode: bool = False,
     method: str = "auto",
 ) -> ConvergenceTable:
-    """Tabulate per-n error (or the error-functional norm) with observed orders.
+    """Tabulate per-n error of ``f``, or the error-functional norm when f is None.
 
     Ratios and orders are reported only across doubling steps and only while
     both values sit above the roundoff exactness floor; orders are log2 of
@@ -223,14 +222,12 @@ def convergence_study(
     ns = list(n_values)
     if ns != sorted(ns) or len(set(ns)) != len(ns):
         raise ValueError("n_values must be strictly ascending")
-    if not norm_mode and f is None:
-        raise ValueError("an integrand is required unless norm_mode is set")
     floor = 1e-14
     rows: list[ConvergenceRow] = []
     prev: tuple[int, float] | None = None
     for n in ns:
         rule = build_rule(m, n, method)
-        if norm_mode:
+        if f is None:
             value = math.sqrt(max(error_norm_squared(rule), 0.0))
         else:
             value = abs(apply_rule(rule, f.fn) - f.exact_integral)
@@ -240,7 +237,7 @@ def convergence_study(
             order = math.log2(ratio)
         rows.append(ConvergenceRow(n, value, ratio, order))
         prev = (n, value)
-    return ConvergenceTable(m, "norm" if norm_mode else (f.name if f else "error"), tuple(rows))
+    return ConvergenceTable(m, "norm" if f is None else f.name, tuple(rows))
 
 
 def classical_rule(kind: str, n: int) -> QuadratureRule:

@@ -165,7 +165,7 @@ def cmd_convergence(args) -> int:
     if args.norm_mode and args.function:
         raise ValueError("--norm-mode and --function are mutually exclusive")
     if args.norm_mode:
-        table = convergence_study(args.m, n_values, norm_mode=True, method=args.method)
+        table = convergence_study(args.m, n_values, method=args.method)
     else:
         if not args.function:
             raise ValueError("pass --function NAME or --norm-mode")

@@ -87,10 +87,6 @@ class CharacteristicPolynomial:
     coeffs: tuple
     dps: int | None = None
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __call__(self, lam):
         val = 0.0 * lam
         for c in reversed(self.coeffs):
@@ -99,7 +95,7 @@ class CharacteristicPolynomial:
 
     def derivative(self, lam):
         val = 0.0 * lam
-        for s in range(self.degree, 0, -1):
+        for s in range(len(self.coeffs) - 1, 0, -1):
             val = val * lam + s * self.coeffs[s]
         return val
 
@@ -133,30 +129,10 @@ def _stable_quadratic_root(a, b, sqrt_disc, ar: _Arith):
     return a / q
 
 
-def _validate_roots(poly: CharacteristicPolynomial, roots) -> list:
-    if len(roots) != poly.m - 1:
-        raise ConstructionError(
-            f"expected {poly.m - 1} roots inside the unit disk, found {len(roots)} (h={poly.h})"
-        )
-    scale = max(abs(c) for c in poly.coeffs)
-    for lam in roots:
-        if not abs(lam) < 1:
-            raise ConstructionError(f"no root strictly inside the unit disk for h={poly.h}")
-        if abs(poly(lam)) > 1e-10 * scale:
-            raise ConstructionError(
-                f"root residual {float(abs(poly(lam)))} exceeds 1e-10 * max|coeff| (h={poly.h})"
-            )
-    return roots
-
-
-def _generic_inner_roots(poly: CharacteristicPolynomial, ar: _Arith) -> list:
-    # fallback: generic polynomial rootfinder, real roots inside the unit
-    # disk, with 20 digits to spare over extended-precision coefficients
-    with mp.workdps(40 if poly.dps is None else max(40, poly.dps + 20)):
-        found = mp.polyroots([mp.mpf(c) for c in reversed(poly.coeffs)],
-                             maxsteps=200, extraprec=120)
-        inner = [r.real for r in found if abs(r) < 1 and abs(r.imag) < 1e-25 * (1 + abs(r))]
-    return sorted(ar.num(r) for r in inner)
+# smallest float64 spacing at which the roots keep full accuracy (2e-15
+# relative): below it h * radicand_factor (m = 2) or p3^2 (m = 3) is
+# subnormal, and at 2.5e-79 / 4.2e-32 the roots no longer validate
+_FLOAT_H_MIN = {2: 1e-77, 3: 2e-31}
 
 
 def stable_roots(poly: CharacteristicPolynomial) -> list:
@@ -166,17 +142,31 @@ def stable_roots(poly: CharacteristicPolynomial) -> list:
     the factored form 4h(e^h-1)^2 * (h(e^h+1)^2 + 2(1-e^(2h))) so small-h
     cancellation cannot corrupt it.  m=3: the palindromic quartic reduces to a
     quadratic in mu = lambda + 1/lambda; each mu gives a reciprocal root pair
-    and we keep the inner one.  Candidates failing the residual check against
-    the polynomial trigger one retry with a generic rootfinder before the
-    construction is declared failed.  Arithmetic runs at the polynomial's
-    precision.
+    and we keep the inner one.  This is the only path: a candidate outside the
+    unit disk, or with a residual above 1e-10 * max|coeff|, raises
+    :class:`ConstructionError`.  Arithmetic runs at the polynomial's
+    precision.  In float64 the domain is h >= 1e-77 for m = 2 and
+    h >= 2e-31 for m = 3, where the roots keep 2e-15 relative accuracy;
+    a smaller h raises ValueError that asks for ``dps``, with which every
+    h > 0 is accepted.
     """
+    if poly.dps is None and poly.h < _FLOAT_H_MIN.get(poly.m, 0.0):
+        raise ValueError(
+            f"h={poly.h} is below the float64 domain h >= {_FLOAT_H_MIN[poly.m]:g} of order"
+            f" {poly.m}; pass dps for smaller spacings"
+        )
     ar = _arith(poly.dps)
     with ar.context():
-        try:
-            return _validate_roots(poly, _reduced_roots(poly, ar))
-        except ConstructionError:
-            return _validate_roots(poly, _generic_inner_roots(poly, ar))
+        roots = _reduced_roots(poly, ar)
+        scale = max(abs(c) for c in poly.coeffs)
+        for lam in roots:
+            if not abs(lam) < 1:
+                raise ConstructionError(f"no root strictly inside the unit disk for h={poly.h}")
+            if abs(poly(lam)) > 1e-10 * scale:
+                raise ConstructionError(
+                    f"root residual {float(abs(poly(lam)))} exceeds 1e-10 * max|coeff| (h={poly.h})"
+                )
+        return roots
 
 
 def _reduced_roots(poly: CharacteristicPolynomial, ar: _Arith) -> list:
@@ -389,18 +379,16 @@ class IdentityReport:
 
 
 _EXTENDED_DPS = 50  # working digits of the extended-precision checks
+_TAIL_TARGET = 1e-13  # truncation tail the identity checks' window must reach
 
 
 def identity_residuals(
-    m: int,
-    h: float,
-    betas: Sequence[int] = tuple(range(-5, 6)),
-    tail_target: float = 1e-13,
+    m: int, h: float, betas: Sequence[int] = tuple(range(-5, 6))
 ) -> IdentityReport:
     """Evaluate the operator identities in mpmath at 50 digits.
 
-    The window is the smallest one whose truncation tail is below
-    tail_target for every convergent family.  Samples are evaluated in
+    The window is the smallest one whose truncation tail is below 1e-13
+    for every convergent family.  Samples are evaluated in
     mpmath so the residuals reflect the identities themselves rather than
     float64 representation noise.  The precision is fixed.  Offsets must be
     integers; any other raises ValueError, and so does an h * max|beta| whose
@@ -442,7 +430,7 @@ def identity_residuals(
     summable = {gr for gr in families.values() if lmax * gr < 1.0}
     divergent = tuple(name for name, gr in families.items() if gr not in summable)
     # tail_bound grows with the growth rate, so the fastest summable one sets the window
-    window = window_for(spec, tail_target / margin, growth=max(summable))
+    window = window_for(spec, _TAIL_TARGET / margin, growth=max(summable))
 
     ar = _arith(_EXTENDED_DPS)
     with ar.context():

@@ -19,7 +19,7 @@ from scipy.integrate import quad
 
 from optquad.analysis import kernel_double_integral
 from optquad.core import GridSpec, ToleranceError, moment_f, psi
-from optquad.operator import _psi_mp, build_operator, operator_value, tail_bound, window_for
+from optquad.operator import _TAIL_TARGET, _psi_mp, build_operator, operator_value, tail_bound, window_for
 
 DPS = 45
 
@@ -112,6 +112,20 @@ def mp_inner_roots(m: int, h) -> list[float]:
         coeffs = mp_char_coeffs(m, h)
         roots = mp.polyroots(list(reversed(coeffs)), maxsteps=300, extraprec=160)
         return sorted(float(r.real) for r in roots if abs(r) < 1)
+
+
+@functools.cache
+def mp_stable_roots(m: int, h: float, dps: int = 80) -> tuple[mp.mpf, ...]:
+    """The |lambda| < 1 roots to ~dps digits, by generic root finding.
+
+    The printed coefficients cancel to ~h^(2m-1), so they are evaluated with
+    (2m-1) * log10(1/h) + 10 digits beyond dps.
+    """
+    work = dps + int((2 * m - 1) * max(0.0, -math.log10(h))) + 10
+    with mp.workdps(work):
+        coeffs = mp_char_coeffs(m, h, dps=work)
+        roots = mp.polyroots(list(reversed(coeffs)), maxsteps=300, extraprec=2 * work)
+        return tuple(sorted(r.real for r in roots if abs(r) < 1))
 
 
 def np_inner_roots(m: int, h: float) -> list[float]:
@@ -249,7 +263,7 @@ def naive_assemble_system(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return A, b
 
 
-def naive_identity_residuals(m: int, h: float, betas, dps: int = 50, tail_target: float = 1e-13):
+def naive_identity_residuals(m: int, h: float, betas, dps: int = 50):
     """The operator identities, rebuilding every D_m(gamma) and sample for each beta.
 
     The window is the largest of the convergent families' own windows.
@@ -274,7 +288,7 @@ def naive_identity_residuals(m: int, h: float, betas, dps: int = 50, tail_target
         for name, _, gr in families:
             if name in divergent or not spec.roots:
                 continue
-            window = max(window, window_for(spec, tail_target / margin, growth=gr))
+            window = max(window, window_for(spec, _TAIL_TARGET / margin, growth=gr))
         residuals = {}
         for name, g, _ in families:
             worst = mp.mpf(0)

@@ -358,7 +358,8 @@ class TestConvergenceStudy:
         assert all(row.value <= 1e-12 for row in table.rows)
 
     def test_norm_mode_decreases(self):
-        table = convergence_study(2, [2, 4, 8, 16], norm_mode=True)
+        # without an integrand the table is the error-functional norm
+        table = convergence_study(2, [2, 4, 8, 16])
         values = [row.value for row in table.rows]
         assert all(a > b for a, b in zip(values, values[1:]))
         assert table.quantity == "norm"
@@ -374,9 +375,15 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError):
             convergence_study(1, [4, 2], builtin_integrand("sin"))
 
-    def test_requires_function_or_norm_mode(self):
-        with pytest.raises(ValueError):
-            convergence_study(1, [2, 4])
+    def test_integrand_selects_its_error_over_the_norm(self):
+        f = builtin_integrand("sin")
+        errors = convergence_study(1, [2, 4], f)
+        norms = convergence_study(1, [2, 4])
+        assert (errors.quantity, norms.quantity) == ("sin", "norm")
+        for row, n in zip(errors.rows, (2, 4)):
+            assert row.value == abs(apply_rule(build_rule(1, n), f.fn) - f.exact_integral)
+        for row, n in zip(norms.rows, (2, 4)):
+            assert row.value == math.sqrt(error_norm_squared(build_rule(1, n)))
 
 
 class TestClassicalRules:

@@ -22,7 +22,7 @@ from optquad import (
     tail_bound,
     window_for,
 )
-from optquad.operator import _MAX_WINDOW, _psi_mp
+from optquad.operator import _FLOAT_H_MIN, _MAX_WINDOW, _psi_mp
 
 import oracles
 
@@ -115,22 +115,75 @@ class TestStableRoots:
         with pytest.raises(ConstructionError):
             stable_roots(fake)
 
-    def test_generic_fallback_recovers_non_palindromic_input(self):
-        # (x-0.2)(x-0.5)(x-3)(x-4): the reciprocal-pair reduction produces
-        # candidates that fail the residual check; the generic retry succeeds
-        poly = CharacteristicPolynomial(3, 1.0, (1.2, -9.1, 17.0, -7.7, 1.0))
-        roots = stable_roots(poly)
-        assert roots == pytest.approx([0.2, 0.5], rel=1e-12)
-
-    def test_generic_fallback_keeps_extended_precision(self):
-        # the same quartic at 50 digits: the fallback must work above them
+    @pytest.mark.parametrize("dps", [None, 50])
+    def test_non_palindromic_quartic_raises(self, dps):
+        # (x-0.2)(x-0.5)(x-3)(x-4) is not palindromic: the reciprocal-pair
+        # reduction finds no real pair, and no second rootfinder retries it
         with mp.workdps(50):
-            coeffs = tuple(mp.mpf(c) for c in ("1.2", "-9.1", "17", "-7.7", "1"))
-            poly = CharacteristicPolynomial(3, 1.0, coeffs, dps=50)
-            roots = stable_roots(poly)
-            assert len(roots) == 2
-            for got, want in zip(roots, ("0.2", "0.5")):
-                assert abs(got - mp.mpf(want)) <= mp.mpf("1e-48")
+            coeffs = tuple(mp.mpf(c) if dps else float(c) for c in ("1.2", "-9.1", "17", "-7.7", "1"))
+        with pytest.raises(ConstructionError, match="non-real root pair"):
+            stable_roots(CharacteristicPolynomial(3, 1.0, coeffs, dps=dps))
+
+
+def _euler_frobenius_roots(m):
+    # the h -> 0 limits of the stable roots, inner roots of lambda^2 + 4 lambda + 1
+    # (m = 2) and lambda^4 + 26 lambda^3 + 66 lambda^2 + 26 lambda + 1 (m = 3)
+    with mp.workdps(60):
+        mus = [mp.mpf(-4)] if m == 2 else [-13 - mp.sqrt(105), -13 + mp.sqrt(105)]
+        return sorted((mu + mp.sqrt(mu * mu - 4)) / 2 for mu in mus)
+
+
+# geometric spacings from 1e-8 to 1.5
+EXTENDED_SPACINGS = [10.0 ** (-8 + (math.log10(1.5) + 8) * i / 39) for i in range(40)]
+
+
+class TestRootDomain:
+    """The one root path on dense grids, in float64 and in extended precision."""
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_float_path_on_dense_grids(self, m):
+        rng = random.Random(13)
+        lo = math.log10(_FLOAT_H_MIN[m])
+        spacings = [1.0 / n for n in range(1, 20001)]
+        spacings += [rng.uniform(0.0, 1.5) for _ in range(5000)]
+        spacings += [10.0 ** (lo + (math.log10(1.5) - lo) * i / 2000) for i in range(2000)]
+        for h in spacings:
+            assert len(stable_roots(characteristic_polynomial(m, h))) == m - 1, h
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_float_roots_keep_full_accuracy_down_to_the_domain_edge(self, m):
+        lo = math.log10(_FLOAT_H_MIN[m])
+        for i in range(200):
+            h = min(1.5, 10.0 ** (lo + (math.log10(1.5) - lo) * i / 199))
+            got = stable_roots(characteristic_polynomial(m, h))
+            want = stable_roots(characteristic_polynomial(m, h, dps=50))
+            assert got == pytest.approx([float(r) for r in want], rel=2e-15), h
+
+    @pytest.mark.parametrize("dps", [15, 20, 30, 50])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_extended_path_delivers_its_digits(self, m, dps):
+        # the printed coefficient sums cancel ~(2m-1) log10(1/h) digits, which
+        # the extended path must work above dps to keep
+        for h in EXTENDED_SPACINGS:
+            got = stable_roots(characteristic_polynomial(m, h, dps=dps))
+            want = oracles.mp_stable_roots(m, h)
+            assert len(got) == m - 1
+            for a, b in zip(got, want):
+                assert abs(a - b) <= mp.mpf(10) ** (1 - dps), h
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("h", [1e-31, 1e-80, 1e-300])
+    def test_tiny_spacings(self, m, h):
+        ext = stable_roots(characteristic_polynomial(m, h, dps=50))
+        # the roots move from their h -> 0 limits by O(h)
+        for a, b in zip(ext, _euler_frobenius_roots(m)):
+            assert abs(a - b) <= 1e-48 + 10 * h
+        poly = characteristic_polynomial(m, h)
+        if h >= _FLOAT_H_MIN[m]:
+            assert stable_roots(poly) == pytest.approx([float(r) for r in ext], rel=2e-15)
+        else:
+            with pytest.raises(ValueError, match=rf"h={h} is below the float64 domain .*pass dps"):
+                stable_roots(poly)
 
 
 class TestOperatorValues:
@@ -411,9 +464,15 @@ class TestAgainstClosedForm:
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_extended_mode_delta_identity_is_sharp(self, m):
-        # at dps=50 the only residual left is the geometric tail truncation
-        report = identity_residuals(m, 0.5, betas=range(-2, 3), tail_target=1e-20)
-        assert report.residuals["delta"] <= 1e-18
+        # at dps=50 the only residual left is the geometric tail truncation:
+        # |psi(x)| <= e^|x|, so a window whose tail bound at growth e^h is
+        # 1e-24 leaves at most 1e-24 * e^(h |beta|) at offset beta
+        h = 0.5
+        spec = build_operator(m, h, dps=50)
+        window = window_for(spec, 1e-24, math.exp(h))
+        for beta in range(-2, 3):
+            val = convolve(spec, lambda j: _psi_mp(m, mp.mpf(h) * j), beta, window)
+            assert abs(val - (1 if beta == 0 else 0)) <= 1e-24 * math.exp(h * abs(beta))
 
 
 class TestMirroredSamples:

@@ -26,6 +26,16 @@ def test_extended_sum_matches_high_precision(name, h):
     assert got == pytest.approx(ref, rel=5e-16, abs=1e-300)
 
 
+@pytest.mark.parametrize("name", QUANTITIES)
+@pytest.mark.parametrize("h", H_GRID)
+def test_extended_sum_keeps_its_digits(name, h):
+    # 16 digits leave a float-accurate value even at h = 1e-8, where the
+    # printed sum cancels ~40 digits: the extra working digits cover them
+    got = float(_series.value(name, h, dps=16))
+    ref = oracles.mp_series_reference(name, h)
+    assert got == pytest.approx(ref, rel=5e-16, abs=1e-300)
+
+
 # spacings past the float series' trusted range (h <= 1.5); no grid has them
 H_LARGE = [2.0, 3.0, 5.0, 10.0]
 
