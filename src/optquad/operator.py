@@ -79,7 +79,7 @@ def _arith(dps: int | None) -> _Arith:
 class CharacteristicPolynomial:
     """P(lambda) of degree 2m-2, coefficients ascending (palindromic).
 
-    ``dps`` marks coefficients that are mpmath floats at that precision.
+    ``dps`` marks mpmath coefficients at that precision; evaluation runs at it.
     """
 
     m: int
@@ -88,20 +88,27 @@ class CharacteristicPolynomial:
     dps: int | None = None
 
     def __call__(self, lam):
-        val = 0.0 * lam
-        for c in reversed(self.coeffs):
-            val = val * lam + c
-        return val
+        with _arith(self.dps).context():
+            val = 0.0 * lam
+            for c in reversed(self.coeffs):
+                val = val * lam + c
+            return val
 
     def derivative(self, lam):
-        val = 0.0 * lam
-        for s in range(len(self.coeffs) - 1, 0, -1):
-            val = val * lam + s * self.coeffs[s]
-        return val
+        with _arith(self.dps).context():
+            val = 0.0 * lam
+            for s in range(len(self.coeffs) - 1, 0, -1):
+                val = val * lam + s * self.coeffs[s]
+            return val
 
 
 # _series names of the palindromic coefficients, outer to middle
 _HALF_COEFFS = {2: ("p_m2", "p1_m2"), 3: ("p4_m3", "p3_m3", "p2_m3")}
+
+# smallest float64 spacing at which the roots keep full accuracy (2e-15
+# relative): below it h * radicand_factor (m = 2) or p3^2 (m = 3) is
+# subnormal, and at 2.5e-79 / 4.2e-32 the roots no longer validate
+_FLOAT_H_MIN = {2: 1e-77, 3: 2e-31}
 
 
 def characteristic_polynomial(m: int, h: float, dps: int | None = None) -> CharacteristicPolynomial:
@@ -110,7 +117,9 @@ def characteristic_polynomial(m: int, h: float, dps: int | None = None) -> Chara
     Defined for m = 2 (quadratic) and m = 3 (quartic, via the degree-2
     Euler-Frobenius polynomial lambda^2 + 4*lambda + 1).  The order-1 operator
     is degenerate, has no polynomial, and is built directly by
-    :func:`build_operator`.
+    :func:`build_operator`.  Float64 accepts h in [1e-77, 1.5] (m = 2) or
+    [2e-31, 1.5] (m = 3), where the roots keep 2e-15 relative accuracy;
+    other h raise ValueError asking for ``dps``, which accepts every h > 0.
     """
     if m == 1:
         raise ValueError("order 1 has no characteristic polynomial; use build_operator")
@@ -118,6 +127,10 @@ def characteristic_polynomial(m: int, h: float, dps: int | None = None) -> Chara
         raise ValueError(f"order m must be in {ORDERS}, got {m}")
     if not h > 0:
         raise ValueError(f"spacing h must be positive, got {h}")
+    if dps is None and not _FLOAT_H_MIN[m] <= h <= _series._H_MAX:
+        side = "below" if h < _FLOAT_H_MIN[m] else "above"
+        raise ValueError(f"h={h} is {side} the float64 domain [{_FLOAT_H_MIN[m]:g}, {_series._H_MAX:g}]"
+                         f" of order {m}; pass dps= to characteristic_polynomial or build_operator")
     half = [_series.value(name, h, dps) for name in _HALF_COEFFS[m]]
     return CharacteristicPolynomial(m, h, tuple(half + half[-2::-1]), dps)
 
@@ -127,12 +140,6 @@ def _stable_quadratic_root(a, b, sqrt_disc, ar: _Arith):
     # inside the unit disk without subtractive cancellation (root product is 1)
     q = -(b + ar.copysign(sqrt_disc, b)) / 2
     return a / q
-
-
-# smallest float64 spacing at which the roots keep full accuracy (2e-15
-# relative): below it h * radicand_factor (m = 2) or p3^2 (m = 3) is
-# subnormal, and at 2.5e-79 / 4.2e-32 the roots no longer validate
-_FLOAT_H_MIN = {2: 1e-77, 3: 2e-31}
 
 
 def stable_roots(poly: CharacteristicPolynomial) -> list:
@@ -145,16 +152,8 @@ def stable_roots(poly: CharacteristicPolynomial) -> list:
     and we keep the inner one.  This is the only path: a candidate outside the
     unit disk, or with a residual above 1e-10 * max|coeff|, raises
     :class:`ConstructionError`.  Arithmetic runs at the polynomial's
-    precision.  In float64 the domain is h >= 1e-77 for m = 2 and
-    h >= 2e-31 for m = 3, where the roots keep 2e-15 relative accuracy;
-    a smaller h raises ValueError that asks for ``dps``, with which every
-    h > 0 is accepted.
+    precision; :func:`characteristic_polynomial` sets the float64 domain.
     """
-    if poly.dps is None and poly.h < _FLOAT_H_MIN.get(poly.m, 0.0):
-        raise ValueError(
-            f"h={poly.h} is below the float64 domain h >= {_FLOAT_H_MIN[poly.m]:g} of order"
-            f" {poly.m}; pass dps for smaller spacings"
-        )
     ar = _arith(poly.dps)
     with ar.context():
         roots = _reduced_roots(poly, ar)
@@ -198,19 +197,19 @@ def _reduced_roots(poly: CharacteristicPolynomial, ar: _Arith) -> list:
 class OperatorSpec:
     """Finite center plus geometric tails: all data needed to evaluate D_m.
 
-    ``p`` is the leading polynomial coefficient, ``c_const`` the central
-    constant, ``roots``/``amplitudes`` the tail data (empty for m = 1).
-    ``exp_h`` caches e^h for the |beta| = 1 branch.  ``dps`` marks specs whose
-    values are mpmath floats at that precision.
+    ``center`` and ``near`` are D_m(0) and D_m(1); ``p`` (the leading
+    polynomial coefficient) and ``roots``/``amplitudes`` (empty for m = 1)
+    give the tails.  ``dps`` marks specs whose values are mpmath floats at
+    that precision.
     """
 
     m: int
     h: float
     p: object
-    c_const: object
+    center: object
+    near: object
     roots: tuple
     amplitudes: tuple
-    exp_h: object
     dps: int | None = None
 
     @property
@@ -222,15 +221,16 @@ def build_operator(m: int, h: float, dps: int | None = None) -> OperatorSpec:
     """Construct the order-m discrete operator for spacing h.
 
     m = 1 is the degenerate case: support {-1, 0, 1} with p = 1 - e^(2h) and
-    central constant 1 + e^(2h); this reproduces -2*D(1) - D(0) =
-    2(e^h - 1)/(e^h + 1).  For m = 2, 3 the amplitudes follow from the stable
-    roots and the derivative of the characteristic polynomial.
+    central constant c = 1 + e^(2h); this reproduces -2*D(1) - D(0) =
+    2(e^h - 1)/(e^h + 1).  For m = 2, 3 the amplitudes A_k follow from the
+    stable roots and the derivative of the characteristic polynomial.  D_m(0) =
+    (2c + sum A_k/lambda_k)/p and D_m(1) = (-2e^h + sum A_k)/p are stored.
 
     With ``dps`` set, every stored value is an mpmath float computed at that
-    many digits; :func:`operator_value` and :func:`convolve` then stay in
-    extended precision.  Use this for identity verification at small h, where
-    the operator's central values grow like h^(1-2m) and float64 rounding
-    alone exceeds tight identity tolerances.
+    many digits, and :func:`operator_value` and :func:`convolve` evaluate at
+    that precision whatever the caller's.  Use this for identity verification
+    at small h, where the operator's central values grow like h^(1-2m) and
+    float64 rounding alone exceeds tight identity tolerances.
     """
     if m not in ORDERS:
         raise ValueError(f"order m must be in {ORDERS}, got {m}")
@@ -241,37 +241,39 @@ def build_operator(m: int, h: float, dps: int | None = None) -> OperatorSpec:
         hh = ar.num(h)
         E, E2 = ar.exp(hh), ar.exp(2 * hh)
         if m == 1:
-            return OperatorSpec(m, h, -ar.expm1(2 * hh), 1 + E2, (), (), E, dps)
-        poly = characteristic_polynomial(m, h, dps=dps)
-        roots = stable_roots(poly)
-        p_lead, p_sub = poly.coeffs[-1], poly.coeffs[-2]
-        c_const = 1 + (2 * m - 2) * E + E2 + E * p_sub / p_lead
-        amps = tuple(
-            2 * (1 - lam) ** (2 * m - 2) * (lam * (E2 + 1) - E * (lam * lam + 1)) * p_lead
-            / (lam * poly.derivative(lam))
-            for lam in roots
-        )
-        return OperatorSpec(m, h, p_lead, c_const, tuple(roots), amps, E, dps)
+            p, c, roots, amps = -ar.expm1(2 * hh), 1 + E2, (), ()
+        else:
+            poly = characteristic_polynomial(m, h, dps=dps)
+            roots = tuple(stable_roots(poly))
+            p, p_sub = poly.coeffs[-1], poly.coeffs[-2]
+            c = 1 + (2 * m - 2) * E + E2 + E * p_sub / p
+            amps = tuple(
+                2 * (1 - lam) ** (2 * m - 2) * (lam * (E2 + 1) - E * (lam * lam + 1)) * p
+                / (lam * poly.derivative(lam))
+                for lam in roots
+            )
+        center, near = 2 * c, -2 * E
+        for lam, amp in zip(roots, amps):
+            center += amp / lam
+            near += amp
+        return OperatorSpec(m, h, p, center / p, near / p, roots, amps, dps)
 
 
 def operator_value(spec: OperatorSpec, beta: int):
-    """D_m at integer offset beta; even in beta."""
-    b = abs(beta)
-    if b >= 2:
-        if not spec.roots:
-            return 0.0
-        acc = spec.amplitudes[0] * spec.roots[0] ** (b - 1)
-        for lam, amp in zip(spec.roots[1:], spec.amplitudes[1:]):
-            acc += amp * lam ** (b - 1)
-        return acc / spec.p
-    if b == 1:
-        acc = -2 * spec.exp_h
-        for amp in spec.amplitudes:
-            acc += amp
-        return acc / spec.p
-    acc = 2 * spec.c_const
-    for lam, amp in zip(spec.roots, spec.amplitudes):
-        acc += amp / lam
+    """D_m at integer offset beta, at the spec's precision; even in beta."""
+    with _arith(spec.dps).context():
+        return _value(spec, abs(beta))
+
+
+def _value(spec: OperatorSpec, b: int):
+    # D_m(b) for b >= 0 at the ambient precision
+    if b < 2:
+        return spec.near if b else spec.center
+    if not spec.roots:
+        return 0.0
+    acc = spec.amplitudes[0] * spec.roots[0] ** (b - 1)
+    for lam, amp in zip(spec.roots[1:], spec.amplitudes[1:]):
+        acc += amp * lam ** (b - 1)
     return acc / spec.p
 
 
@@ -342,10 +344,10 @@ def convolve(spec: OperatorSpec, g: Callable[[int], object], beta: int, window: 
 
 
 def _operator_table(spec: OperatorSpec, window: int) -> list:
-    """D_m(gamma) for gamma = -window..window, one evaluation per |gamma|."""
+    """D_m(gamma) for gamma = -window..window, one evaluation per |gamma|, at the ambient precision."""
     num = _arith(spec.dps).num
-    half = [num(operator_value(spec, gamma)) for gamma in range(window + 1)]
-    return half[:0:-1] + half
+    half = [num(_value(spec, gamma)) for gamma in range(window + 1)]
+    return _mirrored(half, half)
 
 
 def _mirrored(nonneg: list, neg: list) -> list:

@@ -62,11 +62,9 @@ def assemble_system(m: int, n: int) -> WienerHopfSystem:
         vals = np.array([psi(m, float(gap)) for gap in gaps])[where]
         A[rows, rows - k] = vals
         A[rows - k, rows] = vals
-    for i in range(n + 1):
-        b[i] = moment_f(m, i, grid)
+    b[: n + 1] = [moment_f(m, i, grid) for i in range(n + 1)]
     for row, (_, g, integral) in enumerate(constraint_rows(m), start=n + 1):
-        for j in range(n + 1):
-            A[row, j] = A[j, row] = g(nodes[j])
+        A[row, : n + 1] = A[: n + 1, row] = [g(x) for x in nodes]
         b[row] = integral
     return WienerHopfSystem(grid, A, b)
 

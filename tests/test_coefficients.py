@@ -89,6 +89,14 @@ class TestLambda1:
         with pytest.raises(ValueError):
             lambda1(0.0)
 
+    @pytest.mark.parametrize("h, side", [(2.0, "above"), (1e-80, "below")])
+    def test_outside_float_domain_names_a_call_that_takes_dps(self, h, side):
+        msg = rf"h={h} is {side} the float64 domain \[1e-77, 1\.5\] of order 2; pass dps= to characteristic_polynomial"
+        with pytest.raises(ValueError, match=msg):
+            lambda1(h)
+        (lam,) = stable_roots(characteristic_polynomial(2, h, dps=30))
+        assert -1 < lam < 0
+
 
 class TestClosedFormOrderTwo:
     def test_single_interval(self):

@@ -178,12 +178,33 @@ class TestRootDomain:
         # the roots move from their h -> 0 limits by O(h)
         for a, b in zip(ext, _euler_frobenius_roots(m)):
             assert abs(a - b) <= 1e-48 + 10 * h
-        poly = characteristic_polynomial(m, h)
         if h >= _FLOAT_H_MIN[m]:
-            assert stable_roots(poly) == pytest.approx([float(r) for r in ext], rel=2e-15)
+            got = stable_roots(characteristic_polynomial(m, h))
+            assert got == pytest.approx([float(r) for r in ext], rel=2e-15)
         else:
             with pytest.raises(ValueError, match=rf"h={h} is below the float64 domain .*pass dps"):
-                stable_roots(poly)
+                characteristic_polynomial(m, h)
+
+    @pytest.mark.parametrize(
+        "m, h, side",
+        [(2, 1e-300, "below"), (3, 1e-70, "below"), (3, 1e-31, "below"), (2, 2.0, "above"), (3, 1.6, "above")],
+    )
+    def test_float_gate_names_the_dps_path(self, m, h, side):
+        # the polynomial is refused before any coefficient underflows or loses series accuracy
+        lo = f"{_FLOAT_H_MIN[m]:g}"
+        msg = rf"h={h} is {side} the float64 domain \[{lo}, 1\.5\] of order {m}; pass dps= to characteristic_polynomial"
+        with pytest.raises(ValueError, match=msg):
+            characteristic_polynomial(m, h)
+        with pytest.raises(ValueError, match=msg):
+            build_operator(m, h)
+        # with dps the same spacing is accepted
+        assert len(stable_roots(characteristic_polynomial(m, h, dps=30))) == m - 1
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_float_gate_accepts_its_endpoints(self, m):
+        for h in (_FLOAT_H_MIN[m], 1.5):
+            assert len(stable_roots(characteristic_polynomial(m, h))) == m - 1
+        assert build_operator(1, 2.0).roots == ()  # order 1 has no polynomial and no gate
 
 
 class TestOperatorValues:
@@ -242,6 +263,23 @@ class TestOperatorValues:
         for beta in (0, 1, 2, 5):
             ref = float(operator_value(spec_mp, beta))
             assert operator_value(spec_f, beta) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_extended_spec_evaluates_at_its_precision(self, m):
+        # a 50-digit spec read at the ambient 15 digits gives its 50-digit values
+        spec = build_operator(m, 1.0 / 64.0, dps=50)
+        top = [operator_value(spec, beta) for beta in range(6)]
+        with mp.workdps(50):
+            assert top == [operator_value(spec, beta) for beta in range(6)]
+        assert [spec.center, spec.near] == top[:2]
+
+    def test_extended_polynomial_evaluates_at_its_precision(self):
+        poly = characteristic_polynomial(2, 0.1, dps=50)
+        (lam,) = stable_roots(poly)
+        top = (poly(lam), poly.derivative(lam))
+        with mp.workdps(50):
+            assert top == (poly(lam), poly.derivative(lam))
+        assert abs(top[0]) <= mp.mpf(10) ** -45 * abs(top[1])
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
