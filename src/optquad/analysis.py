@@ -14,7 +14,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -41,6 +41,68 @@ def kernel_double_integral(m: int) -> float:
     return _tail(1.0, 2 * m + 1)
 
 
+_CHUNK = 1 << 13  # doubles per extraction; 2^16 left the cache and ran slower
+# a chunk takes k <= 14 below, so sigma = 2^(e+k) <= 2^1023 for max|x| < _HUGE
+_HUGE = math.ldexp(1.0, 1023 - (_CHUNK + 2).bit_length())
+_SHORT = 256  # a remainder this short is cheaper for math.fsum than another pass
+
+
+def _exact_parts(x: np.ndarray) -> list[float]:
+    """A few floats whose exact sum is the exact sum of the float64 array x.
+
+    Rump, Ogita and Oishi's ExtractVector (SIAM J. Sci. Comput. 31(1), 2008,
+    section 3), run on slices of at most _CHUNK elements until each is empty.
+    With 2^e > max|x| and 2^k > len(x) + 2, sigma = 2^(e+k) splits every
+    element exactly as q + (x - q), where q = (sigma + x) - sigma lies on a
+    grid fine enough, and small enough, that numpy sums the q exactly in any
+    order.  Each pass strips about 52 - k leading bits.  Elements sigma cannot
+    cover (inf, nan and |x| >= _HUGE = 2^1009), and a remainder of at most
+    _SHORT elements, are passed through unchanged.
+    So math.fsum of the parts returns what math.fsum of x returns: the
+    correctly rounded sum, or inf, nan or ValueError for non-finite elements.
+    Only fsum's "intermediate overflow" OverflowError, which depends on the
+    order of terms near 2^1024, can differ.
+    """
+    parts: list[float] = []
+    for start in range(0, x.size, _CHUNK):
+        chunk = x[start : start + _CHUNK]
+        while chunk.size:
+            if chunk.size <= _SHORT:
+                parts.extend(chunk.tolist())
+                break
+            top = float(np.max(np.abs(chunk)))
+            if not top < _HUGE:  # also true for nan
+                wild = ~(np.abs(chunk) < _HUGE)
+                parts.extend(chunk[wild].tolist())
+                chunk = chunk[~wild]
+                continue
+            sigma = math.ldexp(1.0, math.frexp(top)[1] + (chunk.size + 2).bit_length())
+            q = sigma + chunk
+            q -= sigma
+            parts.append(float(np.sum(q)))
+            np.subtract(chunk, q, out=q)  # the remainders, exact
+            chunk = q[q != 0.0]
+    return parts
+
+
+def _whole_runs(arrays: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """Concatenate consecutive arrays into runs of at most _CHUNK elements.
+
+    An array longer than _CHUNK makes a run of its own.
+    """
+    pending: list[np.ndarray] = []
+    size = 0
+    for a in arrays:
+        if pending and size + a.size > _CHUNK:
+            run = np.concatenate(pending)
+            pending, size = [], 0
+            yield run
+        pending.append(a)
+        size += a.size
+    if pending:
+        yield np.concatenate(pending)
+
+
 def error_norm_squared(rule: QuadratureRule) -> float:
     """Squared norm of the rule's error functional (>= 0 up to roundoff).
 
@@ -49,9 +111,13 @@ def error_norm_squared(rule: QuadratureRule) -> float:
     exactly so the cancellation down to the small optimal value is clean.
 
     The kernel block is symmetric Toeplitz: psi((i-j)/n) depends only on
-    k = |i-j|.  So the cost is n+1 kernel and n+1 moment evaluations, O(n^2)
-    float products streamed one diagonal at a time into the exact sum, and
-    O(n) extra memory.
+    k = |i-j|.  So the cost is n+1 kernel evaluations, n//2+1 moment
+    evaluations (the moments are mirror-symmetric bit for bit), and O(n^2)
+    float products.  Whole diagonals of products are gathered into chunks
+    of at most 2^13 doubles, each reduced by exact vector extraction to a
+    few floats; one math.fsum of those, the moment terms and I_m gives the
+    correctly rounded exact sum.  Extra memory is O(n + chunk).  Products
+    that overflow give what math.fsum gives for them: inf, nan or ValueError.
     """
     grid = rule.grid
     m, n = grid.m, grid.n
@@ -59,12 +125,12 @@ def error_norm_squared(rule: QuadratureRule) -> float:
     C = np.asarray(coeffs)
     kernel = [psi(m, k / n) for k in range(n + 1)]
     # diagonal k holds C_i C_(i+k) psi_k and so does its mirror -k: each
-    # product is sent once, doubled (exact)
-    block = itertools.chain.from_iterable(
-        (C[: n + 1 - k] * C[k:] * kernel[k] * (2.0 if k else 1.0)).tolist()
-        for k in range(n + 1)
-    )
-    moments = (-2.0 * coeffs[i] * moment_f(m, i, grid) for i in range(n + 1))
+    # product is summed once, doubled (exact)
+    diagonals = (C[: n + 1 - k] * C[k:] * kernel[k] * (2.0 if k else 1.0) for k in range(n + 1))
+    with np.errstate(over="ignore", invalid="ignore"):  # math.fsum judges inf and nan
+        block = [p for run in _whole_runs(diagonals) for p in _exact_parts(run)]
+    half = [moment_f(m, i, grid) for i in range(n // 2 + 1)]
+    moments = (-2.0 * coeffs[i] * half[min(i, n - i)] for i in range(n + 1))
     return (-1) ** m * math.fsum(itertools.chain(block, moments, (kernel_double_integral(m),)))
 
 

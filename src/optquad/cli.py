@@ -33,37 +33,60 @@ def _f17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _json17(obj, indent: int = 0) -> str:
-    """Minimal JSON writer with 17-significant-digit floats."""
-    pad = "  " * indent
+def _json17(obj, indent: int = 0, end: str = "") -> str:
+    """Minimal JSON writer with 17-significant-digit floats, then ``end``.
+
+    Every level appends to one list of parts, joined once: a document is
+    copied once, not once per container level.
+    """
+    out: list[str] = []
+    _json17_into(out, obj, "  " * indent)
+    out.append(end)
+    return "".join(out)
+
+
+def _json17_into(out: list[str], obj, pad: str) -> None:
+    inner = pad + "  "
     if isinstance(obj, dict):
         if not obj:
-            return "{}"
-        items = ",\n".join(
-            f'{pad}  "{k}": {_json17(v, indent + 1)}' for k, v in obj.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
+            out.append("{}")
+            return
+        sep = "{\n"
+        for k, v in obj.items():
+            out.append(f'{sep}{inner}"{k}": ')
+            _json17_into(out, v, inner)
+            sep = ",\n"
+        out.append("\n" + pad + "}")
+        return
     if isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
+            out.append("[]")
+            return
         if all(type(v) is float for v in obj):
             # one C-level format call for the whole array; "%.17g" % x is
             # format(x, ".17g") for every double, nan and the infinities too
-            items = ((pad + "  %.17g,\n") * len(obj))[:-2] % tuple(obj)
+            out.append("[\n")
+            out.append(((inner + "%.17g,\n") * len(obj))[:-2] % tuple(obj))
         else:
-            items = ",\n".join(f"{pad}  {_json17(v, indent + 1)}" for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
+            sep = "[\n"
+            for v in obj:
+                out.append(sep + inner)
+                _json17_into(out, v, inner)
+                sep = ",\n"
+        out.append("\n" + pad + "]")
+        return
     if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _f17(obj)
-    if isinstance(obj, str):
-        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+        out.append("true" if obj else "false")
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
+        out.append(_f17(obj))
+    elif isinstance(obj, str):
+        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+    else:
+        raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def rule_document(rule: QuadratureRule) -> dict:
@@ -86,7 +109,7 @@ def rule_document(rule: QuadratureRule) -> dict:
 
 
 def document_json(rule: QuadratureRule) -> str:
-    return _json17(rule_document(rule)) + "\n"
+    return _json17(rule_document(rule), end="\n")
 
 
 def document_csv(rule: QuadratureRule) -> str:
@@ -155,7 +178,7 @@ def _verify_checks(m: int, n: int) -> list[dict]:
 def cmd_verify(args) -> int:
     checks = _verify_checks(args.m, args.n)
     passed = all(c["passed"] for c in checks)
-    payload = _json17({"m": args.m, "n": args.n, "passed": passed, "checks": checks}) + "\n"
+    payload = _json17({"m": args.m, "n": args.n, "passed": passed, "checks": checks}, end="\n")
     _emit(payload, args.out)
     return 0 if passed else 1
 
@@ -187,8 +210,9 @@ def cmd_convergence(args) -> int:
                     {"n": r.n, "value": r.value, "ratio": r.ratio, "order": r.order}
                     for r in table.rows
                 ],
-            }
-        ) + "\n"
+            },
+            end="\n",
+        )
     _emit(payload, args.out)
     return 0
 

@@ -11,6 +11,7 @@ built on the package's scalar kernels.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import mpmath as mp
@@ -206,6 +207,22 @@ def naive_error_norm_squared(rule) -> float:
         terms.append(-2.0 * C[i] * moment_f(m, i, grid))
     terms.append(kernel_double_integral(m))
     return (-1) ** m * math.fsum(terms)
+
+
+def streamed_error_norm_squared(rule) -> float:
+    """The error norm with each kernel value computed once and every O(n^2)
+    Toeplitz product streamed, as a Python float, into one math.fsum."""
+    grid = rule.grid
+    m, n = grid.m, grid.n
+    coeffs = rule.coefficients
+    C = np.asarray(coeffs)
+    kernel = [psi(m, k / n) for k in range(n + 1)]
+    block = itertools.chain.from_iterable(
+        (C[: n + 1 - k] * C[k:] * kernel[k] * (2.0 if k else 1.0)).tolist()
+        for k in range(n + 1)
+    )
+    moments = (-2.0 * coeffs[i] * moment_f(m, i, grid) for i in range(n + 1))
+    return (-1) ** m * math.fsum(itertools.chain(block, moments, (kernel_double_integral(m),)))
 
 
 def fixed_panel_sobolev_norm(f, m: int) -> tuple[float, float]:

@@ -3,10 +3,12 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import optquad.analysis
 from optquad import (
@@ -31,6 +33,7 @@ from optquad import (
     solve,
     stationarity_margin,
 )
+from optquad.analysis import _CHUNK, _exact_parts
 
 import oracles
 
@@ -121,6 +124,99 @@ def _assert_admissible(m, n, directions):
         assert np.linalg.norm(v) == pytest.approx(1e-3, rel=1e-14)
         for name, g, _ in constraint_rows(m):
             assert abs(math.fsum(dv * g(x) for dv, x in zip(v, nodes))) <= 1e-15, name
+
+
+def _fsum_outcome(values):
+    """math.fsum's result as a comparable key: its bits, or the error it raised."""
+    try:
+        total = math.fsum(values)
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+    return "nan" if math.isnan(total) else total.hex()
+
+
+class TestExactParts:
+    """math.fsum of _exact_parts(x) against math.fsum of x itself."""
+
+    def _check(self, x):
+        x = np.asarray(x, dtype=float)
+        expect = _fsum_outcome(x.tolist())
+        # also with no short remainder passed through, so that short arrays
+        # are extracted too
+        with mock.patch.object(optquad.analysis, "_SHORT", 0):
+            parts = _exact_parts(x)
+        assert _fsum_outcome(parts) == expect
+        assert _fsum_outcome(_exact_parts(x)) == expect
+        return parts
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+    def test_any_finite_floats(self, values):
+        # the order of huge terms can decide an intermediate overflow
+        assume(_fsum_outcome(values) is not OverflowError)
+        self._check(values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(1, 3 * _CHUNK),
+        low=st.integers(-1100, 990),
+        span=st.integers(0, 300),
+    )
+    def test_wide_exponents_with_cancellation(self, seed, size, low, span):
+        # exponents from `low` to `low + span`, from subnormal to 2^1000,
+        # and one third of the terms cancelled exactly by later ones
+        rng = np.random.default_rng(seed)
+        x = np.ldexp(rng.standard_normal(size), rng.integers(low, min(low + span, 1000) + 1, size))
+        x = np.concatenate([x, -rng.permutation(x)[: size // 3]])
+        self._check(x)
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            [2.0**1000, 1.0, -(2.0**1000)],
+            [2.0**1020, 3.0, -(2.0**1020), 2.0**-1074],  # beyond any sigma: passed through
+            [math.ldexp(k, -1074) for k in range(-50, 200, 7)],  # all subnormal
+            [0.0] * 100,
+            [-0.0, 0.0, -0.0],
+            [2.5],
+            [5e-324],
+            [-1.7e308],
+            [],
+        ],
+        ids=["cancel-2^1000", "huge", "subnormal", "zeros", "signed-zeros", "one", "one-subnormal",
+             "one-huge", "empty"],
+    )
+    def test_edge_cases(self, x):
+        self._check(x)
+
+    def test_cancellation_across_chunk_boundary(self):
+        # 2^13 + 1 elements: the two 2^1000 land in different chunks
+        x = np.full(_CHUNK + 1, 0.1)
+        x[0], x[-1] = 2.0**1000, -(2.0**1000)
+        self._check(x)
+        assert math.fsum(_exact_parts(x)) == math.fsum([0.1] * (_CHUNK - 1))
+
+    def test_huge_elements_in_a_full_chunk(self):
+        # sigma is 2^14 times max|x| for 2^13 elements: from 2^1009 on an
+        # element is passed through, and the largest extracted one is below
+        x = np.full(_CHUNK, 0.5)
+        x[:4] = 2.0**1020, -(2.0**1009), 1.5 * 2.0**1008, -(2.0**1008)
+        self._check(x)
+
+    @pytest.mark.parametrize(
+        "x",
+        [[math.inf, 1.0], [1.0, -math.inf], [math.inf, 2.0, -math.inf], [math.nan, 1.0],
+         [math.inf, math.nan, 3.0], [math.inf, 1e308, 1e308], [1e308, 1e308, -1e308]],
+        ids=["inf", "-inf", "inf-inf", "nan", "inf-nan", "inf-overflow", "overflow"],
+    )
+    def test_non_finite_outcome_of_fsum(self, x):
+        # inf, nan, ValueError or an intermediate OverflowError, as math.fsum
+        self._check(x)
+
+    def test_parts_are_few(self):
+        x = np.random.default_rng(7).standard_normal(4 * _CHUNK)
+        assert len(self._check(x)) <= 4 * 4
 
 
 class TestSobolevNorm:

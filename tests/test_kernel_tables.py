@@ -94,6 +94,34 @@ def test_error_norm_equals_double_loop(m, n):
         assert error_norm_squared(rule) == oracles.naive_error_norm_squared(rule), name
 
 
+@pytest.mark.parametrize("n", [1024, 2048])
+@pytest.mark.parametrize("m", [1, 2])
+def test_error_norm_equals_streamed_fsum_at_large_n(m, n):
+    # 525,825 and 2,100,225 products: many extraction chunks, and diagonals
+    # that straddle chunk boundaries
+    for name, rule in _rules(m, n).items():
+        assert error_norm_squared(rule) == oracles.streamed_error_norm_squared(rule), name
+
+
+@pytest.mark.parametrize(
+    "weights", [(1e155, 1.0, -1e155), (1e155, -1e155, 1e155)], ids=["nan", "inf-inf"]
+)
+def test_error_norm_overflowing_products_as_streamed_fsum(weights):
+    # C_0^2 overflows, and times psi(0) = 0 is nan; where C_0 C_1 = -inf
+    # meets C_0 C_2 = +inf the sums raise ValueError: alike, with no warning
+    rule = QuadratureRule(GridSpec(1, 2), weights, RuleMethod.TRAPEZOID)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            expect = repr(oracles.streamed_error_norm_squared(rule))
+        except ValueError as exc:
+            expect = type(exc)
+    try:
+        got = repr(error_norm_squared(rule))
+    except ValueError as exc:
+        got = type(exc)
+    assert got == expect
+
+
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_assembly_equals_entrywise_loop(m, n):
@@ -173,6 +201,13 @@ def test_error_norm_kernel_calls_linear(monkeypatch, m, n):
     calls = _counting(monkeypatch, optquad.analysis, "psi")
     error_norm_squared(_rules(m, n)["trapezoid"])
     assert len(calls) <= n + 1
+
+
+@pytest.mark.parametrize("m, n", [(1, 63), (2, 64), (3, 7), (3, 100)])
+def test_error_norm_moment_calls_half(monkeypatch, m, n):
+    calls = _counting(monkeypatch, optquad.analysis, "moment_f")
+    error_norm_squared(_rules(m, n)["trapezoid"])
+    assert len(calls) <= n // 2 + 1
 
 
 @pytest.mark.parametrize("m, n", [(1, 64), (2, 256), (3, 160)])
