@@ -57,11 +57,11 @@ def _exact_parts(x: np.ndarray) -> list[float]:
     grid fine enough, and small enough, that numpy sums the q exactly in any
     order.  Each pass strips about 52 - k leading bits.  Elements sigma cannot
     cover (inf, nan and |x| >= _HUGE = 2^1009), and a remainder of at most
-    _SHORT elements, are passed through unchanged.
-    So math.fsum of the parts returns what math.fsum of x returns: the
-    correctly rounded sum, or inf, nan or ValueError for non-finite elements.
-    Only fsum's "intermediate overflow" OverflowError, which depends on the
-    order of terms near 2^1024, can differ.
+    _SHORT elements, are passed through unchanged.  So math.fsum of the
+    parts returns what math.fsum of x returns: the correctly rounded sum, or
+    inf, nan or ValueError for non-finite elements.  Only fsum's
+    "intermediate overflow" OverflowError, which depends on the order of
+    terms near 2^1024, can differ.
     """
     parts: list[float] = []
     for start in range(0, x.size, _CHUNK):
@@ -115,9 +115,10 @@ def error_norm_squared(rule: QuadratureRule) -> float:
     evaluations (the moments are mirror-symmetric bit for bit), and O(n^2)
     float products.  Whole diagonals of products are gathered into chunks
     of at most 2^13 doubles, each reduced by exact vector extraction to a
-    few floats; one math.fsum of those, the moment terms and I_m gives the
-    correctly rounded exact sum.  Extra memory is O(n + chunk).  Products
-    that overflow give what math.fsum gives for them: inf, nan or ValueError.
+    few floats (a remainder of at most 256 products is kept as it is); one
+    math.fsum of those, the moment terms and I_m gives the correctly rounded
+    exact sum.  Extra memory is O(n + chunk).  Products that overflow give
+    what math.fsum gives for them: nan or ValueError.
     """
     grid = rule.grid
     m, n = grid.m, grid.n
