@@ -44,7 +44,6 @@ def kernel_double_integral(m: int) -> float:
 _CHUNK = 1 << 13  # doubles per extraction; 2^16 left the cache and ran slower
 # a chunk takes k <= 14 below, so sigma = 2^(e+k) <= 2^1023 for max|x| < _HUGE
 _HUGE = math.ldexp(1.0, 1023 - (_CHUNK + 2).bit_length())
-_SHORT = 256  # a remainder this short is cheaper for math.fsum than another pass
 
 
 def _exact_parts(x: np.ndarray) -> list[float]:
@@ -56,20 +55,16 @@ def _exact_parts(x: np.ndarray) -> list[float]:
     element exactly as q + (x - q), where q = (sigma + x) - sigma lies on a
     grid fine enough, and small enough, that numpy sums the q exactly in any
     order.  Each pass strips about 52 - k leading bits.  Elements sigma cannot
-    cover (inf, nan and |x| >= _HUGE = 2^1009), and a remainder of at most
-    _SHORT elements, are passed through unchanged.  So math.fsum of the
-    parts returns what math.fsum of x returns: the correctly rounded sum, or
-    inf, nan or ValueError for non-finite elements.  Only fsum's
-    "intermediate overflow" OverflowError, which depends on the order of
-    terms near 2^1024, can differ.
+    cover (inf, nan and |x| >= _HUGE = 2^1009) are passed through unchanged.
+    So math.fsum of the parts returns what math.fsum of x returns: the
+    correctly rounded sum, or inf, nan or ValueError for non-finite
+    elements.  Only fsum's "intermediate overflow" OverflowError, which
+    depends on the order of terms near 2^1024, can differ.
     """
     parts: list[float] = []
     for start in range(0, x.size, _CHUNK):
         chunk = x[start : start + _CHUNK]
         while chunk.size:
-            if chunk.size <= _SHORT:
-                parts.extend(chunk.tolist())
-                break
             top = float(np.max(np.abs(chunk)))
             if not top < _HUGE:  # also true for nan
                 wild = ~(np.abs(chunk) < _HUGE)
@@ -115,9 +110,8 @@ def error_norm_squared(rule: QuadratureRule) -> float:
     evaluations (the moments are mirror-symmetric bit for bit), and O(n^2)
     float products.  Whole diagonals of products are gathered into chunks
     of at most 2^13 doubles, each reduced by exact vector extraction to a
-    few floats (a remainder of at most 256 products is kept as it is); one
-    math.fsum of those, the moment terms and I_m gives the correctly rounded
-    exact sum.  Extra memory is O(n + chunk).  Products that overflow give
+    few floats; one math.fsum of those, the moment terms and I_m gives the
+    correctly rounded exact sum.  Extra memory is O(n + chunk).  Products that overflow give
     what math.fsum gives for them: nan or ValueError.
     """
     grid = rule.grid

@@ -33,15 +33,14 @@ def _f17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _json17(obj, indent: int = 0, end: str = "") -> str:
-    """Minimal JSON writer with 17-significant-digit floats, then ``end``.
+def _json17(obj, indent: int = 0) -> str:
+    """Minimal JSON writer with 17-significant-digit floats.
 
     Every level appends to one list of parts, joined once: a document is
     copied once, not once per container level.
     """
     out: list[str] = []
     _json17_into(out, obj, "  " * indent)
-    out.append(end)
     return "".join(out)
 
 
@@ -109,7 +108,7 @@ def rule_document(rule: QuadratureRule) -> dict:
 
 
 def document_json(rule: QuadratureRule) -> str:
-    return _json17(rule_document(rule), end="\n")
+    return _json17(rule_document(rule)) + "\n"
 
 
 def document_csv(rule: QuadratureRule) -> str:
@@ -178,7 +177,7 @@ def _verify_checks(m: int, n: int) -> list[dict]:
 def cmd_verify(args) -> int:
     checks = _verify_checks(args.m, args.n)
     passed = all(c["passed"] for c in checks)
-    payload = _json17({"m": args.m, "n": args.n, "passed": passed, "checks": checks}, end="\n")
+    payload = _json17({"m": args.m, "n": args.n, "passed": passed, "checks": checks}) + "\n"
     _emit(payload, args.out)
     return 0 if passed else 1
 
@@ -210,9 +209,8 @@ def cmd_convergence(args) -> int:
                     {"n": r.n, "value": r.value, "ratio": r.ratio, "order": r.order}
                     for r in table.rows
                 ],
-            },
-            end="\n",
-        )
+            }
+        ) + "\n"
     _emit(payload, args.out)
     return 0
 

@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -140,13 +139,8 @@ class TestExactParts:
 
     def _check(self, x):
         x = np.asarray(x, dtype=float)
-        expect = _fsum_outcome(x.tolist())
-        # also with no short remainder passed through, so that short arrays
-        # are extracted too
-        with mock.patch.object(optquad.analysis, "_SHORT", 0):
-            parts = _exact_parts(x)
-        assert _fsum_outcome(parts) == expect
-        assert _fsum_outcome(_exact_parts(x)) == expect
+        parts = _exact_parts(x)
+        assert _fsum_outcome(parts) == _fsum_outcome(x.tolist())
         return parts
 
     @settings(max_examples=300, deadline=None)
