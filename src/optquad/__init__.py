@@ -47,7 +47,6 @@ from .core import (
     constraint_residuals,
     constraint_rows,
     moment_f,
-    moment_integral,
     psi,
 )
 from .operator import (
@@ -107,7 +106,6 @@ __all__ = [
     "kernel_double_integral",
     "lambda1",
     "moment_f",
-    "moment_integral",
     "operator_value",
     "psi",
     "sobolev_norm",

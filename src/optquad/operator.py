@@ -27,7 +27,7 @@ import mpmath as mp
 from mpmath.libmp import mpf_mul, mpf_sum, round_nearest
 
 from . import _series
-from .core import ConstructionError, ORDERS, ToleranceError
+from .core import ConstructionError, ORDERS, ToleranceError, psi
 
 
 class _Arith(NamedTuple):
@@ -399,7 +399,8 @@ def identity_residuals(
     D_m(gamma) is evaluated once per |gamma| <= window.  The samples are
     evaluated once per |j| <= max|beta| + window at x_j = h*j and mirrored to
     -j: e^(+-x) swap, the kernel is even and x^k takes the sign (-1)^k, each
-    exactly in round-to-nearest.  That is O(window + max|beta|)
+    exactly in round-to-nearest.  The kernel samples are psi(m, x, 50), which
+    keeps all 50 digits at every x.  That is O(window + max|beta|)
     extended-precision evaluations per family, O(window * len(betas))
     products, and O(window + max|beta|) extra memory.  Each product is
     rounded once at 50 digits and each windowed sum is exact before its one
@@ -444,7 +445,7 @@ def identity_residuals(
         xs = [hm * j for j in range(top + 1)]
         grow = [mp.exp(x) for x in xs]
         decay = [mp.exp(-x) for x in xs]
-        kernel = [_psi_mp(m, x) for x in xs]
+        kernel = [psi(m, x, _EXTENDED_DPS) for x in xs]
         samples = {
             "exp_growing": _mirrored(grow, decay),
             "exp_decaying": _mirrored(decay, grow),
@@ -465,11 +466,3 @@ def identity_residuals(
             residuals[name] = float(worst)
     return IdentityReport(m, float(h), window, residuals, divergent)
 
-
-def _psi_mp(m: int, x):
-    if x == 0:
-        return mp.mpf(0)
-    s = mp.sinh(x)
-    for k in range(1, m):
-        s -= x ** (2 * k - 1) / math.factorial(2 * k - 1)
-    return mp.sign(x) / 2 * s

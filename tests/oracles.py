@@ -20,7 +20,7 @@ from scipy.integrate import quad
 
 from optquad.analysis import kernel_double_integral
 from optquad.core import GridSpec, ToleranceError, moment_f, psi
-from optquad.operator import _TAIL_TARGET, _psi_mp, build_operator, operator_value, tail_bound, window_for
+from optquad.operator import _TAIL_TARGET, build_operator, operator_value, tail_bound, window_for
 
 DPS = 45
 
@@ -296,7 +296,7 @@ def naive_identity_residuals(m: int, h: float, betas, dps: int = 50):
         families = [
             ("exp_growing", lambda j: mp.exp(hm * j), growth),
             ("exp_decaying", lambda j: mp.exp(-hm * j), growth),
-            ("delta", lambda j: _psi_mp(m, hm * j), growth),
+            ("delta", lambda j: psi(m, hm * j, dps), growth),
         ]
         for k in range(0, 2 * m - 2):
             families.append((f"monomial_{k}", lambda j, k=k: (hm * j) ** k, 1.1))

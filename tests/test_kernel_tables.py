@@ -36,7 +36,6 @@ from optquad import (
     solve,
 )
 from optquad.analysis import admissible_perturbations
-from optquad.operator import _psi_mp
 
 import oracles
 
@@ -180,7 +179,7 @@ def test_convolve_equals_per_term_fsum(m, h):
         hm = mp.mpf(h)
     mp_samples = [
         lambda j: mp.exp(-hm * j),
-        lambda j: _psi_mp(m, hm * j),
+        lambda j: psi(m, hm * j, 50),
         lambda j: (hm * j) ** 2,
         lambda j: 1.5,
     ]

@@ -15,14 +15,13 @@ from optquad import (
     convolve,
     identity_residuals,
     lambda1,
-    moment_integral,
     operator_value,
     psi,
     stable_roots,
     tail_bound,
     window_for,
 )
-from optquad.operator import _FLOAT_H_MIN, _MAX_WINDOW, _psi_mp
+from optquad.operator import _FLOAT_H_MIN, _MAX_WINDOW
 
 import oracles
 
@@ -351,7 +350,7 @@ class TestConvolutionIdentities:
         spec = build_operator(2, h)
         growth = math.exp(h)
         window = float_identity_window(spec, growth)
-        val = convolve(spec, lambda j: moment_integral(2, h * j), 0, window)
+        val = convolve(spec, lambda j: float(oracles.mp_moment(2, h * j)), 0, window)
         assert abs(val - h) <= 1e-10
 
 
@@ -509,7 +508,7 @@ class TestAgainstClosedForm:
         spec = build_operator(m, h, dps=50)
         window = window_for(spec, 1e-24, math.exp(h))
         for beta in range(-2, 3):
-            val = convolve(spec, lambda j: _psi_mp(m, mp.mpf(h) * j), beta, window)
+            val = convolve(spec, lambda j: psi(m, mp.mpf(h) * j, 50), beta, window)
             assert abs(val - (1 if beta == 0 else 0)) <= 1e-24 * math.exp(h * abs(beta))
 
 
@@ -531,12 +530,25 @@ class TestMirroredSamples:
         with mp.workdps(50):
             hm = mp.mpf(1.0 / n)
             x = hm * j
-            assert _psi_mp(m, hm * (-j)) == _psi_mp(m, x)
+            assert psi(m, hm * (-j), 50) == psi(m, x, 50)
             assert mp.exp(hm * (-j)) == mp.exp(-x)
             assert mp.exp(-hm * j) == mp.exp(-x)
             assert (hm * (-j)) ** k == (-1) ** k * x**k
-            # the kernel as printed, with mpmath's own factorials
-            assert _psi_mp(m, x) == oracles.mp_psi(m, x, dps=50)
+
+
+_KERNEL_POINTS = [k / n for n in (4, 64, 1024, 65536) for k in (1, 2, n // 2, n)] + [4.0, 4.5, 25.0, 50.0]
+
+
+@pytest.mark.parametrize("dps", [30, 50, 70])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_extended_psi_keeps_its_digits(m, dps):
+    # the head cancels up to (2m - 1) log10(1/x) digits at small x; the
+    # extended kernel must keep all dps of them against the printed formula
+    # at 120 digits
+    for x in _KERNEL_POINTS:
+        ref = oracles.mp_psi(m, x, dps=120)
+        with mp.workdps(120):
+            assert abs(psi(m, x, dps) - ref) <= mp.mpf(10) ** (2 - dps) * abs(ref), x
 
 
 def test_mp_psi_consistent_with_float():
