@@ -12,22 +12,30 @@ Instead we expand in h with exact rational coefficients,
 computed with Fraction arithmetic and rounded once to float.  Thirty terms
 keep every quantity within 3e-16 relative for h in (0, 1.6]; past that the
 truncation error grows fast (7.7e-15 at h = 2, 1.4e-12 at h = 2.5), so the
-float path refuses h > 1.5.  Every grid has h = 1/n <= 1.  Given ``dps``,
-:func:`value` instead evaluates the printed sum in mpmath, for any h > 0,
-with enough extra digits to cover the cancellation, and rounds the result
-to ``dps`` digits.
+float series is trusted only up to h = 1.5, the bound that
+:func:`optquad.operator.characteristic_polynomial` enforces; every grid has
+h = 1/n <= 1.  Given ``dps``, :func:`value` instead evaluates the printed
+sum in mpmath, for any h > 0, through :func:`extended`.
+
+This module is the package's one precision layer: :func:`_arith` gives the
+operations every formula needs in float64 or at ``dps`` digits, and
+:func:`extended` is the one rule for the working digits of a cancelling
+sum.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from operator import mul
+from typing import Callable, NamedTuple
 
 import mpmath as mp
 
 _KMAX = 30
-_H_MAX = 1.5  # largest spacing the 30-term float series is trusted at
+_H_MAX = 1.5  # largest spacing the 30-term float series is trusted at; characteristic_polynomial checks it
 # digits kept beyond the order * log10(1/h) that the printed sums cancel; they
 # cancel at most 2.2 digits more than that (measured for h in [1e-300, 500])
 _GUARD_DIGITS = 5
@@ -67,32 +75,79 @@ def _coeffs(name: str) -> tuple[float, ...]:
     return tuple(out)
 
 
+class _Arith(NamedTuple):
+    """The operations the formulas need, in one precision."""
+
+    num: Callable
+    exp: Callable
+    expm1: Callable
+    sinh: Callable
+    cosh: Callable
+    sqrt: Callable
+    copysign: Callable
+    ldexp: Callable
+    # (table, samples) -> sum of the products, summed exactly and rounded
+    # once; float64 rounds each product, the extended path forms each exactly
+    dot: Callable
+    context: Callable  # () -> context manager that sets the working precision
+
+
+def _float_dot(table, samples):
+    return math.fsum(map(mul, table, samples))
+
+
+_FLOAT = _Arith(
+    float, math.exp, math.expm1, math.sinh, math.cosh, math.sqrt, math.copysign, math.ldexp,
+    _float_dot, contextlib.nullcontext,
+)
+
+
+# built once per precision: an extended kernel sample asks for two, and
+# building one took about 1.7 us
+@lru_cache(maxsize=128)
+def _arith(dps: int | None) -> _Arith:
+    """Float64 arithmetic for ``dps=None``, otherwise mpmath at ``dps`` digits."""
+    if dps is None:
+        return _FLOAT
+    return _Arith(
+        mp.mpf, mp.exp, mp.expm1, mp.sinh, mp.cosh, mp.sqrt, lambda x, y: mp.sign(y) * abs(x),
+        mp.ldexp, mp.fdot, lambda: mp.workdps(dps),
+    )
+
+
+def extended(dps: int, lost: float, evaluate: Callable[[_Arith], object]):
+    """``evaluate(ar)`` at ``dps + ceil(lost) + _GUARD_DIGITS`` digits, rounded to ``dps``.
+
+    ``lost`` is the number of digits the evaluation can cancel, and ``ar``
+    is the mpmath arithmetic at the working digits.
+    """
+    ar = _arith(dps + math.ceil(lost) + _GUARD_DIGITS)
+    with ar.context():
+        total = evaluate(ar)
+    return mp.mpf(total, dps=dps)
+
+
 def value(name: str, h: float, dps: int | None = None):
     """The quantity ``name`` of :data:`_TERMS` at spacing h.
 
-    With ``dps=None``: the float series, stable for small h; h above
-    ``_H_MAX`` raises ValueError.  With ``dps``: the printed sum of
-    c * h^a * e^(b*h), an mpmath float good to ``dps`` digits.  The sum is
-    taken at ``dps`` plus the ~(order * log10(1/h)) digits its cancellation
-    costs plus guard digits, the order being the power of h the quantity
-    vanishes like, and rounded to ``dps``.
+    With ``dps=None``: the float series, accurate for h <= ``_H_MAX``.
+    With ``dps``: the printed sum of c * h^a * e^(b*h), an mpmath float good
+    to ``dps`` digits.  The sum is taken by :func:`extended`, the digits lost
+    being ~(order * log10(1/h)), the order being the power of h the quantity
+    vanishes like.
     """
     if dps is None:
-        if h > _H_MAX:
-            raise ValueError(
-                f"the float series is accurate only for h <= {_H_MAX}, got h={h}; "
-                "pass dps for larger spacings"
-            )
         coeffs = _coeffs(name)
         val = 0.0
         for k in range(_KMAX, -1, -1):
             val = val * h + coeffs[k]
         return val
     order = next(k for k, c in enumerate(_coeffs(name)) if c)
-    lost = order * max(0.0, -math.log10(h))
-    with mp.workdps(dps + math.ceil(lost) + _GUARD_DIGITS):
-        hm = mp.mpf(h)
-        exps = (1, mp.exp(hm), mp.exp(2 * hm))
-        total = mp.fsum(hm**a * exps[b] * c.numerator / c.denominator for c, a, b in _TERMS[name])
-    with mp.workdps(dps):
-        return +total
+    return extended(dps, order * max(0.0, -math.log10(h)), partial(_printed_sum, name, h))
+
+
+def _printed_sum(name: str, h, ar: _Arith):
+    # sum of c * h^a * e^(b*h) over _TERMS[name], in ``ar``'s precision
+    hm = ar.num(h)
+    exps = (1, ar.exp(hm), ar.exp(2 * hm))
+    return mp.fsum(hm**a * exps[b] * c.numerator / c.denominator for c, a, b in _TERMS[name])

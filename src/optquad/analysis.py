@@ -24,21 +24,12 @@ from .core import (
     Integrand,
     QuadratureRule,
     RuleMethod,
-    _tail,
     apply_rule,
     constraint_rows,
-    moment_f,
+    kernel_double_integral,
+    moment_table,
     psi,
 )
-
-
-def kernel_double_integral(m: int) -> float:
-    """Double integral of psi(m, x - y) over the unit square.
-
-    Integrating the moment function once more turns both integrals into
-    factorial tails: the value is sum_{k>=m} 1/(2k+1)!.
-    """
-    return _tail(1.0, 2 * m + 1)
 
 
 _CHUNK = 1 << 13  # doubles per extraction; 2^16 left the cache and ran slower
@@ -124,8 +115,7 @@ def error_norm_squared(rule: QuadratureRule) -> float:
     diagonals = (C[: n + 1 - k] * C[k:] * kernel[k] * (2.0 if k else 1.0) for k in range(n + 1))
     with np.errstate(over="ignore", invalid="ignore"):  # math.fsum judges inf and nan
         block = [p for run in _whole_runs(diagonals) for p in _exact_parts(run)]
-    half = [moment_f(m, i, grid) for i in range(n // 2 + 1)]
-    moments = (-2.0 * coeffs[i] * half[min(i, n - i)] for i in range(n + 1))
+    moments = (-2.0 * c * f for c, f in zip(coeffs, moment_table(m, grid)))
     return (-1) ** m * math.fsum(itertools.chain(block, moments, (kernel_double_integral(m),)))
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from . import _series
 from .core import ORDERS, GridSpec, QuadratureRule, RuleMethod
-from .operator import _arith, characteristic_polynomial, stable_roots
+from .operator import characteristic_polynomial, stable_roots
 from .solver import assemble_system, solve
 
 
@@ -47,7 +47,7 @@ def _closed_weights(m: int, n: int, dps: int | None = None) -> list:
     The spacing is ``num(1) / n``, so an mpmath run sees the exact 1/n
     rather than its float64 rounding.
     """
-    ar = _arith(dps)
+    ar = _series._arith(dps)
     with ar.context():
         h = ar.num(1) / n
         E, em1 = ar.exp(h), ar.expm1(h)

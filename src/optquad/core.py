@@ -2,8 +2,9 @@
 
 Everything here is scalar float math on the uniform grid x_beta = beta/n
 over [0, 1], except that the kernel can also be evaluated in mpmath at a
-given precision.  Rules are immutable value objects; the construction
-routines live in :mod:`optquad.coefficients` and :mod:`optquad.solver`.
+given precision, with the arithmetic of :mod:`optquad._series`.  Rules are
+immutable value objects; the construction routines live in
+:mod:`optquad.coefficients` and :mod:`optquad.solver`.
 """
 
 from __future__ import annotations
@@ -11,9 +12,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
-
-import mpmath as mp
 
 from . import _series
 
@@ -121,10 +121,11 @@ def _tail(x, p: int, dps: int | None = None):
     It is sinh x (odd p) or cosh x (even p) minus the Taylor head below x^p.
     Float64 sums the positive series, until it stops changing, where the head
     cancels (p > 1 and x <= 4), and takes sinh or cosh minus the head
-    elsewhere.  With ``dps`` every x takes sinh or cosh minus the head at dps
-    + ceil(log10(p!) + p*max(0, -log10 x)) + ``_series._GUARD_DIGITS`` digits,
-    rounded to dps.  On the kernel samples of the operator identity checks,
-    at 50 digits, that measured 4-14x faster than summing the series.
+    elsewhere.  With ``dps`` every x takes sinh or cosh minus the head through
+    :func:`optquad._series.extended`, which covers the log10(p!) +
+    p*max(0, -log10 x) digits the head can cancel.  On the kernel samples of
+    the operator identity checks, at 50 digits, that measured 4-14x faster
+    than summing the series.
     """
     if dps is None:
         if p > 1 and x <= 4.0:
@@ -136,17 +137,18 @@ def _tail(x, p: int, dps: int | None = None):
                 if updated == total:
                     return total
                 total = updated
-        return _minus_head(math, x, p)
+        return _minus_head(_series._FLOAT, x, p)
     lost = math.log10(math.factorial(p)) + p * max(0.0, -math.log10(x))
-    with mp.workdps(dps + math.ceil(lost) + _series._GUARD_DIGITS):
-        return mp.mpf(_minus_head(mp, mp.mpf(x), p), dps=dps)
+    return _series.extended(dps, lost, partial(_minus_head, x=x, p=p))
 
 
-def _minus_head(lib, x, p: int):
-    # sinh x or cosh x from ``lib`` (math or mpmath), minus x^k/k! for k < p of p's parity
-    total = lib.sinh(x) if p % 2 else lib.cosh(x)
+def _minus_head(ar: _series._Arith, x, p: int):
+    # sinh x or cosh x in ``ar``'s precision, minus x^k/k! for k < p of p's parity
+    x = ar.num(x)  # so that x**k is taken in ``ar``'s precision
+    total = ar.sinh(x) if p % 2 else ar.cosh(x)
     for k in range(p % 2, p, 2):
-        total -= x**k / math.factorial(k)
+        # 0! = 1! = 1: the first head term needs no division
+        total -= x**k if k < 2 else x**k / math.factorial(k)
     return total
 
 
@@ -163,11 +165,11 @@ def psi(m: int, x, dps: int | None = None):
     if not math.isfinite(x):
         raise ValueError("x must be finite")
     ax = abs(x)
-    if ax == 0:
-        return 0.0 if dps is None else mp.mpf(0)
-    tail = _tail(ax, 2 * m - 1, dps)
+    if dps is None:
+        return _tail(ax, 2 * m - 1) / 2.0 if ax else 0.0
     # halving an mpmath float with ldexp is exact at any ambient precision
-    return tail / 2.0 if dps is None else mp.ldexp(tail, -1)
+    ar = _series._arith(dps)
+    return ar.ldexp(_tail(ax, 2 * m - 1, dps), -1) if ax else ar.num(0)
 
 
 def moment_f(m: int, beta: int, grid: GridSpec) -> float:
@@ -181,6 +183,25 @@ def moment_f(m: int, beta: int, grid: GridSpec) -> float:
     t = beta / grid.n
     s = (grid.n - beta) / grid.n
     return (_tail(t, 2 * m) + _tail(s, 2 * m)) / 2.0
+
+
+def moment_table(m: int, grid: GridSpec) -> list[float]:
+    """moment_f(m, beta, grid) for beta = 0..n, from n//2 + 1 calls.
+
+    The other half is mirrored: moment_f is symmetric bit for bit.
+    """
+    n = grid.n
+    half = [moment_f(m, beta, grid) for beta in range(n // 2 + 1)]
+    return [half[min(beta, n - beta)] for beta in range(n + 1)]
+
+
+def kernel_double_integral(m: int) -> float:
+    """Double integral of psi(m, x - y) over the unit square.
+
+    Integrating the moment function once more turns both integrals into
+    factorial tails: the value is sum_{k>=m} 1/(2k+1)!.
+    """
+    return _tail(1.0, 2 * m + 1)
 
 
 def apply_rule(rule: QuadratureRule, f: Callable[[float], float]) -> float:

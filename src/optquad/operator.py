@@ -8,71 +8,22 @@ unit impulse; it also annihilates samples of e^(+-x) and, for m >= 2,
 polynomials of degree up to 2m-3.
 
 Every formula is written once and evaluated in the precision chosen by
-``dps``: float64 by default, with the polynomial coefficients from the
-series of :mod:`optquad._series`, or mpmath at ``dps`` digits for
-verification-grade convolution checks, where float64 rounding of the large
-central values would swamp the identities.
+``dps``, with the arithmetic of :mod:`optquad._series`: float64 by
+default, with the polynomial coefficients from its series, or mpmath at
+``dps`` digits for verification-grade convolution checks, where float64
+rounding of the large central values would swamp the identities.
 """
 
 from __future__ import annotations
 
 import bisect
-import contextlib
 import math
 from dataclasses import dataclass
-from operator import attrgetter, mul
-from typing import Callable, NamedTuple, Sequence
-
-import mpmath as mp
-from mpmath.libmp import mpf_mul, mpf_sum, round_nearest
+from typing import Callable, Sequence
 
 from . import _series
+from ._series import _Arith, _arith
 from .core import ConstructionError, ORDERS, ToleranceError, psi
-
-
-class _Arith(NamedTuple):
-    """The operations the formulas need, in one precision."""
-
-    num: Callable
-    exp: Callable
-    expm1: Callable
-    sqrt: Callable
-    copysign: Callable
-    dot: Callable  # (table, samples) -> sum of rounded products, summed exactly
-    context: Callable  # () -> context manager that sets the working precision
-
-
-def _float_dot(table, samples):
-    return math.fsum(map(mul, table, samples))
-
-
-_MPF_RAW = attrgetter("_mpf_")
-
-
-def _mp_dot(table, samples):
-    # mp.fsum(d * g) on mpf operands, without an object per product: each
-    # product rounded once at the working precision, then one exact sum and
-    # one rounding
-    prec = mp.mp.prec
-    products = [
-        mpf_mul(d, g, prec, round_nearest)
-        for d, g in zip(map(_MPF_RAW, table), map(_MPF_RAW, samples))
-    ]
-    return mp.mpf(mpf_sum(products, prec, round_nearest))
-
-
-_FLOAT = _Arith(
-    float, math.exp, math.expm1, math.sqrt, math.copysign, _float_dot, contextlib.nullcontext
-)
-
-
-def _arith(dps: int | None) -> _Arith:
-    if dps is None:
-        return _FLOAT
-    return _Arith(
-        mp.mpf, mp.exp, mp.expm1, mp.sqrt, lambda x, y: mp.sign(y) * abs(x), _mp_dot,
-        lambda: mp.workdps(dps),
-    )
 
 
 @dataclass(frozen=True)
@@ -330,9 +281,9 @@ def convolve(spec: OperatorSpec, g: Callable[[int], object], beta: int, window: 
 
     The truncation error is bounded by tail_bound(spec, window, growth) times
     the callback's growth constant.  Each sample is taken in the spec's
-    precision (float, or mpmath at ``dps`` digits), each product is rounded
-    once in that precision, and the products are summed exactly before one
-    final rounding.
+    precision (float, or mpmath at ``dps`` digits).  Float64 rounds each
+    product, the extended path forms each product exactly, and either sums
+    the products exactly before one final rounding.
     """
     if window < 1:
         raise ValueError("window must be a positive integer")
@@ -402,9 +353,9 @@ def identity_residuals(
     exactly in round-to-nearest.  The kernel samples are psi(m, x, 50), which
     keeps all 50 digits at every x.  That is O(window + max|beta|)
     extended-precision evaluations per family, O(window * len(betas))
-    products, and O(window + max|beta|) extra memory.  Each product is
-    rounded once at 50 digits and each windowed sum is exact before its one
-    rounding, as mp.fsum(D_m(gamma) * g(beta - gamma)) over the window.
+    products, and O(window + max|beta|) extra memory.  Each windowed sum is
+    mp.fdot over the window: exact products, summed exactly, then one
+    rounding to 50 digits.
     """
     if len(betas) == 0:
         raise ValueError("betas is empty: there is no offset to check")
@@ -441,10 +392,10 @@ def identity_residuals(
         # slice for beta lists g(beta - gamma) in convolve's gamma order
         table = _operator_table(spec, window)
         top = beta_span + window
-        hm = mp.mpf(h)
+        hm = ar.num(h)
         xs = [hm * j for j in range(top + 1)]
-        grow = [mp.exp(x) for x in xs]
-        decay = [mp.exp(-x) for x in xs]
+        grow = [ar.exp(x) for x in xs]
+        decay = [ar.exp(-x) for x in xs]
         kernel = [psi(m, x, _EXTENDED_DPS) for x in xs]
         samples = {
             "exp_growing": _mirrored(grow, decay),
@@ -456,7 +407,7 @@ def identity_residuals(
             samples[f"monomial_{k}"] = _mirrored(powers, [-v for v in powers] if k % 2 else powers)
         residuals: dict[str, float] = {}
         for name, values in samples.items():
-            worst = mp.mpf(0)
+            worst = ar.num(0)
             for beta in betas:
                 first = top - beta - window
                 val = ar.dot(table, values[first : first + 2 * window + 1])

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridSpec, QuadratureRule, RuleMethod, SolveError, constraint_rows, moment_f, psi
+from .core import GridSpec, QuadratureRule, RuleMethod, SolveError, constraint_rows, moment_table, psi
 
 
 @dataclass(frozen=True)
@@ -42,9 +42,11 @@ def assemble_system(m: int, n: int) -> WienerHopfSystem:
     The block is filled one diagonal at a time, with one kernel call per
     distinct float x_i - x_j.  Rounding makes i/n - j/n differ from (i-j)/n,
     so a diagonal holds several such values: 1 to 3.6 on average for
-    n < 1200.  So the cost is O(n) kernel and moment evaluations, O(n^2)
-    float work and O(n) extra memory.  A Toeplitz fill psi(|i-j|/n) is 4-9x
-    faster, but it is not this system: it is bit-identical only when n is a
+    n < 1200.  The moments are mirror-symmetric bit for bit, so
+    :func:`optquad.core.moment_table` evaluates n//2 + 1 of them.  The cost
+    is O(n) kernel and moment evaluations, O(n^2) float work and O(n) extra
+    memory.  A Toeplitz fill psi(|i-j|/n) is 4-9x faster, but it is not
+    this system: it is bit-identical only when n is a
     power of two, and elsewhere its weights are less accurate against a
     40-60-digit KKT solve in 11 of 14 cells tried, by up to 1.9x.  The
     float-gap block is the consistent system of the float nodes that the
@@ -62,7 +64,7 @@ def assemble_system(m: int, n: int) -> WienerHopfSystem:
         vals = np.array([psi(m, float(gap)) for gap in gaps])[where]
         A[rows, rows - k] = vals
         A[rows - k, rows] = vals
-    b[: n + 1] = [moment_f(m, i, grid) for i in range(n + 1)]
+    b[: n + 1] = moment_table(m, grid)
     for row, (_, g, integral) in enumerate(constraint_rows(m), start=n + 1):
         A[row, : n + 1] = A[: n + 1, row] = [g(x) for x in nodes]
         b[row] = integral

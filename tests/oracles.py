@@ -310,7 +310,7 @@ def naive_identity_residuals(m: int, h: float, betas, dps: int = 50):
         for name, g, _ in families:
             worst = mp.mpf(0)
             for beta in betas:
-                val = mp.fsum(operator_value(spec, gamma) * g(beta - gamma)
+                val = mp.fsum(mp.fmul(operator_value(spec, gamma), g(beta - gamma), exact=True)
                               for gamma in range(-window, window + 1))
                 if name == "delta" and beta == 0:
                     val -= 1

@@ -196,6 +196,9 @@ class TestRootDomain:
             characteristic_polynomial(m, h)
         with pytest.raises(ValueError, match=msg):
             build_operator(m, h)
+        if m == 2:
+            with pytest.raises(ValueError, match=msg):
+                lambda1(h)
         # with dps the same spacing is accepted
         assert len(stable_roots(characteristic_polynomial(m, h, dps=30))) == m - 1
 

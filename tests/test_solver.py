@@ -16,6 +16,8 @@ from optquad import (
     solve,
 )
 
+import oracles
+
 
 class TestAssembly:
     @pytest.mark.parametrize("m, n, size", [(1, 1, 3), (2, 2, 5), (3, 2, 6), (2, 8, 11)])
@@ -111,3 +113,16 @@ class TestSolve:
         # m = 3 is past the fixed 1e14 limit from n = 128 on; no caller can lift it
         with pytest.raises(SolveError, match=r"cond ~ 2\.4\d*e\+14"):
             solve(assemble_system(3, 128))
+
+
+# the dense solve's envelope at m = 3: the largest weight error measured
+# against a 50-digit solve of the same bordered system.  The float64 matrix
+# entries, not the solve, limit it; each row is held to twice its measurement.
+M3_ENVELOPE = [(8, 8.9e-14), (16, 1.15e-12), (32, 2.61e-10), (64, 1.25e-8), (96, 9.66e-8)]
+
+
+@pytest.mark.parametrize("n, measured", M3_ENVELOPE)
+def test_order_three_solve_envelope(n, measured):
+    rule = solve(assemble_system(3, n))
+    ref = oracles.mp_kkt_weights(3, n, 50)
+    assert max(abs(float(c - r)) for c, r in zip(rule.coefficients, ref)) <= 2 * measured
