@@ -216,31 +216,29 @@ class ErrorReport:
 
 
 def cauchy_schwarz_check(rule: QuadratureRule, f: Integrand) -> ReportEntry:
-    """Check |f.exact_integral - rule(f)| <= ||error functional|| * ||f|| + slack.
-
-    The slack combines the Sobolev-norm discretisation estimate with the
-    roundoff floor of the squared-norm evaluation.
-    """
-    return _certificate(rule, f, error_norm_squared(rule))
-
-
-def _certificate(rule: QuadratureRule, f: Integrand, norm_sq: float) -> ReportEntry:
-    # the Cauchy-Schwarz line for f, given the rule's squared error norm
-    reference = f.exact_integral
-    value = apply_rule(rule, f.fn)
-    rule_norm = math.sqrt(max(norm_sq, 0.0))
-    sob = sobolev_norm(f, rule.grid.m)
-    bound = rule_norm * sob.value
-    norm_floor = math.sqrt(max(norm_sq, 0.0) + 1e-14) - rule_norm
-    slack = sob.error_estimate * rule_norm + norm_floor * sob.value + 1e-12 * (1.0 + abs(reference))
-    return ReportEntry(f.name, value, reference, abs(value - reference), bound, slack)
+    """The :func:`error_report` line of the one integrand ``f``."""
+    return error_report(rule, (f,)).entries[0]
 
 
 def error_report(rule: QuadratureRule, integrands: Sequence[Integrand]) -> ErrorReport:
-    """Cauchy-Schwarz certificates for each integrand, sharing one norm evaluation."""
+    """Cauchy-Schwarz certificates for each integrand, sharing one norm evaluation.
+
+    Each entry checks |f.exact_integral - rule(f)| <= ||error functional|| *
+    ||f|| + slack.  The slack combines the Sobolev-norm discretisation
+    estimate with the roundoff floor of the squared-norm evaluation.
+    """
     norm_sq = error_norm_squared(rule)
-    entries = tuple(_certificate(rule, f, norm_sq) for f in integrands)
-    return ErrorReport(rule.grid, norm_sq, entries)
+    rule_norm = math.sqrt(max(norm_sq, 0.0))
+    norm_floor = math.sqrt(max(norm_sq, 0.0) + 1e-14) - rule_norm
+    entries = []
+    for f in integrands:
+        reference = f.exact_integral
+        value = apply_rule(rule, f.fn)
+        sob = sobolev_norm(f, rule.grid.m)
+        slack = sob.error_estimate * rule_norm + norm_floor * sob.value + 1e-12 * (1.0 + abs(reference))
+        entries.append(ReportEntry(f.name, value, reference, abs(value - reference),
+                                   rule_norm * sob.value, slack))
+    return ErrorReport(rule.grid, norm_sq, tuple(entries))
 
 
 @dataclass(frozen=True)

@@ -33,14 +33,14 @@ def _f17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _json17(obj, indent: int = 0) -> str:
+def _json17(obj) -> str:
     """Minimal JSON writer with 17-significant-digit floats.
 
     Every level appends to one list of parts, joined once: a document is
     copied once, not once per container level.
     """
     out: list[str] = []
-    _json17_into(out, obj, "  " * indent)
+    _json17_into(out, obj, "")
     return "".join(out)
 
 
@@ -186,20 +186,16 @@ def cmd_convergence(args) -> int:
     n_values = _parse_n_list(args.n_list)
     if args.norm_mode and args.function:
         raise ValueError("--norm-mode and --function are mutually exclusive")
-    if args.norm_mode:
-        table = convergence_study(args.m, n_values, method=args.method)
-    else:
-        if not args.function:
-            raise ValueError("pass --function NAME or --norm-mode")
-        f = builtin_integrand(args.function)
-        table = convergence_study(args.m, n_values, f, method=args.method)
+    if not (args.norm_mode or args.function):
+        raise ValueError("pass --function NAME or --norm-mode")
+    f = builtin_integrand(args.function) if args.function else None
+    table = convergence_study(args.m, n_values, f, method=args.method)
     if args.format == "csv":
-        lines = ["n,value,ratio,order"]
-        for row in table.rows:
-            ratio = _f17(row.ratio) if row.ratio is not None else ""
-            order = _f17(row.order) if row.order is not None else ""
-            lines.append(f"{row.n},{_f17(row.value)},{ratio},{order}")
-        payload = "\n".join(lines) + "\n"
+        payload = "n,value,ratio,order\n" + "".join(
+            f"{r.n},{_f17(r.value)},{'' if r.ratio is None else _f17(r.ratio)},"
+            f"{'' if r.order is None else _f17(r.order)}\n"
+            for r in table.rows
+        )
     else:
         payload = _json17(
             {
@@ -252,42 +248,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_n=True):
+    def common(name, summary, func, with_n=True, function=None):
+        # function: None for no --function, else whether it is required
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
         p.add_argument("--m", type=int, required=True, help="derivative order (1, 2 or 3)")
         if with_n:
             p.add_argument("--n", type=int, required=True, help="number of grid intervals")
         p.add_argument("--out", help="write output to this path instead of stdout")
+        if name != "verify":
+            p.add_argument("--method", default="auto", choices=METHODS)
+        if function is not None:
+            p.add_argument("--function", required=function, help="built-in integrand name")
+        return p
 
-    p = sub.add_parser("coeffs", help="construct a rule and emit its document")
-    common(p)
-    p.add_argument("--method", default="auto", choices=METHODS)
+    p = common("coeffs", "construct a rule and emit its document", cmd_coeffs)
     p.add_argument("--format", default="json", choices=["json", "csv"])
-    p.set_defaults(func=cmd_coeffs)
-
-    p = sub.add_parser("integrate", help="apply a rule to a built-in integrand")
-    common(p)
-    p.add_argument("--method", default="auto", choices=METHODS)
-    p.add_argument("--function", required=True, help="built-in integrand name")
-    p.set_defaults(func=cmd_integrate)
-
-    p = sub.add_parser("verify", help="run the invariant checks for (m, n)")
-    common(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("convergence", help="sweep n and tabulate errors or norms")
-    common(p, with_n=False)
+    common("integrate", "apply a rule to a built-in integrand", cmd_integrate, function=True)
+    common("verify", "run the invariant checks for (m, n)", cmd_verify)
+    p = common("convergence", "sweep n and tabulate errors or norms", cmd_convergence,
+               with_n=False, function=False)
     p.add_argument("--n-list", required=True, help="comma-separated ascending interval counts")
-    p.add_argument("--method", default="auto", choices=METHODS)
-    p.add_argument("--function", help="built-in integrand name")
     p.add_argument("--norm-mode", action="store_true", help="tabulate the error-functional norm")
     p.add_argument("--format", default="csv", choices=["csv", "json"])
-    p.set_defaults(func=cmd_convergence)
-
-    p = sub.add_parser("compare", help="optimal vs trapezoid vs simpson on one integrand")
-    common(p)
-    p.add_argument("--method", default="auto", choices=METHODS)
-    p.add_argument("--function", required=True, help="built-in integrand name")
-    p.set_defaults(func=cmd_compare)
+    common("compare", "optimal vs trapezoid vs simpson on one integrand", cmd_compare, function=True)
     return parser
 
 

@@ -41,6 +41,11 @@ class ToleranceError(QuadratureError):
 ORDERS = (1, 2, 3)
 
 
+def _check_order(m: int) -> None:
+    if m not in ORDERS:
+        raise ValueError(f"order m must be in {ORDERS}, got {m}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform grid on [0, 1]: n intervals, n+1 nodes, spacing h = 1/n."""
@@ -49,8 +54,7 @@ class GridSpec:
     n: int
 
     def __post_init__(self):
-        if self.m not in ORDERS:
-            raise ValueError(f"order m must be in {ORDERS}, got {self.m}")
+        _check_order(self.m)
         if self.n < 1:
             raise ValueError(f"interval count n must be >= 1, got {self.n}")
         if self.n + 1 < self.m:
@@ -160,8 +164,7 @@ def psi(m: int, x, dps: int | None = None):
     float that keeps all dps digits at every x, although the head cancels
     about (2m - 1) log10(1/|x|) of them at small x.
     """
-    if m not in ORDERS:
-        raise ValueError(f"order m must be in {ORDERS}, got {m}")
+    _check_order(m)
     if not math.isfinite(x):
         raise ValueError("x must be finite")
     ax = abs(x)
@@ -174,8 +177,7 @@ def psi(m: int, x, dps: int | None = None):
 
 def moment_f(m: int, beta: int, grid: GridSpec) -> float:
     """Kernel moment at node beta of ``grid``; symmetric under beta <-> n-beta."""
-    if m not in ORDERS:
-        raise ValueError(f"order m must be in {ORDERS}, got {m}")
+    _check_order(m)
     if not 0 <= beta <= grid.n:
         raise ValueError(f"node index beta must be in [0, {grid.n}], got {beta}")
     # evaluate both distances as exact node fractions so the symmetry

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 from . import _series
 from ._series import _Arith, _arith
-from .core import ConstructionError, ORDERS, ToleranceError, psi
+from .core import ConstructionError, ToleranceError, _check_order, psi
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,7 @@ def characteristic_polynomial(m: int, h: float, dps: int | None = None) -> Chara
     """
     if m == 1:
         raise ValueError("order 1 has no characteristic polynomial; use build_operator")
-    if m not in ORDERS:
-        raise ValueError(f"order m must be in {ORDERS}, got {m}")
+    _check_order(m)
     if not h > 0:
         raise ValueError(f"spacing h must be positive, got {h}")
     if dps is None and not _FLOAT_H_MIN[m] <= h <= _series._H_MAX:
@@ -183,8 +182,7 @@ def build_operator(m: int, h: float, dps: int | None = None) -> OperatorSpec:
     at small h, where the operator's central values grow like h^(1-2m) and
     float64 rounding alone exceeds tight identity tolerances.
     """
-    if m not in ORDERS:
-        raise ValueError(f"order m must be in {ORDERS}, got {m}")
+    _check_order(m)
     if not h > 0:
         raise ValueError(f"spacing h must be positive, got {h}")
     ar = _arith(dps)

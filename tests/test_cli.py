@@ -232,7 +232,11 @@ class TestBulkWriters:
 
     @given(float_arrays, st.integers(min_value=0, max_value=4))
     def test_float_array_at_any_depth(self, values, indent):
-        assert _json17(values, indent) == oracles.per_element_json17(values, indent)
+        # nested `indent` lists deep, the array is written at that depth's pad
+        doc = values
+        for _ in range(indent):
+            doc = [doc]
+        assert _json17(doc) == oracles.per_element_json17(doc)
 
     def test_edge_floats_and_float_subclasses(self):
         doc = {

@@ -15,6 +15,7 @@ from optquad import (
     constraint_rows,
     solve,
 )
+from optquad.coefficients import _closed_weights
 
 import oracles
 
@@ -125,4 +126,25 @@ M3_ENVELOPE = [(8, 8.9e-14), (16, 1.15e-12), (32, 2.61e-10), (64, 1.25e-8), (96,
 def test_order_three_solve_envelope(n, measured):
     rule = solve(assemble_system(3, n))
     ref = oracles.mp_kkt_weights(3, n, 50)
+    assert max(abs(float(c - r)) for c, r in zip(rule.coefficients, ref)) <= 2 * measured
+
+
+# the dense solve's envelope at m = 1, 2: the largest weight error measured
+# against the closed form evaluated at 50 digits, which is independent of the
+# solve.  At m = 2 the error passes verify's 1e-9 closed_vs_solve tolerance
+# from n = 192 on; the float closed form is the accurate side there.
+CLOSED_ORDER_ENVELOPE = {
+    1: [(8, 6.1e-16), (16, 3.08e-15), (32, 2.9e-15), (64, 5.3e-15), (96, 2.59e-14),
+        (128, 1.62e-14), (160, 2.22e-14), (192, 4.89e-14), (256, 3.07e-14), (512, 9.79e-14)],
+    2: [(8, 7.9e-15), (16, 9.27e-14), (32, 2.02e-12), (64, 1.74e-11), (96, 6.16e-11),
+        (128, 1.51e-10), (160, 3.77e-10), (192, 1.6e-9), (256, 2.05e-9), (512, 1.89e-8)],
+}
+
+
+@pytest.mark.parametrize(
+    "m, n, measured", [(m, n, e) for m, rows in CLOSED_ORDER_ENVELOPE.items() for n, e in rows]
+)
+def test_closed_order_solve_envelope(m, n, measured):
+    rule = solve(assemble_system(m, n))
+    ref = _closed_weights(m, n, dps=50)
     assert max(abs(float(c - r)) for c, r in zip(rule.coefficients, ref)) <= 2 * measured
