@@ -1,9 +1,13 @@
 """Command-line front end: build rules, integrate, verify, sweep, compare.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numeric
-failure.  All float serialization uses 17 significant decimal digits, which
-round-trips IEEE doubles exactly; runs are deterministic, so repeated
-invocations are byte-identical.
+Each ``cmd_*`` function maps the parsed arguments to ``(text, status)`` and
+writes nothing.  :func:`main` alone writes the text, to ``--out`` or stdout,
+and sets the exit code: 0 success, 1 verification failure (the status
+``cmd_verify`` returns), 2 usage error, 3 numeric failure.
+
+All float serialization uses 17 significant decimal digits, which round-trips
+IEEE doubles exactly; runs are deterministic, so repeated invocations are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .operator import _EXTENDED_DPS, identity_residuals
 
 SCHEMA_VERSION = 1
 
+VERIFY_FAILED = 1
 USAGE_ERROR = 2
 NUMERIC_ERROR = 3
 
@@ -118,21 +123,12 @@ def document_csv(rule: QuadratureRule) -> str:
     )
 
 
-def _emit(payload: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(payload, encoding="utf-8")
-    else:
-        sys.stdout.write(payload)
-
-
-def cmd_coeffs(args) -> int:
+def cmd_coeffs(args) -> tuple[str, int]:
     rule = build_rule(args.m, args.n, args.method)
-    payload = document_csv(rule) if args.format == "csv" else document_json(rule)
-    _emit(payload, args.out)
-    return 0
+    return (document_csv(rule) if args.format == "csv" else document_json(rule)), 0
 
 
-def cmd_integrate(args) -> int:
+def cmd_integrate(args) -> tuple[str, int]:
     rule = build_rule(args.m, args.n, args.method)
     f = builtin_integrand(args.function)
     value = apply_rule(rule, f.fn)
@@ -141,8 +137,7 @@ def cmd_integrate(args) -> int:
         f"reference value:  {_f17(f.exact_integral)}",
         f"absolute error:   {abs(value - f.exact_integral):.3e}",
     ]
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n", 0
 
 
 def _verify_checks(m: int, n: int) -> list[dict]:
@@ -174,15 +169,14 @@ def _verify_checks(m: int, n: int) -> list[dict]:
     return checks
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[str, int]:
     checks = _verify_checks(args.m, args.n)
     passed = all(c["passed"] for c in checks)
-    payload = _json17({"m": args.m, "n": args.n, "passed": passed, "checks": checks}) + "\n"
-    _emit(payload, args.out)
-    return 0 if passed else 1
+    doc = _json17({"m": args.m, "n": args.n, "passed": passed, "checks": checks}) + "\n"
+    return doc, 0 if passed else VERIFY_FAILED
 
 
-def cmd_convergence(args) -> int:
+def cmd_convergence(args) -> tuple[str, int]:
     n_values = _parse_n_list(args.n_list)
     if args.norm_mode and args.function:
         raise ValueError("--norm-mode and --function are mutually exclusive")
@@ -191,32 +185,20 @@ def cmd_convergence(args) -> int:
     f = builtin_integrand(args.function) if args.function else None
     table = convergence_study(args.m, n_values, f, method=args.method)
     if args.format == "csv":
-        payload = "n,value,ratio,order\n" + "".join(
+        return "n,value,ratio,order\n" + "".join(
             f"{r.n},{_f17(r.value)},{'' if r.ratio is None else _f17(r.ratio)},"
             f"{'' if r.order is None else _f17(r.order)}\n"
             for r in table.rows
-        )
-    else:
-        payload = _json17(
-            {
-                "m": table.m,
-                "quantity": table.quantity,
-                "rows": [
-                    {"n": r.n, "value": r.value, "ratio": r.ratio, "order": r.order}
-                    for r in table.rows
-                ],
-            }
-        ) + "\n"
-    _emit(payload, args.out)
-    return 0
+        ), 0
+    rows = [{"n": r.n, "value": r.value, "ratio": r.ratio, "order": r.order} for r in table.rows]
+    return _json17({"m": table.m, "quantity": table.quantity, "rows": rows}) + "\n", 0
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> tuple[str, int]:
     optimal = build_rule(args.m, args.n, args.method)
     f = builtin_integrand(args.function)
-    rows = []
-    rows.append(("optimal", apply_rule(optimal, f.fn)))
-    rows.append(("trapezoid", apply_rule(classical_rule("trapezoid", args.n), f.fn)))
+    rows = [("optimal", apply_rule(optimal, f.fn)),
+            ("trapezoid", apply_rule(classical_rule("trapezoid", args.n), f.fn))]
     note = ""
     if args.n % 2 == 0:
         rows.append(("simpson", apply_rule(classical_rule("simpson", args.n), f.fn)))
@@ -225,8 +207,7 @@ def cmd_compare(args) -> int:
     lines = [f"{'rule':<10} {'value':<24} {'abs_error':<12}"]
     for name, value in rows:
         lines.append(f"{name:<10} {_f17(value):<24} {abs(value - f.exact_integral):.3e}")
-    _emit("\n".join(lines) + "\n" + note, args.out)
-    return 0
+    return "\n".join(lines) + "\n" + note, 0
 
 
 def _parse_n_list(text: str) -> list[int]:
@@ -282,7 +263,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        text, status = args.func(args)
+        if args.out:
+            Path(args.out).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
+        return status
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -12,7 +12,7 @@ Orders >= 3 have no closed form here; use :mod:`optquad.solver`.
 from __future__ import annotations
 
 from . import _series
-from .core import ORDERS, GridSpec, QuadratureRule, RuleMethod
+from .core import ORDERS, GridSpec, QuadratureRule, RuleMethod, _check_order
 from .operator import characteristic_polynomial, stable_roots
 from .solver import assemble_system, solve
 
@@ -106,4 +106,5 @@ def build_rule(m: int, n: int, method: str = "auto") -> QuadratureRule:
     orders, construct = _METHODS[method]
     if m not in orders:
         raise ValueError(f"method {method!r} supports m in {orders}, got m={m}")
+    _check_order(m)  # 2.0 passes the test above but is not an order
     return construct(m, n)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -42,7 +43,9 @@ ORDERS = (1, 2, 3)
 
 
 def _check_order(m: int) -> None:
-    if m not in ORDERS:
+    # an integral float such as 2.0 equals an order but is not one.  psi
+    # checks on every call, and int skips the slow ABC test (~0.4 us)
+    if m not in ORDERS or not (type(m) is int or isinstance(m, numbers.Integral)):
         raise ValueError(f"order m must be in {ORDERS}, got {m}")
 
 
@@ -55,7 +58,7 @@ class GridSpec:
 
     def __post_init__(self):
         _check_order(self.m)
-        if self.n < 1:
+        if not isinstance(self.n, numbers.Integral) or self.n < 1:
             raise ValueError(f"interval count n must be >= 1, got {self.n}")
         if self.n + 1 < self.m:
             # the constraint block needs at least m distinct nodes

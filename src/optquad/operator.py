@@ -357,7 +357,7 @@ def identity_residuals(
     """
     if len(betas) == 0:
         raise ValueError("betas is empty: there is no offset to check")
-    fractional = [b for b in betas if b != int(b)]
+    fractional = [b for b in betas if not math.isfinite(b) or b != int(b)]
     if fractional:
         raise ValueError(f"offsets must be integers, got {fractional}")
     betas = [int(b) for b in betas]

@@ -1,6 +1,7 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from optquad import (
@@ -210,6 +211,21 @@ class TestBuildRule:
             build_rule(3, 4, "conv")
         with pytest.raises(ValueError):
             build_rule(1, 4, "newton")
+
+    @pytest.mark.parametrize("m, n, msg", [
+        (2.0, 8, r"order m must be in \(1, 2, 3\), got 2\.0"),
+        (1.0, 4, r"order m must be in \(1, 2, 3\), got 1\.0"),
+        (3.0, 8, r"order m must be in \(1, 2, 3\), got 3\.0"),
+        (1, 3.0, r"interval count n must be >= 1, got 3\.0"),
+        (2, 2.5, r"interval count n must be >= 1, got 2\.5"),
+    ])
+    def test_rejects_non_integral_order_and_size(self, m, n, msg):
+        with pytest.raises(ValueError, match=msg):
+            build_rule(m, n)
+
+    @pytest.mark.parametrize("method", ["closed", "solve", "auto"])
+    def test_accepts_numpy_integers(self, method):
+        assert build_rule(np.int64(2), np.int32(8), method) == build_rule(2, 8, method)
 
 
 class TestExactness:

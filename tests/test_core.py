@@ -1,6 +1,7 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -66,6 +67,8 @@ class TestKernel:
             psi(4, 1.0)
         with pytest.raises(ValueError):
             psi(2, math.inf)
+        with pytest.raises(ValueError, match=r"order m must be in \(1, 2, 3\), got 2\.0"):
+            psi(2.0, 0.5)
 
 
 class TestMoment:
@@ -114,10 +117,13 @@ class TestGridSpec:
         assert grid.h * grid.n == pytest.approx(1.0, abs=0.0)
         assert grid.nodes()[-1] == 1.0
 
-    @pytest.mark.parametrize("m, n", [(0, 4), (4, 4), (1, 0), (2, -3), (3, 1)])
+    @pytest.mark.parametrize("m, n", [(0, 4), (4, 4), (1, 0), (2, -3), (3, 1), (2.0, 8), (1, 3.0), (2, 2.5)])
     def test_rejects_invalid(self, m, n):
         with pytest.raises(ValueError):
             GridSpec(m, n)
+
+    def test_accepts_numpy_integers(self):
+        assert GridSpec(np.int64(3), np.int32(8)).nodes() == GridSpec(3, 8).nodes()
 
     def test_single_interval_allowed_for_low_orders(self):
         assert GridSpec(1, 1).nodes() == (0.0, 1.0)

@@ -205,7 +205,7 @@ def test_convolve_equals_per_term_fsum(m, h):
 def test_error_norm_kernel_calls_linear(monkeypatch, m, n):
     calls = _counting(monkeypatch, optquad.analysis, "psi")
     error_norm_squared(_rules(m, n)["trapezoid"])
-    assert len(calls) <= n + 1
+    assert 0 < len(calls) <= n + 1
 
 
 @pytest.mark.parametrize("m, n", [(1, 63), (2, 64), (3, 7), (3, 100)])
@@ -214,28 +214,29 @@ def test_error_norm_moment_calls_half(monkeypatch, m, n):
     rule = _rules(m, n)["trapezoid"]
     calls = _counting(monkeypatch, optquad.core, "moment_f")
     error_norm_squared(rule)
-    assert len(calls) <= n // 2 + 1
+    assert 0 < len(calls) <= n // 2 + 1
 
 
 @pytest.mark.parametrize("m, n", [(1, 63), (2, 64), (3, 7), (3, 100)])
 def test_assembly_moment_calls_half(monkeypatch, m, n):
     calls = _counting(monkeypatch, optquad.core, "moment_f")
     assemble_system(m, n)
-    assert len(calls) <= n // 2 + 1
+    assert 0 < len(calls) <= n // 2 + 1
 
 
 @pytest.mark.parametrize("m, n", [(1, 64), (2, 256), (3, 160)])
 def test_assembly_kernel_calls_bounded_by_distinct_gaps(monkeypatch, m, n):
     calls = _counting(monkeypatch, optquad.solver, "psi")
     assemble_system(m, n)
-    assert len(calls) <= _distinct_gaps(n)
+    assert 0 < len(calls) <= _distinct_gaps(n)
 
 
 @pytest.mark.parametrize("m, h", [(1, 0.5), (2, 0.125), (3, 0.1), (3, 1.0)])
 def test_identity_operator_calls_linear_in_window(monkeypatch, m, h):
-    calls = _counting(monkeypatch, optquad.operator, "operator_value")
+    # the D_m table is filled once, one value per offset 0..window
+    calls = _counting(monkeypatch, optquad.operator, "_value")
     report = identity_residuals(m, h)
-    assert len(calls) <= 2 * report.window + 1
+    assert len(calls) == report.window + 1
 
 
 def _large_rules(m, n):

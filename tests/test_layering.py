@@ -1,5 +1,7 @@
-"""The precision layer: only ``optquad._series`` touches mpmath or defines its arithmetic.
+"""Layering rules over the source modules.
 
+The precision layer: only ``optquad._series`` touches mpmath or defines its
+arithmetic.  The output layer: only ``optquad.cli.main`` writes to stdout.
 Every source module is parsed with ``ast``, so the rules hold whatever the
 modules do at import time.
 """
@@ -55,3 +57,29 @@ def test_precision_layer(path):
     else:
         assert not any(name.split(".")[0] == "mpmath" for name in imported)
         assert not defined
+
+
+def _stdout_writes(tree: ast.AST):
+    """Nodes that can reach stdout: a ``sys.stdout`` reference or import, or a print without ``file=``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "stdout":
+            if isinstance(node.value, ast.Name) and node.value.id == "sys":
+                yield node
+        elif isinstance(node, ast.ImportFrom) and node.module == "sys":
+            if any(alias.name == "stdout" for alias in node.names):
+                yield node
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print":
+            if not any(keyword.arg == "file" for keyword in node.keywords):
+                yield node
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_cli_main_writes_stdout(path):
+    tree = _parse(path)
+    allowed = set()
+    if path.stem == "cli":
+        (main,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main"]
+        allowed = {id(node) for node in _stdout_writes(main)}
+        # the rule must not hold vacuously
+        assert allowed
+    assert [node.lineno for node in _stdout_writes(tree) if id(node) not in allowed] == []

@@ -379,6 +379,11 @@ class TestExtendedPrecisionIdentities:
         with pytest.raises(ValueError, match=r"offsets must be integers, got \[(0|2)\.5\]"):
             identity_residuals(2, 0.5, betas=betas)
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_rejects_non_finite_offsets(self, bad):
+        with pytest.raises(ValueError, match=rf"offsets must be integers, got \[{bad}\]"):
+            identity_residuals(2, 0.5, betas=[1, bad])
+
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("h", [141.0, 150.0])
     def test_rejects_sample_growth_beyond_float_range(self, m, h):
