@@ -24,6 +24,7 @@ from .core import (
     Integrand,
     QuadratureRule,
     RuleMethod,
+    _check_order,
     apply_rule,
     constraint_rows,
     kernel_double_integral,
@@ -158,6 +159,7 @@ def sobolev_norm(f: Integrand, m: int) -> SobolevNormEstimate:
     32-panel levels alike, and then the estimate does not cover it.  A
     sample of (f^(m) + f^(m-1))^2 that is not finite raises ValueError.
     """
+    _check_order(m)
     fm = f.derivative(m)
     fm1 = f.derivative(m - 1)
 
@@ -295,21 +297,19 @@ def classical_rule(kind: str, n: int) -> QuadratureRule:
     Tagged with their own methods so optimal-rule constraint checks do not
     apply to them; Simpson requires even n.
     """
+    grid = GridSpec(1, n)
+    h = grid.h
     if kind == "trapezoid":
-        if n < 1:
-            raise ValueError("trapezoid requires n >= 1")
-        h = 1.0 / n
         coeffs = (h / 2.0,) + (h,) * (n - 1) + (h / 2.0,)
-        return QuadratureRule(GridSpec(1, n), coeffs, RuleMethod.TRAPEZOID)
+        return QuadratureRule(grid, coeffs, RuleMethod.TRAPEZOID)
     if kind == "simpson":
-        if n < 2 or n % 2:
+        if n % 2:
             raise ValueError("simpson requires even n >= 2")
-        h = 1.0 / n
         coeffs = [h / 3.0]
         for beta in range(1, n):
             coeffs.append(h * (4.0 if beta % 2 else 2.0) / 3.0)
         coeffs.append(h / 3.0)
-        return QuadratureRule(GridSpec(1, n), tuple(coeffs), RuleMethod.SIMPSON)
+        return QuadratureRule(grid, tuple(coeffs), RuleMethod.SIMPSON)
     raise ValueError(f"unknown classical rule {kind!r}; use trapezoid or simpson")
 
 

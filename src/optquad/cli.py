@@ -159,11 +159,8 @@ def _verify_checks(m: int, n: int) -> list[dict]:
         extended = _closed_weights(m, n, dps=_EXTENDED_DPS)
         add("closed_vs_extended", float(max(abs(a - b) for a, b in zip(closed, extended))), 1e-12)
     report = identity_residuals(m, 1.0 / n)
-    if report.divergent:
-        # cannot happen for valid grids (m=3 needs n>=2); fail loudly if it does
-        add("operator_identities", float("inf"), 1e-9)
-    else:
-        add("operator_identities", max(report.residuals.values()), 1e-9)
+    # a divergent family cannot occur on a valid grid (m=3 needs n>=2); fail loudly if it does
+    add("operator_identities", float("inf") if report.divergent else report.max_convergent_residual, 1e-9)
     norm_sq = error_norm_squared(rules["solve"])
     add("error_norm_nonnegative", -norm_sq, 1e-12)
     return checks

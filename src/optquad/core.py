@@ -58,7 +58,9 @@ class GridSpec:
 
     def __post_init__(self):
         _check_order(self.m)
-        if not isinstance(self.n, numbers.Integral) or self.n < 1:
+        if not isinstance(self.n, numbers.Integral):
+            raise ValueError(f"interval count n must be an integer, got {self.n}")
+        if self.n < 1:
             raise ValueError(f"interval count n must be >= 1, got {self.n}")
         if self.n + 1 < self.m:
             # the constraint block needs at least m distinct nodes
@@ -181,8 +183,9 @@ def psi(m: int, x, dps: int | None = None):
 def moment_f(m: int, beta: int, grid: GridSpec) -> float:
     """Kernel moment at node beta of ``grid``; symmetric under beta <-> n-beta."""
     _check_order(m)
-    if not 0 <= beta <= grid.n:
-        raise ValueError(f"node index beta must be in [0, {grid.n}], got {beta}")
+    # beta / n of a fractional beta would be a point between the nodes
+    if not (type(beta) is int or isinstance(beta, numbers.Integral)) or not 0 <= beta <= grid.n:
+        raise ValueError(f"node index beta must be an integer in [0, {grid.n}], got {beta}")
     # evaluate both distances as exact node fractions so the symmetry
     # moment_f(beta) == moment_f(n - beta) holds bit for bit
     t = beta / grid.n
@@ -251,11 +254,9 @@ class Integrand:
     exact_integral: float = math.nan
 
     def derivative(self, k: int) -> Callable[[float], float]:
-        if k == 0:
-            return self.fn
-        if k > len(self.derivatives):
+        if not 0 <= k <= len(self.derivatives):
             raise ValueError(f"{self.name}: derivative order {k} not available")
-        return self.derivatives[k - 1]
+        return self.derivatives[k - 1] if k else self.fn
 
 
 def _runge(x):

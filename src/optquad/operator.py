@@ -19,7 +19,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from . import _series
 from ._series import _Arith, _arith
@@ -331,41 +331,37 @@ class IdentityReport:
 
 _EXTENDED_DPS = 50  # working digits of the extended-precision checks
 _TAIL_TARGET = 1e-13  # truncation tail the identity checks' window must reach
+# offsets the identities are checked at: D_m is even and the samples mirror
+# exactly, so each sum at -beta repeats one at beta and 0..5 covers -5..5
+_OFFSETS = range(6)
 
 
-def identity_residuals(
-    m: int, h: float, betas: Sequence[int] = tuple(range(-5, 6))
-) -> IdentityReport:
+def identity_residuals(m: int, h: float) -> IdentityReport:
     """Evaluate the operator identities in mpmath at 50 digits.
 
-    The window is the smallest one whose truncation tail is below 1e-13
-    for every convergent family.  Samples are evaluated in
-    mpmath so the residuals reflect the identities themselves rather than
-    float64 representation noise.  The precision is fixed.  Offsets must be
-    integers; any other raises ValueError, and so does an h * max|beta| whose
-    sample growth e^(h max|beta|) is beyond float range.
+    The identities are checked at the offsets beta = 0..5, which give every
+    sum at -5..5: the sum at -beta is the delta sum at beta, (-1)^k times
+    the monomial_k sum, or the other exponential family's sum.  The window
+    is the smallest one whose truncation tail is below 1e-13, with the
+    margin of max|beta| = 5, for every convergent family.  Samples are
+    evaluated in mpmath so the residuals reflect the identities themselves
+    rather than float64 representation noise.  The precision is fixed.  An
+    h whose sample growth e^(5h) is beyond float range raises ValueError.
 
     D_m(gamma) is evaluated once per |gamma| <= window.  The samples are
-    evaluated once per |j| <= max|beta| + window at x_j = h*j and mirrored to
-    -j: e^(+-x) swap, the kernel is even and x^k takes the sign (-1)^k, each
+    evaluated once per |j| <= 5 + window at x_j = h*j and mirrored to -j:
+    e^(+-x) swap, the kernel is even and x^k takes the sign (-1)^k, each
     exactly in round-to-nearest.  The kernel samples are psi(m, x, 50), which
-    keeps all 50 digits at every x.  That is O(window + max|beta|)
-    extended-precision evaluations per family, O(window * len(betas))
-    products, and O(window + max|beta|) extra memory.  Each windowed sum is
-    mp.fdot over the window: exact products, summed exactly, then one
-    rounding to 50 digits.
+    keeps all 50 digits at every x.  That is O(window) extended-precision
+    evaluations and 6 windowed sums per family, and O(window) extra memory.
+    Each windowed sum is mp.fdot over the window: exact products, summed
+    exactly, then one rounding to 50 digits.
     """
-    if len(betas) == 0:
-        raise ValueError("betas is empty: there is no offset to check")
-    fractional = [b for b in betas if not math.isfinite(b) or b != int(b)]
-    if fractional:
-        raise ValueError(f"offsets must be integers, got {fractional}")
-    betas = [int(b) for b in betas]
-    beta_span = max(abs(b) for b in betas)
+    beta_span = _OFFSETS[-1]
     # sample growth constants: exponentials and the kernel carry an extra
     # e^(h |beta|); monomials are dominated by a slow geometric envelope
     try:
-        margin = 8.0 * max(1.0, beta_span) ** (2 * m) * math.exp(h * beta_span)
+        margin = 8.0 * beta_span ** (2 * m) * math.exp(h * beta_span)
     except OverflowError:
         margin = math.inf
     if math.isinf(margin):
@@ -406,7 +402,7 @@ def identity_residuals(
         residuals: dict[str, float] = {}
         for name, values in samples.items():
             worst = ar.num(0)
-            for beta in betas:
+            for beta in _OFFSETS:
                 first = top - beta - window
                 val = ar.dot(table, values[first : first + 2 * window + 1])
                 if name == "delta" and beta == 0:

@@ -102,7 +102,7 @@ def _identity_grid(include_divergent):
     failures = []
     for m in (1, 2, 3):
         for h in H_GRID:
-            rep = identity_residuals(m, h, betas=range(-5, 6))
+            rep = identity_residuals(m, h)
             for family, value in rep.residuals.items():
                 if family in rep.divergent and not include_divergent:
                     continue

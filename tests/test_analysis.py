@@ -236,6 +236,12 @@ class TestSobolevNorm:
         with pytest.raises(ValueError):
             sobolev_norm(bare, 2)
 
+    @pytest.mark.parametrize("m", [0, 4, 2.0])
+    def test_rejects_invalid_order(self, m):
+        # order 0 would return 0.0 for the norm of f' + f^(-1), which does not exist
+        with pytest.raises(ValueError, match=rf"order m must be in \(1, 2, 3\), got {m}"):
+            sobolev_norm(builtin_integrand("sin"), m)
+
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("name", sorted(BUILTIN_INTEGRANDS))
     def test_builtins_within_estimate_of_mpmath(self, name, m):
@@ -490,6 +496,15 @@ class TestClassicalRules:
     def test_simpson_rejects_odd(self):
         with pytest.raises(ValueError):
             classical_rule("simpson", 3)
+
+    def test_trapezoid_rejects_fractional_n(self):
+        with pytest.raises(ValueError, match=r"interval count n must be an integer, got 2\.5"):
+            classical_rule("trapezoid", 2.5)
+
+    def test_simpson_rejects_integral_float_n(self):
+        with pytest.raises(ValueError, match=r"interval count n must be an integer, got 4\.0"):
+            classical_rule("simpson", 4.0)
+        assert classical_rule("simpson", np.int64(4)) == classical_rule("simpson", 4)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

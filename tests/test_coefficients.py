@@ -216,8 +216,8 @@ class TestBuildRule:
         (2.0, 8, r"order m must be in \(1, 2, 3\), got 2\.0"),
         (1.0, 4, r"order m must be in \(1, 2, 3\), got 1\.0"),
         (3.0, 8, r"order m must be in \(1, 2, 3\), got 3\.0"),
-        (1, 3.0, r"interval count n must be >= 1, got 3\.0"),
-        (2, 2.5, r"interval count n must be >= 1, got 2\.5"),
+        (1, 3.0, r"interval count n must be an integer, got 3\.0"),
+        (2, 2.5, r"interval count n must be an integer, got 2\.5"),
     ])
     def test_rejects_non_integral_order_and_size(self, m, n, msg):
         with pytest.raises(ValueError, match=msg):

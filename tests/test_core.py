@@ -110,6 +110,14 @@ class TestMoment:
         with pytest.raises(ValueError):
             moment_f(2, 5, grid)
 
+    @pytest.mark.parametrize("beta", [2.5, 2.0, 0.5])
+    def test_index_must_be_an_integer(self, beta):
+        # 2.5 on n = 4 would be the moment at x = 0.625, which is no node
+        grid = GridSpec(2, 4)
+        with pytest.raises(ValueError, match=rf"node index beta must be an integer in \[0, 4\], got {beta}"):
+            moment_f(2, beta, grid)
+        assert moment_f(2, np.int64(3), grid) == moment_f(2, 3, grid)
+
 
 class TestGridSpec:
     def test_spacing(self):
@@ -178,6 +186,11 @@ class TestIntegrands:
             for x in (0.12, 0.43, 0.87):
                 fd = oracles.central_difference(f.fn, x, k)
                 assert f.derivative(k)(x) == pytest.approx(fd, rel=1e-4, abs=1e-4)
+
+    @pytest.mark.parametrize("k", [-1, -3])
+    def test_rejects_negative_derivative_order(self, k):
+        with pytest.raises(ValueError, match=rf"sin: derivative order {k} not available"):
+            builtin_integrand("sin").derivative(k)
 
     @pytest.mark.parametrize("name, value", [
         ("exp-neg", -math.expm1(-1.0)),

@@ -132,34 +132,48 @@ def test_assembly_equals_entrywise_loop(m, n):
     assert np.array_equal(system.rhs, rhs)
 
 
-# (m, h, betas): summable cells at several spacings, a wide offset range,
-# and m = 3 at h = 1, where the exponential and kernel sums diverge
+# (m, h, betas): summable cells at several spacings, m = 3 at h = 1, where
+# the exponential and kernel sums diverge, and the cells optquad verify runs
+# (h = 1/n).  betas is an offset set for the mirror check: a wide one, ones
+# without 0, ones of only negative offsets
 IDENTITY_CELLS = [
-    (1, 0.5, range(-5, 6)),
-    (2, 0.125, range(-5, 6)),
-    (2, 1.0 / 64.0, range(-3, 4)),
-    (3, 0.1, range(-3, 4)),
-    (3, 0.125, range(-5, 14)),
-    (3, 1.0, range(-2, 3)),
-    # cells optquad verify runs (h = 1/n, default betas)
-    (2, 1.0 / 16.0, range(-5, 6)),
-    (3, 0.25, range(-5, 6)),
-    (3, 1.0 / 64.0, range(-5, 6)),
-    (2, 1.0 / 160.0, range(-5, 6)),
-    # betas without 0, and only negative betas
+    (1, 0.5, (0, 1, 4)),
+    (2, 0.125, (-2, 5)),
+    (2, 1.0 / 64.0, (1, 3)),
+    (3, 0.1, (-4, 0)),
+    (3, 0.125, range(7, 14)),
+    (3, 1.0, (-1, 2)),
+    # cells optquad verify runs
+    (2, 1.0 / 16.0, (0, 1)),
+    (3, 0.25, (2, 5)),
+    (3, 1.0 / 64.0, (-3, 0)),
+    (2, 1.0 / 160.0, (4,)),
     (3, 0.125, range(3, 9)),
     (2, 0.125, range(-7, -1)),
 ]
 
 
+def _exp_swapped(residuals):
+    return {**residuals, "exp_growing": residuals["exp_decaying"], "exp_decaying": residuals["exp_growing"]}
+
+
 @pytest.mark.parametrize("m, h, betas", IDENTITY_CELLS)
 def test_identity_report_equals_per_beta_loop(m, h, betas):
-    report = identity_residuals(m, h, betas=betas)
-    window, residuals, divergent = oracles.naive_identity_residuals(m, h, betas)
+    report = identity_residuals(m, h)
+    window, residuals, divergent = oracles.naive_identity_residuals(m, h, range(6))
     assert (report.m, report.h) == (m, h)
     assert report.window == window
     assert report.residuals == residuals
     assert report.divergent == divergent
+    # the offsets -5..-1 add no sum: the same window and values, except that
+    # the exp families at -beta are each other's at beta
+    full_window, full, full_divergent = oracles.naive_identity_residuals(m, h, range(-5, 6))
+    assert (full_window, full_divergent) == (window, divergent)
+    exp = max(residuals["exp_growing"], residuals["exp_decaying"])
+    assert full == {**residuals, "exp_growing": exp, "exp_decaying": exp}
+    # and the mirror holds at any offset set
+    direct = oracles.naive_identity_residuals(m, h, betas)[1]
+    assert oracles.naive_identity_residuals(m, h, [-b for b in betas])[1] == _exp_swapped(direct)
 
 
 def _per_term_convolution(spec, g, beta, window, fsum, product):
