@@ -41,7 +41,6 @@ from .core import (
     QuadratureRule,
     RuleMethod,
     SolveError,
-    ToleranceError,
     apply_rule,
     builtin_integrand,
     constraint_residuals,
@@ -55,12 +54,9 @@ from .operator import (
     OperatorSpec,
     build_operator,
     characteristic_polynomial,
-    convolve,
     identity_residuals,
     operator_value,
     stable_roots,
-    tail_bound,
-    window_for,
 )
 from .solver import WienerHopfSystem, assemble_system, solve
 
@@ -83,7 +79,6 @@ __all__ = [
     "RuleMethod",
     "SobolevNormEstimate",
     "SolveError",
-    "ToleranceError",
     "WienerHopfSystem",
     "apply_rule",
     "assemble_system",
@@ -99,7 +94,6 @@ __all__ = [
     "constraint_residuals",
     "constraint_rows",
     "convergence_study",
-    "convolve",
     "error_norm_squared",
     "error_report",
     "identity_residuals",
@@ -112,7 +106,5 @@ __all__ = [
     "solve",
     "stable_roots",
     "stationarity_margin",
-    "tail_bound",
-    "window_for",
     "__version__",
 ]

@@ -20,7 +20,9 @@ sum in mpmath, for any h > 0, through :func:`extended`.
 This module is the package's one precision layer: :func:`_arith` gives the
 operations every formula needs in float64 or at ``dps`` digits, and
 :func:`extended` is the one rule for the working digits of a cancelling
-sum.
+sum.  :func:`tail_power_sums` gives the geometric power sums
+sum_{j >= lo} q^j j^s in closed form, at the caller's precision; the
+operator identities are finite sums of them.
 """
 
 from __future__ import annotations
@@ -151,3 +153,24 @@ def _printed_sum(name: str, h, ar: _Arith):
     hm = ar.num(h)
     exps = (1, ar.exp(hm), ar.exp(2 * hm))
     return mp.fsum(hm**a * exps[b] * c.numerator / c.denominator for c, a, b in _TERMS[name])
+
+
+def tail_power_sums(q, lo: int, r: int) -> list:
+    """S_s = sum_{j >= lo} q^j j^s for s = 0..r, at the ambient precision.
+
+    Shifting the sum by one index gives, for s = 0, 1, ..., r in turn,
+
+        (1 - q) S_s = q^lo lo^s + sum_{t < s} C(s, t) (-1)^(s-t+1) (S_t - q^lo lo^t),
+
+    with 0^0 = 1.  The sums converge for |q| < 1; for |q| > 1 the same
+    recurrence gives their analytic continuation, the rational function of
+    q that the convergent sums equal.  q = 1 has no value.
+    """
+    first = q**lo
+    sums = []
+    for s in range(r + 1):
+        acc = first * lo**s
+        for t in range(s):
+            acc += math.comb(s, t) * (-1) ** (s - t + 1) * (sums[t] - first * lo**t)
+        sums.append(acc / (1 - q))
+    return sums

@@ -31,14 +31,6 @@ class SolveError(QuadratureError):
     """The dense linear solve failed (singular / ill-conditioned / bad residual)."""
 
 
-class ToleranceError(QuadratureError):
-    """A requested tolerance is not achievable; carries the achievable bound."""
-
-    def __init__(self, message: str, achievable: float | None = None):
-        super().__init__(message)
-        self.achievable = achievable
-
-
 ORDERS = (1, 2, 3)
 
 
@@ -254,7 +246,8 @@ class Integrand:
     exact_integral: float = math.nan
 
     def derivative(self, k: int) -> Callable[[float], float]:
-        if not 0 <= k <= len(self.derivatives):
+        # a float order equal to an integer still names no derivative
+        if not (isinstance(k, numbers.Integral) and 0 <= k <= len(self.derivatives)):
             raise ValueError(f"{self.name}: derivative order {k} not available")
         return self.derivatives[k - 1] if k else self.fn
 

@@ -10,20 +10,22 @@ polynomials of degree up to 2m-3.
 Every formula is written once and evaluated in the precision chosen by
 ``dps``, with the arithmetic of :mod:`optquad._series`: float64 by
 default, with the polynomial coefficients from its series, or mpmath at
-``dps`` digits for verification-grade convolution checks, where float64
-rounding of the large central values would swamp the identities.
+``dps`` digits for verification-grade identity checks, where float64
+rounding of the large central values would swamp the identities.  Those
+checks (:func:`identity_residuals`) sum the few central terms one by one
+and the geometric tails in closed form, so they need no truncation window
+and also hold where the tails against e^(+-x) do not converge.
 """
 
 from __future__ import annotations
 
-import bisect
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from . import _series
 from ._series import _Arith, _arith
-from .core import ConstructionError, ToleranceError, _check_order, psi
+from .core import ConstructionError, _check_order, psi
 
 
 @dataclass(frozen=True)
@@ -177,10 +179,10 @@ def build_operator(m: int, h: float, dps: int | None = None) -> OperatorSpec:
     (2c + sum A_k/lambda_k)/p and D_m(1) = (-2e^h + sum A_k)/p are stored.
 
     With ``dps`` set, every stored value is an mpmath float computed at that
-    many digits, and :func:`operator_value` and :func:`convolve` evaluate at
-    that precision whatever the caller's.  Use this for identity verification
-    at small h, where the operator's central values grow like h^(1-2m) and
-    float64 rounding alone exceeds tight identity tolerances.
+    many digits, and :func:`operator_value` evaluates at that precision
+    whatever the caller's.  Use this for identity verification at small h,
+    where the operator's central values grow like h^(1-2m) and float64
+    rounding alone exceeds tight identity tolerances.
     """
     _check_order(m)
     if not h > 0:
@@ -226,111 +228,23 @@ def _value(spec: OperatorSpec, b: int):
     return acc / spec.p
 
 
-def tail_bound(spec: OperatorSpec, window: int, growth: float = 1.0) -> float:
-    """Bound on sum_{|gamma|>window} |D_m(gamma)| * growth^|gamma|.
-
-    For callbacks with |g(t)| <= G * growth^|t| the truncation error of
-    :func:`convolve` at offset beta is at most G * growth^|beta| times this
-    bound (growth = e^h covers exponential and kernel samples; growth
-    slightly above 1 dominates polynomial ones).  Returns inf when a tail
-    ratio |lambda|*growth reaches 1, i.e. the bilateral sum is non-summable.
-    """
-    if not spec.roots:
-        return 0.0
-    total = 0.0
-    for lam, amp in zip(spec.roots, spec.amplitudes):
-        al = abs(float(lam))
-        r = al * growth
-        if r >= 1.0:
-            return math.inf
-        total += 2.0 * abs(float(amp / spec.p)) / al * r ** (window + 1) / (1.0 - r)
-    return total
-
-
-_MAX_WINDOW = 200000  # largest window window_for searches
-
-
-def window_for(spec: OperatorSpec, tol: float, growth: float = 1.0) -> int:
-    """Smallest window in [1, 200000] with tail_bound <= tol; tail_bound falls as the window grows.
-
-    Raises ValueError unless tol > 0, and :class:`ToleranceError` when the
-    tail is non-summable at this growth rate (|lambda_max| * growth >= 1),
-    i.e. no window can achieve tol, or when tol needs a window above 200000.
-    """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if spec.lambda_max * growth >= 1.0:
-        raise ToleranceError(
-            f"tail is non-summable: |lambda_max| * growth = {spec.lambda_max * growth:.6g} >= 1",
-            achievable=math.inf,
-        )
-    windows = range(1, _MAX_WINDOW + 1)
-    i = bisect.bisect_left(windows, True, key=lambda w: tail_bound(spec, w, growth) <= tol)
-    if i == len(windows):
-        raise ToleranceError(
-            f"window above {_MAX_WINDOW} needed for tol {tol:g}",
-            achievable=tail_bound(spec, _MAX_WINDOW, growth),
-        )
-    return windows[i]
-
-
-def convolve(spec: OperatorSpec, g: Callable[[int], object], beta: int, window: int) -> object:
-    """Windowed discrete convolution sum_{|gamma|<=window} D_m(gamma) g(beta-gamma).
-
-    The truncation error is bounded by tail_bound(spec, window, growth) times
-    the callback's growth constant.  Each sample is taken in the spec's
-    precision (float, or mpmath at ``dps`` digits).  Float64 rounds each
-    product, the extended path forms each product exactly, and either sums
-    the products exactly before one final rounding.
-    """
-    if window < 1:
-        raise ValueError("window must be a positive integer")
-    ar = _arith(spec.dps)
-    # term arithmetic must run at the spec's precision, not the ambient one
-    with ar.context():
-        samples = [ar.num(g(beta - gamma)) for gamma in range(-window, window + 1)]
-        return ar.dot(_operator_table(spec, window), samples)
-
-
-def _operator_table(spec: OperatorSpec, window: int) -> list:
-    """D_m(gamma) for gamma = -window..window, one evaluation per |gamma|, at the ambient precision."""
-    num = _arith(spec.dps).num
-    half = [num(_value(spec, gamma)) for gamma in range(window + 1)]
-    return _mirrored(half, half)
-
-
-def _mirrored(nonneg: list, neg: list) -> list:
-    """g(j) for j = top..-top, descending, from nonneg[j] = g(j) and neg[j] = g(-j), j = 0..top."""
-    return nonneg[::-1] + neg[1:]
-
-
 @dataclass(frozen=True)
 class IdentityReport:
     """Max absolute residuals of the operator's defining identities.
 
     Families: exp_growing / exp_decaying (annihilation of e^(+-x) samples),
     monomial_k for k <= 2m-3 (annihilation of polynomial samples), and delta
-    (kernel convolution minus the unit impulse).  ``divergent`` lists families
-    whose bilateral convolution is non-summable at this (m, h): samples of
-    e^(+-x) and of the kernel grow like e^(h|gamma|), so those sums only
-    converge when |lambda_max| * e^h < 1.  Their reported residual is the
-    windowed value at ``window``, which does not shrink as the window grows.
+    (kernel convolution minus the unit impulse).  ``window`` is the largest
+    |gamma| whose term is summed one by one; the rest is in closed form.
     """
 
     m: int
     h: float
     window: int
     residuals: dict[str, float]
-    divergent: tuple[str, ...]
-
-    @property
-    def max_convergent_residual(self) -> float:
-        vals = [v for k, v in self.residuals.items() if k not in self.divergent]
-        return max(vals) if vals else 0.0
 
 
 _EXTENDED_DPS = 50  # working digits of the extended-precision checks
-_TAIL_TARGET = 1e-13  # truncation tail the identity checks' window must reach
 # offsets the identities are checked at: D_m is even and the samples mirror
 # exactly, so each sum at -beta repeats one at beta and 0..5 covers -5..5
 _OFFSETS = range(6)
@@ -341,73 +255,87 @@ def identity_residuals(m: int, h: float) -> IdentityReport:
 
     The identities are checked at the offsets beta = 0..5, which give every
     sum at -5..5: the sum at -beta is the delta sum at beta, (-1)^k times
-    the monomial_k sum, or the other exponential family's sum.  The window
-    is the smallest one whose truncation tail is below 1e-13, with the
-    margin of max|beta| = 5, for every convergent family.  Samples are
-    evaluated in mpmath so the residuals reflect the identities themselves
-    rather than float64 representation noise.  The precision is fixed.  An
-    h whose sample growth e^(5h) is beyond float range raises ValueError.
+    the monomial_k sum, or the other exponential family's sum.  Each sum
+    over gamma takes the terms gamma = -1..max(1, beta) one by one, with
+    exact products summed exactly (mp.fdot), from one table of D_m(0..5)
+    and the samples at x = h*(beta - gamma): psi(m, x, 50), e^(+-x), x^k.
 
-    D_m(gamma) is evaluated once per |gamma| <= window.  The samples are
-    evaluated once per |j| <= 5 + window at x_j = h*j and mirrored to -j:
-    e^(+-x) swap, the kernel is even and x^k takes the sign (-1)^k, each
-    exactly in round-to-nearest.  The kernel samples are psi(m, x, 50), which
-    keeps all 50 digits at every x.  That is O(window) extended-precision
-    evaluations and 6 windowed sums per family, and O(window) extra memory.
-    Each windowed sum is mp.fdot over the window: exact products, summed
-    exactly, then one rounding to 50 digits.
+    The two tails gamma <= -2 and gamma > max(1, beta) are summed in closed
+    form.  There D_m(gamma) = sum_k alpha_k lambda_k^|gamma| with alpha_k =
+    A_k / (p lambda_k), and each sample is a sum of terms c t^s e^(w h t)
+    at t = beta - gamma; for the kernel, in |t|, those are e^(h|t|)/4,
+    -e^(-h|t|)/4 and -(h|t|)^(2r-1) / (2 (2r-1)!) for r < m.  So each tail
+    is a binomial combination of the power sums
+    :func:`optquad._series.tail_power_sums` at q = lambda_k e^(+-w h).
+    Where |lambda_k| e^h > 1 (m = 3 at h = 1) the tails against e^(+-x)
+    and the kernel do not converge, and their closed form is the analytic
+    continuation: the value of the operator's symbol, at which the
+    identities still hold.  The precision is fixed.  An h whose sample
+    growth e^(5h) is beyond float range raises ValueError.
     """
     beta_span = _OFFSETS[-1]
-    # sample growth constants: exponentials and the kernel carry an extra
-    # e^(h |beta|); monomials are dominated by a slow geometric envelope
+    # the residuals are absolute and scale like the samples at |t| <= beta_span + 1
     try:
-        margin = 8.0 * beta_span ** (2 * m) * math.exp(h * beta_span)
+        growth = 8.0 * beta_span ** (2 * m) * math.exp(h * beta_span)
     except OverflowError:
-        margin = math.inf
-    if math.isinf(margin):
+        growth = math.inf
+    if math.isinf(growth):
         raise ValueError(
             f"the sample growth e^(h*max|beta|) at h = {h}, max|beta| = {beta_span}"
             " is beyond float range"
         )
     spec = build_operator(m, h, dps=_EXTENDED_DPS)
-    lmax = spec.lambda_max
-    growth = math.exp(h)
-    degrees = range(0, 2 * m - 3 + 1)
-    families = {"exp_growing": growth, "exp_decaying": growth, "delta": growth}
-    families.update((f"monomial_{k}", 1.1) for k in degrees)
-    summable = {gr for gr in families.values() if lmax * gr < 1.0}
-    divergent = tuple(name for name, gr in families.items() if gr not in summable)
-    # tail_bound grows with the growth rate, so the fastest summable one sets the window
-    window = window_for(spec, _TAIL_TARGET / margin, growth=max(summable))
-
     ar = _arith(_EXTENDED_DPS)
     with ar.context():
-        # every family shares the D_m table; samples[i] is g(top - i), so the
-        # slice for beta lists g(beta - gamma) in convolve's gamma order
-        table = _operator_table(spec, window)
-        top = beta_span + window
+        table = [ar.num(_value(spec, b)) for b in range(beta_span + 1)]
         hm = ar.num(h)
-        xs = [hm * j for j in range(top + 1)]
-        grow = [ar.exp(x) for x in xs]
-        decay = [ar.exp(-x) for x in xs]
-        kernel = [psi(m, x, _EXTENDED_DPS) for x in xs]
-        samples = {
-            "exp_growing": _mirrored(grow, decay),
-            "exp_decaying": _mirrored(decay, grow),
-            "delta": _mirrored(kernel, kernel),
+        geometric = [(lam, amp / (spec.p * lam)) for lam, amp in zip(spec.roots, spec.amplitudes)]
+        degree = max(0, 2 * m - 3)  # the highest power of t in a sample term
+        exp = functools.cache(lambda t: ar.exp(hm * t))  # e^(h t) at integer t
+
+        @functools.cache
+        def tail_sums(w, lo):
+            # sum_k alpha_k sum_{j >= lo} (lambda_k e^(w h))^j j^s for s = 0..degree
+            sums = [_series.tail_power_sums(lam * exp(w), lo, degree) for lam, _ in geometric]
+            return [sum(alpha * S[s] for (_, alpha), S in zip(geometric, sums)) for s in range(degree + 1)]
+
+        def tail(terms, beta, sign, lo):
+            # sum_{j >= lo} D_m(j) g(beta + sign*j) for g(t) = sum c t^s e^(w h t),
+            # with (beta + sign*j)^s expanded binomially
+            total = 0
+            for c, s, w in terms:
+                sums = tail_sums(sign * w, lo)
+                expanded = sum(math.comb(s, i) * beta ** (s - i) * sign**i * sums[i] for i in range(s + 1))
+                total += c * exp(w * beta) * expanded
+            return total
+
+        # each family: its sample g(t) at x = h*t, and the (c, s, w) terms of
+        # g(t) = sum c t^s e^(w h t) for t > 0 and for t < 0
+        kernel = [(0.25, 0, 1), (-0.25, 0, -1)]
+        kernel += [(-hm ** (2 * r - 1) / (2 * math.factorial(2 * r - 1)), 2 * r - 1, 0) for r in range(1, m)]
+        # the kernel is even: at t < 0 its terms in |t| = -t change sign with s and w
+        mirrored = [(c * (-1) ** s, s, -w) for c, s, w in kernel]
+        families = {
+            "exp_growing": (exp, [(1, 0, 1)], [(1, 0, 1)]),
+            "exp_decaying": (lambda t: exp(-t), [(1, 0, -1)], [(1, 0, -1)]),
+            "delta": (lambda t: psi(m, hm * t, _EXTENDED_DPS), kernel, mirrored),
         }
-        for k in degrees:
-            powers = [x**k for x in xs]
-            samples[f"monomial_{k}"] = _mirrored(powers, [-v for v in powers] if k % 2 else powers)
+        for k in range(2 * m - 2):
+            terms = [(hm**k, k, 0)]
+            families[f"monomial_{k}"] = (lambda t, k=k: (hm * t) ** k, terms, terms)
         residuals: dict[str, float] = {}
-        for name, values in samples.items():
+        for name, (sample, positive, negative) in families.items():
+            # samples[t + 1] = g(t) at the central points t = -1..beta_span + 1
+            samples = [sample(t) for t in range(-1, beta_span + 2)]
             worst = ar.num(0)
             for beta in _OFFSETS:
-                first = top - beta - window
-                val = ar.dot(table, values[first : first + 2 * window + 1])
+                top = max(1, beta)
+                gammas = range(-1, top + 1)
+                val = ar.dot([table[abs(g)] for g in gammas], [samples[beta - g + 1] for g in gammas])
+                # t = beta + j over gamma = -j <= -2, t = beta - j over gamma = j > top
+                val += tail(positive, beta, 1, 2) + tail(negative, beta, -1, top + 1)
                 if name == "delta" and beta == 0:
                     val -= 1
                 worst = max(worst, abs(val))
             residuals[name] = float(worst)
-    return IdentityReport(m, float(h), window, residuals, divergent)
-
+    return IdentityReport(m, float(h), beta_span, residuals)

@@ -2,10 +2,12 @@
 
 Everything here is written directly from the defining expressions, using
 mpmath / scipy / numpy machinery rather than the package's own evaluation
-paths, so agreement is meaningful.  The exception is the last two
-sections: the straightforward loops and searches the package's structured
-fast paths and bulk writers replaced, kept as bit-identity references and
-built on the package's scalar kernels.
+paths, so agreement is meaningful.  The exception is the last three
+sections: the straightforward loops the package's structured fast paths
+and bulk writers replaced, kept as bit-identity references and built on
+the package's scalar kernels, and the windowed convolution of the operator
+identities with its own truncation bound and window search, which the
+closed-form identity checks replaced.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from optquad.analysis import kernel_double_integral
-from optquad.core import GridSpec, ToleranceError, moment_f, psi
-from optquad.operator import _TAIL_TARGET, build_operator, operator_value, tail_bound, window_for
+from optquad.core import GridSpec, moment_f, psi
+from optquad.operator import build_operator, operator_value
 
 DPS = 45
 
@@ -280,14 +282,81 @@ def naive_assemble_system(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return A, b
 
 
-def naive_identity_residuals(m: int, h: float, betas, dps: int = 50):
-    """The operator identities, rebuilding every D_m(gamma) and sample for each beta.
+# --- windowed convolution: the operator identities summed term by term -----
 
-    The window is the largest of the convergent families' own windows.
-    Returns (window, residuals, divergent) as IdentityReport holds them.
+_TAIL_TARGET = 1e-13  # truncation tail the identity windows must reach
+
+
+def tail_bound(spec, window: int, growth: float = 1.0) -> float:
+    """Bound on sum_{|gamma|>window} |D_m(gamma)| * growth^|gamma|.
+
+    For samples with |g(t)| <= G * growth^|t| the truncation error of
+    :func:`per_term_convolution` at offset beta is at most G * growth^|beta|
+    times this bound (growth = e^h covers exponential and kernel samples;
+    growth slightly above 1 dominates polynomial ones).  Returns inf when a
+    tail ratio |lambda| * growth reaches 1: the bilateral sum is
+    non-summable.
+    """
+    if not spec.roots:
+        return 0.0
+    total = 0.0
+    for lam, amp in zip(spec.roots, spec.amplitudes):
+        al = abs(float(lam))
+        r = al * growth
+        if r >= 1.0:
+            return math.inf
+        total += 2.0 * abs(float(amp / spec.p)) / al * r ** (window + 1) / (1.0 - r)
+    return total
+
+
+def doubling_window_for(spec, tol: float, growth: float = 1.0, cap: int = 200000) -> int:
+    """Smallest window with tail_bound <= tol: doubling from 2, clamped at cap, then bisection.
+
+    Raises ValueError for a non-summable tail, and when no window up to cap
+    reaches tol.
+    """
+    if not spec.roots:
+        return 1
+    if spec.lambda_max * growth >= 1.0:
+        raise ValueError("tail is non-summable")
+    lo, hi = 1, 2
+    while tail_bound(spec, hi, growth) > tol:
+        if hi == cap:
+            raise ValueError(f"window above {cap} needed")
+        hi = min(2 * hi, cap)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if tail_bound(spec, mid, growth) <= tol:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def per_term_convolution(spec, g, beta: int, window: int):
+    """sum_{|gamma|<=window} D_m(gamma) g(beta - gamma), one operator value and sample per term.
+
+    Float64 specs round each product and sum them with math.fsum; extended
+    specs form each product exactly and sum with mp.fsum at the spec's digits.
+    """
+    if spec.dps is None:
+        return math.fsum(operator_value(spec, gamma) * g(beta - gamma) for gamma in range(-window, window + 1))
+    with mp.workdps(spec.dps):
+        return mp.fsum(mp.fmul(operator_value(spec, gamma), g(beta - gamma), exact=True)
+                       for gamma in range(-window, window + 1))
+
+
+def naive_identity_residuals(m: int, h: float, betas, dps: int = 50):
+    """The operator identities as windowed sums, rebuilding every D_m(gamma) and sample for each beta.
+
+    The window is the largest of the convergent families' own windows, each
+    with a tail bound of _TAIL_TARGET / margin.  Returns (window, residuals,
+    bounds): the max |residual| of each family over betas, and the bound on
+    its truncation error at that window, which is inf for a family whose
+    bilateral sums do not converge (|lambda_max| * e^h >= 1): its windowed
+    values do not vanish.
     """
     spec = build_operator(m, h, dps=dps)
-    lmax = spec.lambda_max
     growth = math.exp(h)
     beta_span = max((abs(int(b)) for b in betas), default=0)
     margin = 8.0 * max(1.0, beta_span) ** (2 * m) * math.exp(h * beta_span)
@@ -300,47 +369,19 @@ def naive_identity_residuals(m: int, h: float, betas, dps: int = 50):
         ]
         for k in range(0, 2 * m - 2):
             families.append((f"monomial_{k}", lambda j, k=k: (hm * j) ** k, 1.1))
-        divergent = tuple(name for name, _, gr in families if spec.roots and lmax * gr >= 1.0)
-        window = 1
-        for name, _, gr in families:
-            if name in divergent or not spec.roots:
-                continue
-            window = max(window, window_for(spec, _TAIL_TARGET / margin, growth=gr))
+        window = max(doubling_window_for(spec, _TAIL_TARGET / margin, growth=gr)
+                     for _, _, gr in families if spec.lambda_max * gr < 1.0)
+        bounds = {name: margin * tail_bound(spec, window, gr) for name, _, gr in families}
         residuals = {}
         for name, g, _ in families:
             worst = mp.mpf(0)
             for beta in betas:
-                val = mp.fsum(mp.fmul(operator_value(spec, gamma), g(beta - gamma), exact=True)
-                              for gamma in range(-window, window + 1))
+                val = per_term_convolution(spec, g, beta, window)
                 if name == "delta" and beta == 0:
                     val -= 1
                 worst = max(worst, abs(val))
             residuals[name] = float(worst)
-    return window, residuals, divergent
-
-
-def doubling_window_for(spec, tol: float, growth: float = 1.0, cap: int = 200000) -> int:
-    """Smallest window with tail_bound <= tol: doubling from 2, clamped at cap, then bisection.
-
-    Raises ToleranceError with achievable=inf for a non-summable tail, and
-    with the bound at cap when no window up to cap reaches tol.
-    """
-    if not spec.roots:
-        return 1
-    if spec.lambda_max * growth >= 1.0:
-        raise ToleranceError("tail is non-summable", achievable=math.inf)
-    lo, hi = 1, 2
-    while tail_bound(spec, hi, growth) > tol:
-        if hi == cap:
-            raise ToleranceError(f"window above {cap} needed", achievable=tail_bound(spec, cap, growth))
-        hi = min(2 * hi, cap)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if tail_bound(spec, mid, growth) <= tol:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return window, residuals, bounds
 
 
 # --- per-element writers and sums: one call per value ------------------------

@@ -192,6 +192,16 @@ class TestIntegrands:
         with pytest.raises(ValueError, match=rf"sin: derivative order {k} not available"):
             builtin_integrand("sin").derivative(k)
 
+    @pytest.mark.parametrize("k", [1.5, 1.0, 4])
+    def test_rejects_order_that_names_no_derivative(self, k):
+        with pytest.raises(ValueError, match=rf"sin: derivative order {k} not available"):
+            builtin_integrand("sin").derivative(k)
+
+    def test_accepts_numpy_integer_orders(self):
+        f = builtin_integrand("sin")
+        for k in range(4):
+            assert f.derivative(np.int64(k)) is f.derivative(k)
+
     @pytest.mark.parametrize("name, value", [
         ("exp-neg", -math.expm1(-1.0)),
         ("one", 1.0),

@@ -1,3 +1,4 @@
+import mpmath as mp
 import pytest
 
 from optquad import _series, characteristic_polynomial
@@ -78,3 +79,18 @@ def test_small_h_asymptotics():
     assert _series.value("p4_m3", h) == pytest.approx(-h**5 / 60, rel=2e-6)
     assert _series.value("p3_m3", h) == pytest.approx(-13 * h**5 / 30, rel=2e-6)
     assert _series.value("p2_m3", h) == pytest.approx(-11 * h**5 / 10, rel=2e-6)
+
+
+@pytest.mark.parametrize("q", ["0.3", "-0.43", "-1.141", "2.5"])
+@pytest.mark.parametrize("lo", [0, 2, 6])
+def test_tail_power_sums_match_polylog(q, lo):
+    # sum_{j >= lo} q^j j^s is Li_{-s}(q) = sum_{j >= 1} q^j j^s less its
+    # head (with 0^0 = 1 at j = 0); for |q| > 1 both are the continuation
+    with mp.workdps(50):
+        got = _series.tail_power_sums(mp.mpf(q), lo, 4)
+    with mp.workdps(80):
+        qq = mp.mpf(q)
+        for s, value in enumerate(got):
+            head = mp.fsum(qq**j * mp.mpf(j) ** s for j in range(lo))
+            want = mp.polylog(-s, qq) + (1 if s == 0 else 0) - head
+            assert abs(value - want) <= mp.mpf(10) ** -49 * abs(want), s
