@@ -129,27 +129,35 @@ def test_assembly_equals_entrywise_loop(m, n):
     assert np.array_equal(system.rhs, rhs)
 
 
-# summable cells at several spacings, m = 3 at h = 1, where the
-# exponential and kernel tails diverge, and the cells optquad verify runs
+# (m, h, betas): summable cells at several spacings, m = 3 at h = 1, where
+# the exponential and kernel tails diverge, and the cells optquad verify runs
+# (h = 1/n).  betas is an offset set for the mirror check of the windowed
+# reference: a wide one, ones without 0, ones of only negative offsets
 IDENTITY_CELLS = [
-    (1, 0.5),
-    (2, 0.125),
-    (2, 1.0 / 64.0),
-    (3, 0.1),
-    (3, 0.125),
-    (3, 1.0),
+    (1, 0.5, (0, 1, 4)),
+    (2, 0.125, (-2, 5)),
+    (2, 1.0 / 64.0, (1, 3)),
+    (3, 0.1, (-4, 0)),
+    (3, 0.125, range(7, 14)),
+    (3, 1.0, (-1, 2)),
     # cells optquad verify runs
-    (2, 1.0 / 16.0),
-    (3, 0.25),
-    (3, 1.0 / 64.0),
-    (2, 1.0 / 160.0),
+    (2, 1.0 / 16.0, (0, 1)),
+    (3, 0.25, (2, 5)),
+    (3, 1.0 / 64.0, (-3, 0)),
+    (2, 1.0 / 160.0, (4,)),
+    (3, 0.125, range(3, 9)),
+    (2, 0.125, range(-7, -1)),
 ]
 
 
-@pytest.mark.parametrize("m, h", IDENTITY_CELLS)
-def test_identity_report_equals_per_beta_loop(m, h):
+def _exp_swapped(residuals):
+    return {**residuals, "exp_growing": residuals["exp_decaying"], "exp_decaying": residuals["exp_growing"]}
+
+
+@pytest.mark.parametrize("m, h, betas", IDENTITY_CELLS)
+def test_identity_report_equals_per_beta_loop(m, h, betas):
     report = identity_residuals(m, h)
-    _, residuals, bounds = oracles.naive_identity_residuals(m, h, range(6))
+    window, residuals, bounds = oracles.naive_identity_residuals(m, h, range(6))
     assert (report.m, report.h, report.window) == (m, h, 5)
     assert report.residuals.keys() == residuals.keys()
     # the windowed sums are the closed ones up to their truncation, which
@@ -158,6 +166,16 @@ def test_identity_report_equals_per_beta_loop(m, h):
         assert abs(report.residuals[name] - residuals[name]) <= bound, name
     divergent = [name for name, bound in bounds.items() if math.isinf(bound)]
     assert divergent == (["exp_growing", "exp_decaying", "delta"] if (m, h) == (3, 1.0) else [])
+    # the offsets -5..-1 add no sum to the windowed reference: the same
+    # window and values, except that the exp families at -beta are each
+    # other's at beta
+    full_window, full, full_bounds = oracles.naive_identity_residuals(m, h, range(-5, 6))
+    assert (full_window, full_bounds) == (window, bounds)
+    exp = max(residuals["exp_growing"], residuals["exp_decaying"])
+    assert full == {**residuals, "exp_growing": exp, "exp_decaying": exp}
+    # and the mirror holds at any offset set
+    direct = oracles.naive_identity_residuals(m, h, betas)[1]
+    assert oracles.naive_identity_residuals(m, h, [-b for b in betas])[1] == _exp_swapped(direct)
 
 
 @pytest.mark.parametrize("m, n", [(1, 64), (2, 256), (3, 100)])
