@@ -13,8 +13,12 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .analysis import classical_rule, convergence_study, error_norm_squared
 from .coefficients import _METHODS, METHODS, _closed_weights, build_rule
@@ -36,6 +40,19 @@ NUMERIC_ERROR = 3
 
 def _f17(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _runs17(values) -> list[tuple[str, int]] | None:
+    """(.17g text, length) of each run of bit-equal doubles in ``values``.
+
+    None when no two neighbours are bit-equal.  Runs compare bits, not
+    values: 0.0 and -0.0 print differently, and a nan equals nothing.
+    """
+    bits = np.fromiter(values, np.float64, len(values)).view(np.uint64)
+    ends = (np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist() + [len(values)]
+    if len(ends) == len(values):
+        return None
+    return [("%.17g" % values[i], j - i) for i, j in zip([0] + ends, ends)]
 
 
 def _json17(obj) -> str:
@@ -66,11 +83,19 @@ def _json17_into(out: list[str], obj, pad: str) -> None:
         if not obj:
             out.append("[]")
             return
-        if all(type(v) is float for v in obj):
-            # one C-level format call for the whole array; "%.17g" % x is
-            # format(x, ".17g") for every double, nan and the infinities too
+        if set(map(type, obj)) == {float}:
+            # "%.17g" % x is format(x, ".17g") for every double, nan and the
+            # infinities too: one C-level format call for an array of
+            # distinct doubles, else one call per run of bit-equal ones
             out.append("[\n")
-            out.append(((inner + "%.17g,\n") * len(obj))[:-2] % tuple(obj))
+            runs = _runs17(obj)
+            if runs is None:
+                out.append(((inner + "%.17g,\n") * len(obj))[:-2] % tuple(obj))
+            else:
+                # one piece per run, so the document's one join copies each once
+                pieces = [(inner + text + ",\n") * count for text, count in runs]
+                pieces[-1] = pieces[-1][:-2]
+                out += pieces
         else:
             sep = "[\n"
             for v in obj:
@@ -117,10 +142,16 @@ def document_json(rule: QuadratureRule) -> str:
 
 
 def document_csv(rule: QuadratureRule) -> str:
-    n = rule.grid.n
-    return "beta,node,coefficient\n" + "".join(
-        [f"{beta},{beta / n:.17g},{c:.17g}\n" for beta, c in enumerate(rule.coefficients)]
-    )
+    # one format call for the document; with runs of bit-equal weights, the
+    # weight column holds their texts, each converted once per run
+    column, row = rule.coefficients, "%d,%.17g,%.17g\n"
+    runs = _runs17(column)
+    if runs is not None:
+        column, row = [], "%d,%.17g,%s\n"
+        for text, count in runs:
+            column += [text] * count
+    cells = zip(range(len(column)), rule.grid.nodes(), column)
+    return "beta,node,coefficient\n" + (row * len(column)) % tuple(itertools.chain.from_iterable(cells))
 
 
 def cmd_coeffs(args) -> tuple[str, int]:
@@ -251,10 +282,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built once per process on first use: building one costs
+# more than a small command
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -11,6 +11,9 @@ Orders >= 3 have no closed form here; use :mod:`optquad.solver`.
 
 from __future__ import annotations
 
+import functools
+from operator import mul
+
 from . import _series
 from .core import ORDERS, GridSpec, QuadratureRule, RuleMethod, _check_order
 from .operator import characteristic_polynomial, stable_roots
@@ -27,25 +30,40 @@ def lambda1(h: float) -> float:
     return stable_roots(characteristic_polynomial(2, h))[0]
 
 
-def _powers(x, top: int) -> list:
+def _powers(x, top: int, negligible=None) -> list:
     """x^0 .. x^top, each rounded as right-to-left binary powering rounds it.
 
     x^b is x^(b - 2^k) * x^(2^k), k the top bit of b, and x^(2^k) is the
     square of x^(2^(k-1)): the last product binary powering forms, so each
-    entry equals it bit for bit at one multiplication per entry.
+    entry equals it bit for bit at one multiplication per entry.  Given
+    ``negligible``, the table stops early at the first x^b (b >= 1) for
+    which ``negligible(x^b)`` is true.
     """
     table = [x ** 0, x]
     for b in range(2, top + 1):
+        if negligible is not None and negligible(table[-1]):
+            break
         high = 1 << (b.bit_length() - 1)
         table.append(table[b - high] * table[high] if b > high else table[high >> 1] * table[high >> 1])
     return table
+
+
+def _power(squares: list, e: int):
+    """x^e for e >= 1 by right-to-left binary powering, from squares[k] = x^(2^k).
+
+    The products are those of :func:`_powers`, in the same order, so x^e
+    equals its table entry bit for bit, at popcount(e) - 1 products.
+    """
+    return functools.reduce(mul, [squares[k] for k in range(e.bit_length()) if e >> k & 1])
 
 
 def _closed_weights(m: int, n: int, dps: int | None = None) -> list:
     """Closed-form weights C_0..C_n for m = 1, 2: float64, or mpmath at ``dps`` digits.
 
     The spacing is ``num(1) / n``, so an mpmath run sees the exact 1/n
-    rather than its float64 rounding.
+    rather than its float64 rounding.  At m = 2 in float64 the work is
+    O(top log n) besides the O(n) list, ``top`` (29 for every n >= 28) being
+    where the boundary layers fall below a quarter ulp of h.
     """
     ar = _series._arith(dps)
     with ar.context():
@@ -55,14 +73,48 @@ def _closed_weights(m: int, n: int, dps: int | None = None) -> list:
             w = em1 / (E + 1)
             return [w] + [2 * w] * (n - 1) + [w]
         lam = stable_roots(characteristic_polynomial(2, h, dps))[0]
-        pw = _powers(lam, n + 1)
+        n = int(n)  # a numpy integer has no bit_length
+        squares = [lam]  # lam^(2^k), the chain binary powering squares along
+        while len(squares) < (n + 1).bit_length():
+            squares.append(squares[-1] * squares[-1])
         # nonzero: 0 < |lam| < 1 (stable_roots checks it), so lam * (1 + lam^n) != 0, and em1 > 0
-        denom = 2 * em1 ** 2 * (lam + pw[n + 1])
+        denom = 2 * em1 ** 2 * (lam + _power(squares, n + 1))
         K = _series.value("k_num", h, dps) * (lam - 1) / denom
         t = h / em1
-        kterm = K * (lam - pw[n])
+        kterm = K * (lam - _power(squares, n))
         a, b = E - lam, 1 - lam * E
-        interior = [h + K * (a * pw[beta] + b * pw[n - beta]) for beta in range(1, n)]
+        scale = 2 * abs(K) * (abs(a) + abs(b))
+        # The float64 table lam^0 .. lam^top stops at the first top >= 1
+        # with h + B == h == h - B, B = scale * |lam^top|.  Then each weight
+        # with top <= beta <= n - top is h, bit for bit:
+        #  - its correction x = K * (a * lam^beta + b * lam^(n-beta)), as
+        #    rounded, is at most B in size.  Binary powering rounds a power
+        #    at most 2 * 64 times, so every rounded lam^e, e >= top, is at
+        #    most |lam^top| (1 + 2^-43); x rounds three times more, and the
+        #    factor 2 in ``scale`` covers these and the rounding of B.  A
+        #    power that underflows errs by under 2^-1067 more, and B is
+        #    about h * 2^-56 >= 2^-312 (h >= 1e-77).
+        #  - rounding to nearest is monotone, so h - B <= h + x <= h + B
+        #    gives fl(h - B) <= fl(h + x) <= fl(h + B), and both ends are h.
+        # fl(h +- B) == h holds once B is below a quarter ulp of h (not half:
+        # below a power-of-two h the spacing halves), which is at least
+        # h * 2^-55.  |lam| < 2 - sqrt(3), so |lam|^30 < 2^-57, and scale is
+        # at most 2.2 h (at n = 1; it tends to 2h), so top <= 30 at every n.
+        # It is 29 at every n >= 28, and the table is whole below that.
+        # mpmath keeps the whole table: at the n that verify checks, each stop
+        # test (about 5 us) costs more than the products it saves
+        pw = _powers(lam, n + 1, None if dps else lambda p: h + (B := scale * abs(p)) == h == h - B)
+        top = len(pw) - 1
+
+        def power(e):  # past the table, the same bits from the chain
+            return pw[e] if e <= top else _power(squares, e)
+
+        def weight(beta):
+            return h + K * (a * power(beta) + b * power(n - beta))
+
+        # the layers beta < top and beta > n - top, and the h between them
+        interior = [weight(beta) for beta in range(1, min(top, n))] + [h] * max(0, n - 2 * top + 1)
+        interior += [weight(beta) for beta in range(max(top, n - top + 1), n)]
         return [1 - t - kterm] + interior + [-1 + E * (t - kterm)]
 
 

@@ -235,7 +235,8 @@ class IdentityReport:
     Families: exp_growing / exp_decaying (annihilation of e^(+-x) samples),
     monomial_k for k <= 2m-3 (annihilation of polynomial samples), and delta
     (kernel convolution minus the unit impulse).  ``window`` is the largest
-    |gamma| whose term is summed one by one; the rest is in closed form.
+    |gamma| whose term is summed one by one (D_1 is zero past 1); the rest
+    is in closed form.
     """
 
     m: int
@@ -259,13 +260,14 @@ def identity_residuals(m: int, h: float) -> IdentityReport:
     over gamma takes the terms gamma = -1..max(1, beta) one by one, with
     exact products summed exactly (mp.fdot), from one table of D_m(0..5)
     and the samples at x = h*(beta - gamma): psi(m, x, 50), e^(+-x), x^k.
+    At m = 1, D_1 vanishes past |gamma| = 1, so the sum is its three terms.
 
-    The two tails gamma <= -2 and gamma > max(1, beta) are summed in closed
-    form.  There D_m(gamma) = sum_k alpha_k lambda_k^|gamma| with alpha_k =
-    A_k / (p lambda_k), and each sample is a sum of terms c t^s e^(w h t)
-    at t = beta - gamma; for the kernel, in |t|, those are e^(h|t|)/4,
-    -e^(-h|t|)/4 and -(h|t|)^(2r-1) / (2 (2r-1)!) for r < m.  So each tail
-    is a binomial combination of the power sums
+    For m >= 2 the two tails gamma <= -2 and gamma > max(1, beta) are
+    summed in closed form.  There D_m(gamma) = sum_k alpha_k lambda_k^|gamma|
+    with alpha_k = A_k / (p lambda_k), and each sample is a sum of terms
+    c t^s e^(w h t) at t = beta - gamma; for the kernel, in |t|, those are
+    e^(h|t|)/4, -e^(-h|t|)/4 and -(h|t|)^(2r-1) / (2 (2r-1)!) for r < m.
+    So each tail is a binomial combination of the power sums
     :func:`optquad._series.tail_power_sums` at q = lambda_k e^(+-w h).
     Where |lambda_k| e^h > 1 (m = 3 at h = 1) the tails against e^(+-x)
     and the kernel do not converge, and their closed form is the analytic
@@ -329,11 +331,13 @@ def identity_residuals(m: int, h: float) -> IdentityReport:
             samples = [sample(t) for t in range(-1, beta_span + 2)]
             worst = ar.num(0)
             for beta in _OFFSETS:
-                top = max(1, beta)
+                # without roots (m = 1) D_m vanishes past |gamma| = 1, tails included
+                top = max(1, beta) if geometric else 1
                 gammas = range(-1, top + 1)
                 val = ar.dot([table[abs(g)] for g in gammas], [samples[beta - g + 1] for g in gammas])
-                # t = beta + j over gamma = -j <= -2, t = beta - j over gamma = j > top
-                val += tail(positive, beta, 1, 2) + tail(negative, beta, -1, top + 1)
+                if geometric:
+                    # t = beta + j over gamma = -j <= -2, t = beta - j over gamma = j > top
+                    val += tail(positive, beta, 1, 2) + tail(negative, beta, -1, top + 1)
                 if name == "delta" and beta == 0:
                     val -= 1
                 worst = max(worst, abs(val))

@@ -2,12 +2,13 @@
 
 Everything here is written directly from the defining expressions, using
 mpmath / scipy / numpy machinery rather than the package's own evaluation
-paths, so agreement is meaningful.  The exception is the last three
+paths, so agreement is meaningful.  The exception is the last four
 sections: the straightforward loops the package's structured fast paths
 and bulk writers replaced, kept as bit-identity references and built on
-the package's scalar kernels, and the windowed convolution of the operator
+the package's scalar kernels, the windowed convolution of the operator
 identities with its own truncation bound and window search, which the
-closed-form identity checks replaced.
+closed-form identity checks replaced, and the order-2 closed form over its
+whole power table, which the cut-off table replaced.
 """
 
 from __future__ import annotations
@@ -20,9 +21,11 @@ import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
 
+from optquad import _series
 from optquad.analysis import kernel_double_integral
+from optquad.coefficients import _powers
 from optquad.core import GridSpec, moment_f, psi
-from optquad.operator import build_operator, operator_value
+from optquad.operator import build_operator, characteristic_polynomial, operator_value, stable_roots
 
 DPS = 45
 
@@ -431,3 +434,26 @@ def naive_apply_rule(rule, f) -> float:
     """Sum C_beta * f(beta/n) with exact (compensated) summation."""
     n = rule.grid.n
     return math.fsum(c * f(beta / n) for beta, c in enumerate(rule.coefficients))
+
+
+# --- closed weights over the whole power table -------------------------------
+
+
+def full_table_closed_weights(n: int, dps: int | None = None) -> list:
+    """Order-2 closed weights with every power lambda1^0 .. lambda1^(n+1) tabulated.
+
+    The formula of ``coefficients._closed_weights`` at m = 2, evaluated at
+    every interior node, with no cutoff and no powers outside the table.
+    """
+    ar = _series._arith(dps)
+    with ar.context():
+        h = ar.num(1) / n
+        E, em1 = ar.exp(h), ar.expm1(h)
+        lam = stable_roots(characteristic_polynomial(2, h, dps))[0]
+        pw = _powers(lam, n + 1)
+        K = _series.value("k_num", h, dps) * (lam - 1) / (2 * em1 ** 2 * (lam + pw[n + 1]))
+        t = h / em1
+        kterm = K * (lam - pw[n])
+        a, b = E - lam, 1 - lam * E
+        interior = [h + K * (a * pw[beta] + b * pw[n - beta]) for beta in range(1, n)]
+        return [1 - t - kterm] + interior + [-1 + E * (t - kterm)]

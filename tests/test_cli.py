@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import os
+import struct
 import subprocess
 import sys
 
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from optquad import build_rule, closed_form_m1, closed_form_m2
+from optquad import GridSpec, QuadratureRule, RuleMethod, build_rule, closed_form_m1, closed_form_m2
 from optquad.cli import _json17, document_csv, document_json, main, rule_document
 
 import oracles
@@ -211,6 +213,22 @@ leaves = (
     | float_arrays
     | float_arrays.map(tuple)
 )
+# arrays of runs, drawn from a few values so that runs of 0.0 and -0.0, of
+# nans with different bits and of a double and its np.float64 meet
+NAN_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
+FINITE_RUN_VALUES = [0.0, -0.0, 1.5, 1.0 / 3.0, 5e-324, -1.7976931348623157e308]
+run_values = st.sampled_from(FINITE_RUN_VALUES + [math.nan, -math.nan, NAN_PAYLOAD, math.inf]) | floats
+
+
+def _runs_of(values):
+    return st.lists(st.tuples(values, st.integers(min_value=1, max_value=12)), min_size=1, max_size=10).map(
+        lambda runs: [value for value, count in runs for _ in range(count)]
+    )
+
+
+run_arrays = _runs_of(run_values | run_values.map(np.float64))
+finite_run_arrays = _runs_of(st.sampled_from(FINITE_RUN_VALUES)).filter(lambda values: len(values) > 1)
+
 documents = st.recursive(
     leaves,
     lambda children: (
@@ -249,13 +267,51 @@ class TestBulkWriters:
         }
         assert _json17(doc) == oracles.per_element_json17(doc)
 
+    @given(run_arrays)
+    def test_runs_of_equal_doubles(self, values):
+        # each run is formatted once; 0.0 beside -0.0 and nans must stay apart
+        for doc in (values, tuple(values), {"runs": [values, 1.5]}, [float(v) for v in values]):
+            assert _json17(doc) == oracles.per_element_json17(doc)
+
+    @given(finite_run_arrays)
+    def test_csv_runs_of_equal_doubles(self, values):
+        rule = QuadratureRule(GridSpec(1, len(values) - 1), values, RuleMethod.TRAPEZOID)
+        assert document_csv(rule) == oracles.per_element_document_csv(rule)
+
     @pytest.mark.parametrize(
-        "m, n", [(m, n) for m in (1, 2) for n in (1, 7, 64, 4096)] + [(3, 2), (3, 7), (3, 64)]
+        "m, n",
+        [(m, n) for m in (1, 2) for n in (1, 7, 64, 4096, 65536)] + [(3, 2), (3, 7), (3, 64)],
     )
     def test_documents_match_per_element_writers(self, m, n):
         rule = build_rule(m, n)
         assert document_csv(rule) == oracles.per_element_document_csv(rule)
         assert document_json(rule) == oracles.per_element_json17(rule_document(rule)) + "\n"
+
+
+class TestParserReuse:
+    def test_one_process_matches_fresh_processes(self, capsys, monkeypatch):
+        # the parser is built once per process: a run, a usage error and a
+        # different subcommand in one process print what three fresh ones do
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage at this width
+        argvs = [
+            ["coeffs", "--m", "2", "--n", "8"],
+            ["coeffs", "--m", "2", "--n", "8", "--format", "xml"],
+            ["integrate", "--m", "1", "--n", "64", "--function", "exp-neg"],
+        ]
+        in_process = []
+        for argv in argvs:
+            code = main(argv)
+            in_process.append((code, *capsys.readouterr()))
+        fresh = [
+            subprocess.run([sys.executable, "-m", "optquad", *argv], capture_output=True, text=True,
+                           env={**os.environ, "COLUMNS": "80"})
+            for argv in argvs
+        ]
+        assert in_process == [(p.returncode, p.stdout, p.stderr) for p in fresh]
+        assert [code for code, _, _ in in_process] == [0, 2, 0]
+        import optquad.cli as cli_mod
+
+        assert cli_mod._parser.cache_info().misses == 1
 
 
 class TestIntegrate:

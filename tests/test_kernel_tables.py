@@ -7,16 +7,20 @@ identity_residuals evaluates each central operator value once and sums the
 geometric tails in closed form; it must agree with the windowed sums of one
 term per (beta, gamma) pair within their truncation bound.  apply_rule
 streams its products into one correctly rounded sum, which must equal the
-per-node generator loop.
+per-node generator loop, and constraint_residuals must equal one apply_rule
+per row.  The order-2 closed form tabulates its powers only through the
+boundary layers; its weights must equal those over the whole power table.
 """
 
 import functools
 import math
+import struct
 
 import numpy as np
 import pytest
 
 import optquad.analysis
+import optquad.coefficients
 import optquad.core
 import optquad.operator
 import optquad.solver
@@ -30,6 +34,8 @@ from optquad import (
     build_operator,
     build_rule,
     classical_rule,
+    constraint_residuals,
+    constraint_rows,
     error_norm_squared,
     identity_residuals,
     solve,
@@ -248,6 +254,55 @@ def test_apply_rule_equals_generator_loop(integrand):
     f = BUILTIN_INTEGRANDS[integrand].fn
     for name, rule in _sum_rules().items():
         assert apply_rule(rule, f) == oracles.naive_apply_rule(rule, f), name
+
+
+def test_constraint_residuals_equal_per_row_apply_rule():
+    for name, rule in _sum_rules().items():
+        rows = constraint_rows(rule.m)
+        expected = {row: abs(oracles.naive_apply_rule(rule, g) - integral)
+                    for row, g, integral in rows[-1:] + rows[:-1]}
+        residuals = constraint_residuals(rule)
+        assert list(residuals) == list(expected), name
+        assert [struct.pack("<d", v) for v in residuals.values()] == \
+            [struct.pack("<d", v) for v in expected.values()], name
+
+
+def _bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+def test_closed_weights_equal_full_table():
+    # float64 bits past the cutoff and up to 10^6 nodes; a signed zero or
+    # a 1-ulp move would show
+    for n in [*range(1, 3001), 4096, 65536, 10**5, 10**6]:
+        assert _bits(optquad.coefficients._closed_weights(2, n)) == \
+            _bits(oracles.full_table_closed_weights(n)), n
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 29, 64, 160])
+def test_extended_closed_weights_equal_full_table(n):
+    extended = optquad.coefficients._closed_weights(2, n, dps=50)
+    reference = oracles.full_table_closed_weights(n, dps=50)
+    assert [(v.man, v.exp) for v in extended] == [(v.man, v.exp) for v in reference]
+
+
+def test_closed_weights_table_stops_at_a_fixed_top(monkeypatch):
+    # the float64 table stops where the layers fall below a quarter ulp of
+    # h: at top <= 30 for every n (the bound _closed_weights proves), 29 as
+    # measured from n = 28 on; below n = 28 it is the whole table
+    tops = []
+    powers = optquad.coefficients._powers
+
+    def recorded(*args):
+        table = powers(*args)
+        tops.append(len(table) - 1)
+        return table
+
+    monkeypatch.setattr(optquad.coefficients, "_powers", recorded)
+    for n in [1, 2, 27, 28, 29, 30, 64, 1000, 4096, 65536, 10**6]:
+        optquad.coefficients._closed_weights(2, n)
+        assert tops.pop() == (n + 1 if n < 28 else 29), n
+    assert not tops
 
 
 @pytest.mark.parametrize("kind", ["array", "generator"])

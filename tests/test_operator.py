@@ -392,6 +392,33 @@ class TestExtendedPrecisionIdentities:
         report = identity_residuals(m, h)
         assert min(report.residuals.values()) > 1e-31, report.residuals
 
+    # identity_residuals(1, 1/n) as the closed form printed them when it
+    # still summed the zero central terms and tails of D_1
+    ORDER_ONE_RESIDUALS = {
+        1: {"exp_growing": 9.70711444770978e-50, "exp_decaying": 2.2850971858503004e-51,
+            "delta": 6.130353745384364e-50},
+        4: {"exp_growing": 4.348553465925301e-50, "exp_decaying": 1.6969449157573844e-50,
+            "delta": 1.4418295427971128e-50},
+        16: {"exp_growing": 9.289922146446976e-50, "exp_decaying": 6.069797373879685e-50,
+             "delta": 1.0660621251975336e-50},
+        512: {"exp_growing": 2.6499307597747225e-48, "exp_decaying": 2.2771027276669765e-48,
+              "delta": 8.159288279338012e-51},
+    }
+
+    @pytest.mark.parametrize("n", sorted(ORDER_ONE_RESIDUALS))
+    def test_order_one_sums_only_its_support(self, monkeypatch, n):
+        # D_1 vanishes past |gamma| = 1: each central sum has the three
+        # terms gamma = -1, 0, 1, and the residuals keep their bits
+        arith, lengths = optquad.operator._arith, []
+
+        def counting(dps):
+            ar = arith(dps)
+            return ar._replace(dot=lambda table, samples: lengths.append(len(table)) or ar.dot(table, samples))
+
+        monkeypatch.setattr(optquad.operator, "_arith", counting)
+        assert identity_residuals(1, 1.0 / n).residuals == self.ORDER_ONE_RESIDUALS[n]
+        assert lengths == [3] * 18  # 3 families x 6 offsets
+
     def test_wide_offset_range_through_extended_mode(self):
         # beyond the float64 floor: offsets out to n+5 on an n=8 grid
         _, residuals, bounds = oracles.naive_identity_residuals(3, 0.125, range(-5, 14))
