@@ -31,7 +31,6 @@ import contextlib
 import math
 from fractions import Fraction
 from functools import lru_cache, partial
-from operator import mul
 from typing import Callable, NamedTuple
 
 import mpmath as mp
@@ -88,19 +87,12 @@ class _Arith(NamedTuple):
     sqrt: Callable
     copysign: Callable
     ldexp: Callable
-    # (table, samples) -> sum of the products, summed exactly and rounded
-    # once; float64 rounds each product, the extended path forms each exactly
-    dot: Callable
     context: Callable  # () -> context manager that sets the working precision
-
-
-def _float_dot(table, samples):
-    return math.fsum(map(mul, table, samples))
 
 
 _FLOAT = _Arith(
     float, math.exp, math.expm1, math.sinh, math.cosh, math.sqrt, math.copysign, math.ldexp,
-    _float_dot, contextlib.nullcontext,
+    contextlib.nullcontext,
 )
 
 
@@ -113,8 +105,17 @@ def _arith(dps: int | None) -> _Arith:
         return _FLOAT
     return _Arith(
         mp.mpf, mp.exp, mp.expm1, mp.sinh, mp.cosh, mp.sqrt, lambda x, y: mp.sign(y) * abs(x),
-        mp.ldexp, mp.fdot, lambda: mp.workdps(dps),
+        mp.ldexp, lambda: mp.workdps(dps),
     )
+
+
+def dot(table, samples):
+    """Sum of the products table[i] * samples[i], in mpmath.
+
+    Each product is formed exactly and the sum rounded once, to the
+    ambient precision.
+    """
+    return mp.fdot(table, samples)
 
 
 def extended(dps: int, lost: float, evaluate: Callable[[_Arith], object]):

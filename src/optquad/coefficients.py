@@ -30,19 +30,15 @@ def lambda1(h: float) -> float:
     return stable_roots(characteristic_polynomial(2, h))[0]
 
 
-def _powers(x, top: int, negligible=None) -> list:
+def _powers(x, top: int) -> list:
     """x^0 .. x^top, each rounded as right-to-left binary powering rounds it.
 
     x^b is x^(b - 2^k) * x^(2^k), k the top bit of b, and x^(2^k) is the
     square of x^(2^(k-1)): the last product binary powering forms, so each
-    entry equals it bit for bit at one multiplication per entry.  Given
-    ``negligible``, the table stops early at the first x^b (b >= 1) for
-    which ``negligible(x^b)`` is true.
+    entry equals it bit for bit at one multiplication per entry.
     """
     table = [x ** 0, x]
     for b in range(2, top + 1):
-        if negligible is not None and negligible(table[-1]):
-            break
         high = 1 << (b.bit_length() - 1)
         table.append(table[b - high] * table[high] if b > high else table[high >> 1] * table[high >> 1])
     return table
@@ -61,9 +57,10 @@ def _closed_weights(m: int, n: int, dps: int | None = None) -> list:
     """Closed-form weights C_0..C_n for m = 1, 2: float64, or mpmath at ``dps`` digits.
 
     The spacing is ``num(1) / n``, so an mpmath run sees the exact 1/n
-    rather than its float64 rounding.  At m = 2 in float64 the work is
-    O(top log n) besides the O(n) list, ``top`` (29 for every n >= 28) being
-    where the boundary layers fall below a quarter ulp of h.
+    rather than its float64 rounding.  At m = 2 the work is O(top log n)
+    besides the O(n) list, ``top`` being the first power of two at which
+    the boundary layers fall below a quarter ulp of h: 32 in float64 and
+    128 at 50 digits, or n + 1 if the layers never get that small.
     """
     ar = _series._arith(dps)
     with ar.context():
@@ -84,27 +81,28 @@ def _closed_weights(m: int, n: int, dps: int | None = None) -> list:
         kterm = K * (lam - _power(squares, n))
         a, b = E - lam, 1 - lam * E
         scale = 2 * abs(K) * (abs(a) + abs(b))
-        # The float64 table lam^0 .. lam^top stops at the first top >= 1
-        # with h + B == h == h - B, B = scale * |lam^top|.  Then each weight
-        # with top <= beta <= n - top is h, bit for bit:
+        # The table lam^0 .. lam^top stops at the first power of two top
+        # with h + B == h == h - B, B = scale * |lam^top|, tested on the
+        # chain of squares (squares[k] is the table's lam^(2^k), bit for
+        # bit), or is whole if no top <= n + 1 passes.  Then each weight
+        # with top <= beta <= n - top is h, bit for bit, at any precision
+        # that rounds to nearest with unit roundoff u <= 2^-53:
         #  - its correction x = K * (a * lam^beta + b * lam^(n-beta)), as
         #    rounded, is at most B in size.  Binary powering rounds a power
         #    at most 2 * 64 times, so every rounded lam^e, e >= top, is at
         #    most |lam^top| (1 + 2^-43); x rounds three times more, and the
-        #    factor 2 in ``scale`` covers these and the rounding of B.  A
-        #    power that underflows errs by under 2^-1067 more, and B is
-        #    about h * 2^-56 >= 2^-312 (h >= 1e-77).
+        #    factor 2 in ``scale`` covers these and the rounding of B.  In
+        #    float64 a power that underflows errs by under 2^-1067 more,
+        #    and B is about h * 2^-60 > 2^-316 (h >= 1e-77).
         #  - rounding to nearest is monotone, so h - B <= h + x <= h + B
         #    gives fl(h - B) <= fl(h + x) <= fl(h + B), and both ends are h.
         # fl(h +- B) == h holds once B is below a quarter ulp of h (not half:
-        # below a power-of-two h the spacing halves), which is at least
-        # h * 2^-55.  |lam| < 2 - sqrt(3), so |lam|^30 < 2^-57, and scale is
-        # at most 2.2 h (at n = 1; it tends to 2h), so top <= 30 at every n.
-        # It is 29 at every n >= 28, and the table is whole below that.
-        # mpmath keeps the whole table: at the n that verify checks, each stop
-        # test (about 5 us) costs more than the products it saves
-        pw = _powers(lam, n + 1, None if dps else lambda p: h + (B := scale * abs(p)) == h == h - B)
-        top = len(pw) - 1
+        # below a power-of-two h the spacing halves), which is more than
+        # h * u / 4.  |lam| < 2 - sqrt(3) and scale is at most 2.2 h (at
+        # n = 1; it tends to 2h), so in float64 (u = 2^-53) |lam|^32 <
+        # 2^-60 gives top <= 32 at every n; 50 digits (u = 2^-169) take 128.
+        top = next((1 << k for k, p in enumerate(squares) if h + (B := scale * abs(p)) == h == h - B), n + 1)
+        pw = _powers(lam, top)
 
         def power(e):  # past the table, the same bits from the chain
             return pw[e] if e <= top else _power(squares, e)

@@ -159,14 +159,18 @@ def psi(m: int, x, dps: int | None = None):
     The bracket is odd, so the kernel is even in x with psi(m, 0) = 0.  It is
     half of ``_tail(|x|, 2m - 1)``: a float, or with ``dps`` an mpmath
     float that keeps all dps digits at every x, although the head cancels
-    about (2m - 1) log10(1/|x|) of them at small x.
+    about (2m - 1) log10(1/|x|) of them at small x.  In float64, |x| past
+    about 710.48, where sinh x overflows, raises ValueError.
     """
     _check_order(m)
     if not math.isfinite(x):
         raise ValueError("x must be finite")
     ax = abs(x)
     if dps is None:
-        return _tail(ax, 2 * m - 1) / 2.0 if ax else 0.0
+        try:
+            return _tail(ax, 2 * m - 1) / 2.0 if ax else 0.0
+        except OverflowError:
+            raise ValueError(f"psi at |x| = {ax} is beyond the float64 range; pass dps=") from None
     # halving an mpmath float with ldexp is exact at any ambient precision
     ar = _series._arith(dps)
     return ar.ldexp(_tail(ax, 2 * m - 1, dps), -1) if ax else ar.num(0)

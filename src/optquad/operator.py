@@ -42,17 +42,19 @@ class CharacteristicPolynomial:
 
     def __call__(self, lam):
         with _arith(self.dps).context():
-            val = 0.0 * lam
-            for c in reversed(self.coeffs):
-                val = val * lam + c
-            return val
+            return _horner(self.coeffs, lam)
 
     def derivative(self, lam):
         with _arith(self.dps).context():
-            val = 0.0 * lam
-            for s in range(len(self.coeffs) - 1, 0, -1):
-                val = val * lam + s * self.coeffs[s]
-            return val
+            return _horner([s * c for s, c in enumerate(self.coeffs)][1:], lam)
+
+
+def _horner(coeffs, x):
+    # sum_s coeffs[s] x^s, coefficients ascending, at the ambient precision
+    val = 0.0 * x
+    for c in reversed(coeffs):
+        val = val * x + c
+    return val
 
 
 # _series names of the palindromic coefficients, outer to middle
@@ -87,11 +89,11 @@ def characteristic_polynomial(m: int, h: float, dps: int | None = None) -> Chara
     return CharacteristicPolynomial(m, h, tuple(half + half[-2::-1]), dps)
 
 
-def _stable_quadratic_root(a, b, sqrt_disc, ar: _Arith):
-    # roots of a*x^2 + b*x + a with disc = b^2 - 4a^2 >= 0; returns the one
-    # inside the unit disk without subtractive cancellation (root product is 1)
+def _quadratic_roots(a, b, c, sqrt_disc, ar: _Arith) -> tuple:
+    # both roots (q/a, c/q) of a*x^2 + b*x + c, sqrt_disc = sqrt(b^2 - 4ac)
+    # real: q adds two terms of one sign, so neither root cancels
     q = -(b + ar.copysign(sqrt_disc, b)) / 2
-    return a / q
+    return q / a, c / q
 
 
 def stable_roots(poly: CharacteristicPolynomial) -> list:
@@ -126,21 +128,21 @@ def _reduced_roots(poly: CharacteristicPolynomial, ar: _Arith) -> list:
         p, p1 = poly.coeffs[2], poly.coeffs[1]
         radicand = h * _series.value("radicand_factor", poly.h, poly.dps)
         sqrt_disc = 2 * ar.expm1(h) * ar.sqrt(radicand)
-        return [_stable_quadratic_root(p, p1, sqrt_disc, ar)]
+        return [_quadratic_roots(p, p1, p, sqrt_disc, ar)[1]]  # root product 1: c/q is the inner one
     if m != 3:
         raise ValueError(f"unsupported order {m}")
     p4, p3, p2 = poly.coeffs[4], poly.coeffs[3], poly.coeffs[2]
     # mu^2 * p4 + mu * p3 + (p2 - 2 p4) = 0, mu = lambda + 1/lambda
-    disc = p3 * p3 - 4 * p4 * (p2 - 2 * p4)
+    c = p2 - 2 * p4
+    disc = p3 * p3 - 4 * p4 * c
     if disc <= 0:
         raise ConstructionError(f"non-real root pair for m=3, h={poly.h}")
-    qq = -(p3 + ar.copysign(ar.sqrt(disc), p3)) / 2
     roots = []
-    for mu in (qq / p4, (p2 - 2 * p4) / qq):
+    for mu in _quadratic_roots(p4, p3, c, ar.sqrt(disc), ar):
         if abs(mu) <= 2:
             raise ConstructionError(f"|mu| <= 2 gives no real reciprocal pair (h={poly.h})")
         # inner root of lambda^2 - mu*lambda + 1
-        roots.append(_stable_quadratic_root(1, -mu, ar.sqrt(mu * mu - 4), ar))
+        roots.append(_quadratic_roots(1, -mu, 1, ar.sqrt(mu * mu - 4), ar)[1])
     roots.sort()
     return roots
 
@@ -258,8 +260,9 @@ def identity_residuals(m: int, h: float) -> IdentityReport:
     sum at -5..5: the sum at -beta is the delta sum at beta, (-1)^k times
     the monomial_k sum, or the other exponential family's sum.  Each sum
     over gamma takes the terms gamma = -1..max(1, beta) one by one, with
-    exact products summed exactly (mp.fdot), from one table of D_m(0..5)
-    and the samples at x = h*(beta - gamma): psi(m, x, 50), e^(+-x), x^k.
+    exact products summed exactly (:func:`optquad._series.dot`), from one
+    table of D_m(0..5) and the samples at x = h*(beta - gamma):
+    psi(m, x, 50), e^(+-x), x^k.
     At m = 1, D_1 vanishes past |gamma| = 1, so the sum is its three terms.
 
     For m >= 2 the two tails gamma <= -2 and gamma > max(1, beta) are
@@ -334,7 +337,7 @@ def identity_residuals(m: int, h: float) -> IdentityReport:
                 # without roots (m = 1) D_m vanishes past |gamma| = 1, tails included
                 top = max(1, beta) if geometric else 1
                 gammas = range(-1, top + 1)
-                val = ar.dot([table[abs(g)] for g in gammas], [samples[beta - g + 1] for g in gammas])
+                val = _series.dot([table[abs(g)] for g in gammas], [samples[beta - g + 1] for g in gammas])
                 if geometric:
                     # t = beta + j over gamma = -j <= -2, t = beta - j over gamma = j > top
                     val += tail(positive, beta, 1, 2) + tail(negative, beta, -1, top + 1)

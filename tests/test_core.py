@@ -60,6 +60,25 @@ class TestKernel:
             assert abs(_tail(x, p, 50) - ref) <= mp.mpf(10) ** -48 * ref
         assert _tail(x, p) == pytest.approx(float(ref), rel=1e-15)
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("x, message", [
+        (math.nan, "x must be finite"),
+        (math.inf, "x must be finite"),
+        (-math.inf, "x must be finite"),
+        # sinh overflows float64 past |x| = 710.48
+        (711.0, r"\|x\| = 711\.0 is beyond the float64 range; pass dps="),
+        (-711.0, r"\|x\| = 711\.0 is beyond the float64 range; pass dps="),
+    ])
+    def test_rejects_x_outside_float64(self, m, x, message):
+        with pytest.raises(ValueError, match=message):
+            psi(m, x)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_extended_kernel_past_float64_range(self, m):
+        value = psi(m, 711.0, dps=50)
+        with mp.workdps(80):
+            assert abs(value - oracles.mp_psi(m, 711.0, dps=80)) <= mp.mpf(10) ** -48 * value
+
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             psi(0, 1.0)

@@ -279,7 +279,7 @@ def test_closed_weights_equal_full_table():
             _bits(oracles.full_table_closed_weights(n)), n
 
 
-@pytest.mark.parametrize("n", [1, 2, 8, 29, 64, 160])
+@pytest.mark.parametrize("n", [1, 2, 8, 29, 64, 127, 128, 160, 512, 4096])
 def test_extended_closed_weights_equal_full_table(n):
     extended = optquad.coefficients._closed_weights(2, n, dps=50)
     reference = oracles.full_table_closed_weights(n, dps=50)
@@ -287,9 +287,9 @@ def test_extended_closed_weights_equal_full_table(n):
 
 
 def test_closed_weights_table_stops_at_a_fixed_top(monkeypatch):
-    # the float64 table stops where the layers fall below a quarter ulp of
-    # h: at top <= 30 for every n (the bound _closed_weights proves), 29 as
-    # measured from n = 28 on; below n = 28 it is the whole table
+    # the table stops at the first power of two where the layers fall below
+    # a quarter ulp of h: 32 in float64 (the bound _closed_weights proves),
+    # 128 at 50 digits; below that it is the whole table
     tops = []
     powers = optquad.coefficients._powers
 
@@ -299,9 +299,10 @@ def test_closed_weights_table_stops_at_a_fixed_top(monkeypatch):
         return table
 
     monkeypatch.setattr(optquad.coefficients, "_powers", recorded)
-    for n in [1, 2, 27, 28, 29, 30, 64, 1000, 4096, 65536, 10**6]:
-        optquad.coefficients._closed_weights(2, n)
-        assert tops.pop() == (n + 1 if n < 28 else 29), n
+    for dps, top in [(None, 32), (50, 128)]:
+        for n in [1, 2, 27, 28, 29, 30, 31, 32, 64, 126, 127, 128, 1000, 4096, 65536, 10**6]:
+            optquad.coefficients._closed_weights(2, n, dps)
+            assert tops.pop() == min(n + 1, top), (dps, n)
     assert not tops
 
 

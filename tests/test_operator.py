@@ -409,13 +409,13 @@ class TestExtendedPrecisionIdentities:
     def test_order_one_sums_only_its_support(self, monkeypatch, n):
         # D_1 vanishes past |gamma| = 1: each central sum has the three
         # terms gamma = -1, 0, 1, and the residuals keep their bits
-        arith, lengths = optquad.operator._arith, []
+        dot, lengths = optquad._series.dot, []
 
-        def counting(dps):
-            ar = arith(dps)
-            return ar._replace(dot=lambda table, samples: lengths.append(len(table)) or ar.dot(table, samples))
+        def counting(table, samples):
+            lengths.append(len(table))
+            return dot(table, samples)
 
-        monkeypatch.setattr(optquad.operator, "_arith", counting)
+        monkeypatch.setattr(optquad._series, "dot", counting)
         assert identity_residuals(1, 1.0 / n).residuals == self.ORDER_ONE_RESIDUALS[n]
         assert lengths == [3] * 18  # 3 families x 6 offsets
 
