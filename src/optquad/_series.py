@@ -9,7 +9,9 @@ Instead we expand in h with exact rational coefficients,
 
     coeff of h^k  =  sum_j c_j * b_j^(k - a_j) / (k - a_j)!,
 
-computed with Fraction arithmetic and rounded once to float.  Thirty terms
+computed with Fraction arithmetic and rounded once to float, and sum the
+series by Horner's rule (:func:`_horner`, which also evaluates the
+operator's characteristic polynomial at either precision).  Thirty terms
 keep every quantity within 3e-16 relative for h in (0, 1.6]; past that the
 truncation error grows fast (7.7e-15 at h = 2, 1.4e-12 at h = 2.5), so the
 float series is trusted only up to h = 1.5, the bound that
@@ -118,6 +120,14 @@ def dot(table, samples):
     return mp.fdot(table, samples)
 
 
+def _horner(coeffs, x):
+    # sum_s coeffs[s] x^s, coefficients ascending, at the ambient precision
+    val = 0.0 * x
+    for c in reversed(coeffs):
+        val = val * x + c
+    return val
+
+
 def extended(dps: int, lost: float, evaluate: Callable[[_Arith], object]):
     """``evaluate(ar)`` at ``dps + ceil(lost) + _GUARD_DIGITS`` digits, rounded to ``dps``.
 
@@ -140,11 +150,7 @@ def value(name: str, h: float, dps: int | None = None):
     vanishes like.
     """
     if dps is None:
-        coeffs = _coeffs(name)
-        val = 0.0
-        for k in range(_KMAX, -1, -1):
-            val = val * h + coeffs[k]
-        return val
+        return _horner(_coeffs(name), h)
     order = next(k for k, c in enumerate(_coeffs(name)) if c)
     return extended(dps, order * max(0.0, -math.log10(h)), partial(_printed_sum, name, h))
 

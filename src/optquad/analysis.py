@@ -110,7 +110,7 @@ def error_norm_squared(rule: QuadratureRule) -> float:
     m, n = grid.m, grid.n
     coeffs = rule.coefficients
     C = np.asarray(coeffs)
-    kernel = [psi(m, k / n) for k in range(n + 1)]
+    kernel = [psi(m, x) for x in grid.nodes()]  # psi(k/n): the offsets k/n are the nodes
     # diagonal k holds C_i C_(i+k) psi_k and so does its mirror -k: each
     # product is summed once, doubled (exact)
     diagonals = (C[: n + 1 - k] * C[k:] * kernel[k] * (2.0 if k else 1.0) for k in range(n + 1))
@@ -330,7 +330,7 @@ def admissible_perturbations(
     if n + 1 == m:
         # the constraints fix the weights, so no direction is admissible
         return []
-    nodes = [grid.node(beta) for beta in range(n + 1)]
+    nodes = grid.nodes()
     R = np.array([[g(x) for x in nodes] for _, g, _ in constraint_rows(m)])
     # the rows sample the Chebyshev system x^0..x^(m-2), e^(-x) at n + 1 > m
     # distinct nodes: they have full rank m, so q's m columns span them

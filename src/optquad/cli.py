@@ -6,8 +6,9 @@ and sets the exit code: 0 success, 1 verification failure (the status
 ``cmd_verify`` returns), 2 usage error, 3 numeric failure.
 
 All float serialization uses 17 significant decimal digits, which round-trips
-IEEE doubles exactly; runs are deterministic, so repeated invocations are
-byte-identical.
+IEEE doubles exactly.  Runs are deterministic: with one numpy/BLAS build and
+one BLAS thread count, repeated invocations are byte-identical.  The dense
+solve's last bits can change with the thread count.
 """
 
 from __future__ import annotations

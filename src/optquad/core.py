@@ -28,7 +28,11 @@ class ConstructionError(QuadratureError):
 
 
 class SolveError(QuadratureError):
-    """The dense linear solve failed (singular / ill-conditioned / bad residual)."""
+    """The dense linear solve failed (singular / ill-conditioned / bad residual).
+
+    Also raised when the bordered system is too large to allocate: its
+    message names the order and the size asked for.
+    """
 
 
 ORDERS = (1, 2, 3)
@@ -57,13 +61,13 @@ class GridSpec:
         if self.n + 1 < self.m:
             # the constraint block needs at least m distinct nodes
             raise ValueError(f"need n+1 >= m nodes, got n={self.n}, m={self.m}")
+        # plain ints, so that a numpy integer never reaches the JSON writer
+        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "n", int(self.n))
 
     @property
     def h(self) -> float:
         return 1.0 / self.n
-
-    def node(self, beta: int) -> float:
-        return beta / self.n
 
     def nodes(self) -> tuple[float, ...]:
         return tuple(beta / self.n for beta in range(self.n + 1))
@@ -160,12 +164,13 @@ def psi(m: int, x, dps: int | None = None):
     half of ``_tail(|x|, 2m - 1)``: a float, or with ``dps`` an mpmath
     float that keeps all dps digits at every x, although the head cancels
     about (2m - 1) log10(1/|x|) of them at small x.  In float64, |x| past
-    about 710.48, where sinh x overflows, raises ValueError.
+    about 710.48, where sinh x overflows, raises ValueError.  Without
+    ``dps`` any real x (a float32, say) is taken as a float64.
     """
     _check_order(m)
     if not math.isfinite(x):
         raise ValueError("x must be finite")
-    ax = abs(x)
+    ax = abs(float(x) if dps is None else x)
     if dps is None:
         try:
             return _tail(ax, 2 * m - 1) / 2.0 if ax else 0.0
@@ -232,16 +237,12 @@ def constraint_rows(m: int) -> list[tuple[str, Callable[[float], float], float]]
 def constraint_residuals(rule: QuadratureRule) -> dict[str, float]:
     """|sum C_b g(x_b) - integral of g| for each row of :func:`constraint_rows`.
 
-    Keys in the order ``exp``, ``monomial_0`` .. ``monomial_(m-2)``.  The
-    nodes are taken once for all rows, and each row streams the products of
-    :func:`apply_rule` into one ``math.fsum``: the bits of ``apply_rule``.
-    Meaningful only for optimal rules; classical rules are not built to
-    satisfy the exponential constraint.
+    Keys in the order ``exp``, ``monomial_0`` .. ``monomial_(m-2)``.  Each
+    row is one :func:`apply_rule` sum.  Meaningful only for optimal rules;
+    classical rules are not built to satisfy the exponential constraint.
     """
     rows = constraint_rows(rule.grid.m)
-    nodes = rule.grid.nodes()
-    return {name: abs(math.fsum(c * g(x) for c, x in zip(rule.coefficients, nodes)) - integral)
-            for name, g, integral in rows[-1:] + rows[:-1]}
+    return {name: abs(apply_rule(rule, g) - integral) for name, g, integral in rows[-1:] + rows[:-1]}
 
 
 @dataclass(frozen=True)

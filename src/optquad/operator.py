@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from . import _series
-from ._series import _Arith, _arith
+from ._series import _Arith, _arith, _horner
 from .core import ConstructionError, _check_order, psi
 
 
@@ -49,14 +49,6 @@ class CharacteristicPolynomial:
             return _horner([s * c for s, c in enumerate(self.coeffs)][1:], lam)
 
 
-def _horner(coeffs, x):
-    # sum_s coeffs[s] x^s, coefficients ascending, at the ambient precision
-    val = 0.0 * x
-    for c in reversed(coeffs):
-        val = val * x + c
-    return val
-
-
 # _series names of the palindromic coefficients, outer to middle
 _HALF_COEFFS = {2: ("p_m2", "p1_m2"), 3: ("p4_m3", "p3_m3", "p2_m3")}
 
@@ -75,12 +67,14 @@ def characteristic_polynomial(m: int, h: float, dps: int | None = None) -> Chara
     :func:`build_operator`.  Float64 accepts h in [1e-77, 1.5] (m = 2) or
     [2e-31, 1.5] (m = 3), where the roots keep 2e-15 relative accuracy;
     other h raise ValueError asking for ``dps``, which accepts every h > 0.
+    Without ``dps`` any real h (a float32, say) is taken as a float64.
     """
     if m == 1:
         raise ValueError("order 1 has no characteristic polynomial; use build_operator")
     _check_order(m)
     if not h > 0:
         raise ValueError(f"spacing h must be positive, got {h}")
+    h = float(h) if dps is None else h
     if dps is None and not _FLOAT_H_MIN[m] <= h <= _series._H_MAX:
         side = "below" if h < _FLOAT_H_MIN[m] else "above"
         raise ValueError(f"h={h} is {side} the float64 domain [{_FLOAT_H_MIN[m]:g}, {_series._H_MAX:g}]"

@@ -50,13 +50,18 @@ def assemble_system(m: int, n: int) -> WienerHopfSystem:
     power of two, and elsewhere its weights are less accurate against a
     40-60-digit KKT solve in 11 of 14 cells tried, by up to 1.9x.  The
     float-gap block is the consistent system of the float nodes that the
-    constraint rows and apply_rule use.
+    constraint rows and apply_rule use.  A matrix too large to allocate
+    raises :class:`optquad.core.SolveError`.
     """
     grid = GridSpec(m, n)
     size = n + m + 1
-    A = np.zeros((size, size))
+    try:
+        A = np.zeros((size, size))
+    except MemoryError as exc:
+        raise SolveError(f"cannot allocate the order-{m} system for n = {n}:"
+                         f" {size} x {size} doubles, {8 * size * size / 2**30:.3g} GiB") from exc
     b = np.zeros(size)
-    nodes = [grid.node(beta) for beta in range(n + 1)]
+    nodes = grid.nodes()
     x = np.array(nodes)
     for k in range(1, n + 1):
         rows = np.arange(k, n + 1)

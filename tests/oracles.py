@@ -267,7 +267,7 @@ def naive_assemble_system(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     size = n + m + 1
     A = np.zeros((size, size))
     b = np.zeros(size)
-    nodes = [grid.node(beta) for beta in range(n + 1)]
+    nodes = grid.nodes()
     for i in range(n + 1):
         for j in range(i + 1):
             val = psi(m, nodes[i] - nodes[j])

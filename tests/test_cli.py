@@ -287,6 +287,20 @@ class TestBulkWriters:
         assert document_csv(rule) == oracles.per_element_document_csv(rule)
         assert document_json(rule) == oracles.per_element_json17(rule_document(rule)) + "\n"
 
+    @pytest.mark.parametrize("m, n", [(1, 5), (1, 64), (2, 5), (2, 64), (3, 8)])
+    def test_numpy_integer_arguments(self, m, n):
+        rule, expected = build_rule(np.int64(m), np.int32(n)), build_rule(m, n)
+        assert document_json(rule) == document_json(expected)
+        assert document_csv(rule) == document_csv(expected)
+
+    def test_json_document_takes_the_nodes_once(self, monkeypatch):
+        rule = build_rule(2, 65536)
+        calls = []
+        nodes = GridSpec.nodes
+        monkeypatch.setattr(GridSpec, "nodes", lambda grid: calls.append(grid) or nodes(grid))
+        document_json(rule)
+        assert calls == [rule.grid]
+
 
 class TestParserReuse:
     def test_one_process_matches_fresh_processes(self, capsys, monkeypatch):
@@ -531,6 +545,22 @@ class TestExitCodes:
         code, _, err = run_cli("coeffs", "--m", "1", "--n", "2", capsys=capsys)
         assert code == 3
         assert "numeric failure" in err
+
+    @pytest.mark.parametrize("command, m", [("coeffs", 3), ("verify", 1), ("integrate", 3)])
+    def test_unallocatable_system_exits_three(self, command, m, capsys, monkeypatch):
+        zeros = np.zeros
+
+        def refuse_matrices(shape, *args, **kwargs):
+            if isinstance(shape, tuple) and len(shape) == 2:
+                raise MemoryError("synthetic allocation failure")
+            return zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", refuse_matrices)
+        extra = ("--function", "sin") if command == "integrate" else ()
+        code, out, err = run_cli(command, "--m", str(m), "--n", "8", *extra, capsys=capsys)
+        assert (code, out) == (3, "")
+        assert err == f"numeric failure: cannot allocate the order-{m} system for n = 8: " \
+                      f"{m + 9} x {m + 9} doubles, {8 * (m + 9) ** 2 / 2**30:.3g} GiB\n"
 
     def test_ill_conditioned_solve_exits_three(self, capsys):
         code, out, err = run_cli("coeffs", "--m", "3", "--n", "128", capsys=capsys)

@@ -79,6 +79,14 @@ class TestKernel:
         with mp.workdps(80):
             assert abs(value - oracles.mp_psi(m, 711.0, dps=80)) <= mp.mpf(10) ** -48 * value
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("x", [0.1, -0.5, 3.0, 5.0])
+    def test_float32_argument_computed_in_float64(self, m, x):
+        x32 = np.float32(x)
+        value, expected = psi(m, x32), psi(m, float(x32))
+        assert type(value) is float
+        assert value.hex() == expected.hex()
+
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             psi(0, 1.0)
@@ -151,6 +159,11 @@ class TestGridSpec:
 
     def test_accepts_numpy_integers(self):
         assert GridSpec(np.int64(3), np.int32(8)).nodes() == GridSpec(3, 8).nodes()
+
+    def test_stores_plain_ints(self):
+        grid = GridSpec(np.int64(3), np.int32(8))
+        assert (type(grid.m), type(grid.n)) == (int, int)
+        assert grid == GridSpec(3, 8)
 
     def test_single_interval_allowed_for_low_orders(self):
         assert GridSpec(1, 1).nodes() == (0.0, 1.0)

@@ -3,6 +3,7 @@ import math
 import random
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 import optquad.operator
@@ -474,3 +475,21 @@ def test_mp_psi_consistent_with_float():
         for m in (1, 2, 3):
             for x in (0.3, 1.7):
                 assert psi(m, x) == pytest.approx(float(oracles.mp_psi(m, x)), rel=1e-14)
+
+
+def _float_bits(values):
+    # a value's type and exact bits: a float32 would fail the type check
+    return [(type(v), v.hex()) for v in values]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("h", [0.125, 0.1, 1.0 / 64.0])
+def test_float32_spacing_computed_in_float64(m, h):
+    h32 = np.float32(h)
+    assert _float_bits(characteristic_polynomial(m, h32).coeffs) == \
+        _float_bits(characteristic_polynomial(m, float(h32)).coeffs)
+    spec, expected = build_operator(m, h32), build_operator(m, float(h32))
+    assert _float_bits([spec.p, spec.center, spec.near, *spec.roots, *spec.amplitudes]) == \
+        _float_bits([expected.p, expected.center, expected.near, *expected.roots, *expected.amplitudes])
+    if m == 2:
+        assert _float_bits([lambda1(h32)]) == _float_bits([lambda1(float(h32))])

@@ -61,6 +61,12 @@ class TestAssembly:
         with pytest.raises(ValueError):
             assemble_system(3, 1)
 
+    def test_too_large_to_allocate(self):
+        # 284 PiB, beyond any 64-bit address space, so no host allocates part of it
+        with pytest.raises(SolveError, match=r"cannot allocate the order-1 system for n = 200000000: "
+                                             r"200000002 x 200000002 doubles, 2\.98e\+08 GiB"):
+            assemble_system(1, 200_000_000)
+
 
 class TestSolve:
     def test_order_one_single_interval(self):
