@@ -178,11 +178,13 @@ def _verify_checks(m: int, n: int) -> list[dict]:
     def add(name: str, value: float, tol: float) -> None:
         checks.append({"name": name, "value": value, "tolerance": tol, "passed": bool(value <= tol)})
 
-    # every construction the method table offers for m; auto repeats one of them
-    rules = {name: build_rule(m, n, name) for name, (orders, _) in _METHODS.items()
-             if name != "auto" and m in orders}
-    for name, rule in rules.items():
-        add(f"{name}_constraints", max(constraint_residuals(rule).values()), 1e-12)
+    # every construction the method table offers for m; auto repeats one of them.
+    # The dense solve is built first, so a system too large to allocate fails
+    # before any other construction runs; the checks keep the table's order.
+    names = [name for name, (orders, _) in _METHODS.items() if name != "auto" and m in orders]
+    rules = {name: build_rule(m, n, name) for name in sorted(names, key=lambda name: name != "solve")}
+    for name in names:
+        add(f"{name}_constraints", max(constraint_residuals(rules[name]).values()), 1e-12)
     if "closed" in rules:
         closed = rules["closed"].coefficients
         dev = max(abs(a - b) for a, b in zip(closed, rules["solve"].coefficients))

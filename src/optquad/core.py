@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
+import numpy as np
+
 from . import _series
 
 
@@ -157,6 +159,13 @@ def _minus_head(ar: _series._Arith, x, p: int):
     return total
 
 
+def _real(x, dps: int | None):
+    # x as a float for float64 (dps=None); at dps digits a numpy floating
+    # scalar as a float too, which mpmath cannot take, and any other number
+    # (an mpmath float, say) as given, so that it keeps its digits
+    return float(x) if dps is None or isinstance(x, np.floating) else x
+
+
 def psi(m: int, x, dps: int | None = None):
     """Kernel sign(x)/2 * (sinh x - sum_{k<m} x^(2k-1)/(2k-1)!), an even function.
 
@@ -165,12 +174,13 @@ def psi(m: int, x, dps: int | None = None):
     float that keeps all dps digits at every x, although the head cancels
     about (2m - 1) log10(1/|x|) of them at small x.  In float64, |x| past
     about 710.48, where sinh x overflows, raises ValueError.  Without
-    ``dps`` any real x (a float32, say) is taken as a float64.
+    ``dps`` any real x (a float32, say) is taken as a float64; with it a
+    numpy float is taken as a float64 and an mpmath float as it is.
     """
     _check_order(m)
     if not math.isfinite(x):
         raise ValueError("x must be finite")
-    ax = abs(float(x) if dps is None else x)
+    ax = abs(_real(x, dps))
     if dps is None:
         try:
             return _tail(ax, 2 * m - 1) / 2.0 if ax else 0.0

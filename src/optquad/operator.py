@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from . import _series
 from ._series import _Arith, _arith, _horner
-from .core import ConstructionError, _check_order, psi
+from .core import ConstructionError, _check_order, _real, psi
 
 
 @dataclass(frozen=True)
@@ -67,14 +67,15 @@ def characteristic_polynomial(m: int, h: float, dps: int | None = None) -> Chara
     :func:`build_operator`.  Float64 accepts h in [1e-77, 1.5] (m = 2) or
     [2e-31, 1.5] (m = 3), where the roots keep 2e-15 relative accuracy;
     other h raise ValueError asking for ``dps``, which accepts every h > 0.
-    Without ``dps`` any real h (a float32, say) is taken as a float64.
+    Without ``dps`` any real h (a float32, say) is taken as a float64; with
+    it a numpy float is taken as a float64 and an mpmath float as it is.
     """
     if m == 1:
         raise ValueError("order 1 has no characteristic polynomial; use build_operator")
     _check_order(m)
     if not h > 0:
         raise ValueError(f"spacing h must be positive, got {h}")
-    h = float(h) if dps is None else h
+    h = _real(h, dps)
     if dps is None and not _FLOAT_H_MIN[m] <= h <= _series._H_MAX:
         side = "below" if h < _FLOAT_H_MIN[m] else "above"
         raise ValueError(f"h={h} is {side} the float64 domain [{_FLOAT_H_MIN[m]:g}, {_series._H_MAX:g}]"
@@ -178,11 +179,13 @@ def build_operator(m: int, h: float, dps: int | None = None) -> OperatorSpec:
     many digits, and :func:`operator_value` evaluates at that precision
     whatever the caller's.  Use this for identity verification at small h,
     where the operator's central values grow like h^(1-2m) and float64
-    rounding alone exceeds tight identity tolerances.
+    rounding alone exceeds tight identity tolerances.  h is taken as
+    :func:`characteristic_polynomial` takes it, and stored so.
     """
     _check_order(m)
     if not h > 0:
         raise ValueError(f"spacing h must be positive, got {h}")
+    h = _real(h, dps)
     ar = _arith(dps)
     with ar.context():
         hh = ar.num(h)
@@ -270,8 +273,10 @@ def identity_residuals(m: int, h: float) -> IdentityReport:
     and the kernel do not converge, and their closed form is the analytic
     continuation: the value of the operator's symbol, at which the
     identities still hold.  The precision is fixed.  An h whose sample
-    growth e^(5h) is beyond float range raises ValueError.
+    growth e^(5h) is beyond float range raises ValueError.  A numpy float h
+    is taken as a float64.
     """
+    h = _real(h, _EXTENDED_DPS)
     beta_span = _OFFSETS[-1]
     # the residuals are absolute and scale like the samples at |t| <= beta_span + 1
     try:

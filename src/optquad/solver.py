@@ -39,16 +39,21 @@ def assemble_system(m: int, n: int) -> WienerHopfSystem:
     each g sampled at the nodes against its exact integral.  The kernel
     block is symmetric because the kernel is even, and its diagonal is zero.
 
-    The block is filled one diagonal at a time, with one kernel call per
-    distinct float x_i - x_j.  Rounding makes i/n - j/n differ from (i-j)/n,
-    so a diagonal holds several such values: 1 to 3.6 on average for
-    n < 1200.  The moments are mirror-symmetric bit for bit, so
+    The block is filled in whole-array passes: |x_i - x_j| is written into
+    it in place, one kernel call is made per distinct float gap (found in
+    one sorted copy of the block), and the values are mapped back with
+    ``np.searchsorted``.  Rounding makes i/n - j/n differ from (i-j)/n, so
+    a diagonal holds several such gaps: 1 to 3.6 on average for n < 1200.
+    IEEE subtraction is sign-symmetric and the kernel is even, so each
+    entry is the kernel at the gap of the lower-triangle pair.  The
+    moments are mirror-symmetric bit for bit, so
     :func:`optquad.core.moment_table` evaluates n//2 + 1 of them.  The cost
-    is O(n) kernel and moment evaluations, O(n^2) float work and O(n) extra
-    memory.  A Toeplitz fill psi(|i-j|/n) is 4-9x faster, but it is not
-    this system: it is bit-identical only when n is a
-    power of two, and elsewhere its weights are less accurate against a
-    40-60-digit KKT solve in 11 of 14 cells tried, by up to 1.9x.  The
+    is O(n) kernel and moment evaluations on average, O(n^2 log n) float
+    work for the sort and, at the peak, two temporary arrays the size of
+    the block.  A Toeplitz fill psi(|i-j|/n) needs no sort, but it is not
+    this system: it is bit-identical only when n is a power of two, and
+    elsewhere its weights are less accurate against a 40-60-digit KKT
+    solve in 11 of 14 cells tried, by up to 1.9x.  The
     float-gap block is the consistent system of the float nodes that the
     constraint rows and apply_rule use.  A matrix too large to allocate
     raises :class:`optquad.core.SolveError`.
@@ -63,12 +68,15 @@ def assemble_system(m: int, n: int) -> WienerHopfSystem:
     b = np.zeros(size)
     nodes = grid.nodes()
     x = np.array(nodes)
-    for k in range(1, n + 1):
-        rows = np.arange(k, n + 1)
-        gaps, where = np.unique(x[k:] - x[: n + 1 - k], return_inverse=True)
-        vals = np.array([psi(m, float(gap)) for gap in gaps])[where]
-        A[rows, rows - k] = vals
-        A[rows - k, rows] = vals
+    block = A[: n + 1, : n + 1]
+    np.subtract.outer(x, x, out=block)
+    np.abs(block, out=block)
+    # the distinct gaps, from one sorted copy of the block (np.unique would
+    # also import numpy.ma, 18 ms on a process's first assembly)
+    gaps = np.sort(block, axis=None)
+    gaps = gaps[np.append(True, gaps[1:] != gaps[:-1])]
+    values = np.array([psi(m, gap) for gap in gaps.tolist()])
+    np.take(values, np.searchsorted(gaps, block), out=block)
     b[: n + 1] = moment_table(m, grid)
     for row, (_, g, integral) in enumerate(constraint_rows(m), start=n + 1):
         A[row, : n + 1] = A[: n + 1, row] = [g(x) for x in nodes]
@@ -83,16 +91,27 @@ _RESIDUAL_TOL = 1e-10  # largest refined max-norm residual, relative to ||rhs||_
 def solve(system: WienerHopfSystem) -> QuadratureRule:
     """Solve the assembled system; returns a rule tagged DIRECT_SOLVE.
 
-    The 2-norm condition number (one SVD) is attached to the rule, and a
-    system with cond > 1e14 raises :class:`SolveError`.  An LU solve is
+    The matrix must be finite and exactly symmetric, as
+    :func:`assemble_system` builds it; any other raises :class:`SolveError`.
+    Its 2-norm condition number, max|lambda| / min|lambda| over the
+    eigenvalues of one symmetric eigenvalue solve (``np.linalg.eigvalsh``),
+    is attached to the rule; a system with cond > 1e14, or with a zero
+    eigenvalue (cond = inf), raises :class:`SolveError`.  An LU solve is
     followed by one step of iterative refinement: the residual is formed in
     extended precision and the correction solved for with a second LU
     factorisation.  A max-norm residual above 1e-10 * ||rhs||_inf after that
     step also raises :class:`SolveError`.  Neither limit can be changed.
     """
     A, b = system.matrix, system.rhs
-    cond = float(np.linalg.cond(A))
-    if not math.isfinite(cond) or cond > _COND_LIMIT:
+    if not np.isfinite(A).all():
+        raise SolveError("system matrix has a non-finite entry")
+    # eigvalsh reads one triangle, so the other must hold the same values
+    if not np.array_equal(A, A.T):
+        raise SolveError("system matrix is not exactly symmetric")
+    moduli = np.abs(np.linalg.eigvalsh(A))
+    smallest, largest = float(moduli.min()), float(moduli.max())
+    cond = largest / smallest if smallest else math.inf
+    if cond > _COND_LIMIT:
         raise SolveError(f"system too ill-conditioned: cond ~ {cond:.3e}")
     try:
         x = np.linalg.solve(A, b)
@@ -103,7 +122,7 @@ def solve(system: WienerHopfSystem) -> QuadratureRule:
     x = np.asarray(x.astype(np.longdouble) + dx.astype(np.longdouble), dtype=np.float64)
     residual = float(np.max(np.abs(A @ x - b)))
     scale = float(np.max(np.abs(b)))
-    if residual > _RESIDUAL_TOL * scale:
+    if not residual <= _RESIDUAL_TOL * scale:  # a nan residual fails too
         raise SolveError(
             f"residual {residual:.3e} exceeds {_RESIDUAL_TOL:.1e} * ||rhs|| (cond ~ {cond:.3e})"
         )

@@ -562,6 +562,31 @@ class TestExitCodes:
         assert err == f"numeric failure: cannot allocate the order-{m} system for n = 8: " \
                       f"{m + 9} x {m + 9} doubles, {8 * (m + 9) ** 2 / 2**30:.3g} GiB\n"
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_verify_builds_the_solve_before_the_closed_form(self, m, capsys, monkeypatch):
+        import optquad.coefficients as coefficients_mod
+
+        calls = []
+        for name in ("closed_form_m1", "closed_form_m2"):
+            original = getattr(coefficients_mod, name)
+            monkeypatch.setattr(coefficients_mod, name, lambda n, f=original: calls.append(n) or f(n))
+        zeros = np.zeros
+
+        def refuse_matrices(shape, *args, **kwargs):
+            if isinstance(shape, tuple) and len(shape) == 2:
+                raise MemoryError("synthetic allocation failure")
+            return zeros(shape, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "zeros", refuse_matrices)
+            code, out, _ = run_cli("verify", "--m", str(m), "--n", "8", capsys=capsys)
+        assert (code, out, calls) == (3, "", [])
+        # with the system allocated, both constructions run and the checks keep their order
+        code, out, _ = run_cli("verify", "--m", str(m), "--n", "8", capsys=capsys)
+        assert (code, calls) == (0, [8])
+        assert [check["name"] for check in json.loads(out)["checks"]][:3] == \
+            ["closed_constraints", "solve_constraints", "closed_vs_solve"]
+
     def test_ill_conditioned_solve_exits_three(self, capsys):
         code, out, err = run_cli("coeffs", "--m", "3", "--n", "128", capsys=capsys)
         assert (code, out) == (3, "")

@@ -87,6 +87,14 @@ class TestKernel:
         assert type(value) is float
         assert value.hex() == expected.hex()
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_float32_argument_in_extended_precision(self, m):
+        # a numpy float is taken as a float64; mpmath would refuse the float32 itself
+        x32 = np.float32(0.125)
+        assert psi(m, x32, dps=50) == psi(m, float(x32), dps=50)
+        with mp.workdps(50):  # an mpmath float keeps its digits
+            assert psi(m, mp.mpf(1) / 10, dps=50) != psi(m, 0.1, dps=50)
+
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             psi(0, 1.0)

@@ -493,3 +493,12 @@ def test_float32_spacing_computed_in_float64(m, h):
         _float_bits([expected.p, expected.center, expected.near, *expected.roots, *expected.amplitudes])
     if m == 2:
         assert _float_bits([lambda1(h32)]) == _float_bits([lambda1(float(h32))])
+    assert type(spec.h) is float
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_float32_spacing_in_extended_precision(m):
+    # mpmath refuses a float32 itself; a numpy float is taken as a float64
+    h32 = np.float32(0.125)
+    assert build_operator(m, h32, dps=50) == build_operator(m, float(h32), dps=50)
+    assert identity_residuals(m, h32) == identity_residuals(m, float(h32))

@@ -116,10 +116,56 @@ class TestSolve:
         with pytest.raises(SolveError):
             solve(system)
 
+    def test_zero_system_has_infinite_condition(self):
+        # every eigenvalue is exactly zero: cond is inf, with no 0/0 warning
+        system = WienerHopfSystem(GridSpec(1, 1), np.zeros((3, 3)), np.ones(3))
+        with pytest.raises(SolveError, match=r"too ill-conditioned: cond ~ inf$"):
+            solve(system)
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf])
+    def test_non_finite_entry_raises(self, entry):
+        system = assemble_system(1, 2)
+        matrix = system.matrix.copy()
+        matrix[1, 1] = entry
+        with pytest.raises(SolveError, match="non-finite entry"):
+            solve(WienerHopfSystem(system.grid, matrix, system.rhs))
+
+    def test_non_symmetric_matrix_raises(self):
+        # the eigenvalue solve reads one triangle, so one ulp off is refused
+        system = assemble_system(1, 2)
+        matrix = system.matrix.copy()
+        matrix[0, 1] = np.nextafter(matrix[0, 1], 1.0)
+        with pytest.raises(SolveError, match="not exactly symmetric"):
+            solve(WienerHopfSystem(system.grid, matrix, system.rhs))
+
+    def test_non_finite_rhs_raises(self):
+        system = assemble_system(1, 2)
+        rhs = system.rhs.copy()
+        rhs[0] = math.nan
+        with pytest.raises(SolveError, match="residual nan"):
+            solve(WienerHopfSystem(system.grid, system.matrix, rhs))
+
     def test_condition_threshold(self):
-        # m = 3 is past the fixed 1e14 limit from n = 128 on; no caller can lift it
+        # m = 3 is past the fixed 1e14 limit from n = 110 on; no caller can lift it
         with pytest.raises(SolveError, match=r"cond ~ 2\.4\d*e\+14"):
             solve(assemble_system(3, 128))
+
+    def test_order_three_crosses_the_limit_at_110(self):
+        # cond 9.94e13 at n = 109 and 1.045e14 at n = 110, 0.6% below and 4.5%
+        # above the limit: both ends hold under either 2-norm estimator
+        assert solve(assemble_system(3, 109)).condition_estimate < 1e14
+        with pytest.raises(SolveError, match=r"too ill-conditioned: cond ~ 1\.04\d*e\+14"):
+            solve(assemble_system(3, 110))
+
+    @pytest.mark.parametrize(
+        "m, n", [(1, 1), (1, 64), (1, 512), (2, 2), (2, 160), (2, 300), (3, 2), (3, 64), (3, 105), (3, 109)]
+    )
+    def test_condition_number_is_the_singular_value_ratio(self, m, n):
+        # max|lambda| / min|lambda| of the symmetric matrix is sigma_max / sigma_min;
+        # the two computations round differently, by 7.5e-4 at most (at (3, 105))
+        system = assemble_system(m, n)
+        cond = solve(system).condition_estimate
+        assert cond == pytest.approx(np.linalg.cond(system.matrix), rel=1e-3)
 
 
 # the dense solve's envelope at m = 3: the largest weight error measured
