@@ -14,7 +14,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -72,24 +72,6 @@ def _exact_parts(x: np.ndarray) -> list[float]:
     return parts
 
 
-def _whole_runs(arrays: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-    """Concatenate consecutive arrays into runs of at most _CHUNK elements.
-
-    An array longer than _CHUNK makes a run of its own.
-    """
-    pending: list[np.ndarray] = []
-    size = 0
-    for a in arrays:
-        if pending and size + a.size > _CHUNK:
-            run = np.concatenate(pending)
-            pending, size = [], 0
-            yield run
-        pending.append(a)
-        size += a.size
-    if pending:
-        yield np.concatenate(pending)
-
-
 def error_norm_squared(rule: QuadratureRule) -> float:
     """Squared norm of the rule's error functional (>= 0 up to roundoff).
 
@@ -100,24 +82,40 @@ def error_norm_squared(rule: QuadratureRule) -> float:
     The kernel block is symmetric Toeplitz: psi((i-j)/n) depends only on
     k = |i-j|.  So the cost is n+1 kernel evaluations, n//2+1 moment
     evaluations (the moments are mirror-symmetric bit for bit), and O(n^2)
-    float products.  Whole diagonals of products are gathered into chunks
-    of at most 2^13 doubles, each reduced by exact vector extraction to a
-    few floats; one math.fsum of those, the moment terms and I_m gives the
-    correctly rounded exact sum.  Extra memory is O(n + chunk).  Products that overflow give
-    what math.fsum gives for them: nan or ValueError.
+    float products.  The products are formed in blocks of consecutive
+    diagonals, about 2^13 doubles each, by one 2-D multiply over a strided
+    window of the zero-padded weights: ((C_i C_(i+k)) psi_k) 2, padding
+    giving exact zeros.  Each block is reduced by exact vector extraction
+    to a few floats; one math.fsum of those, the moment terms and I_m gives
+    the correctly rounded exact sum.  Extra memory is O(n + 2^13).
+    Products that overflow give what math.fsum gives for them: nan or
+    ValueError.
     """
     grid = rule.grid
     m, n = grid.m, grid.n
     coeffs = rule.coefficients
-    C = np.asarray(coeffs)
-    kernel = [psi(m, x) for x in grid.nodes()]  # psi(k/n): the offsets k/n are the nodes
-    # diagonal k holds C_i C_(i+k) psi_k and so does its mirror -k: each
-    # product is summed once, doubled (exact)
-    diagonals = (C[: n + 1 - k] * C[k:] * kernel[k] * (2.0 if k else 1.0) for k in range(n + 1))
+    kernel = np.array([psi(m, x) for x in grid.nodes()])  # psi(k/n): the offsets k/n are the nodes
+    # row k of the window is C_k..C_n and then zeros, so C_0..C_(w-1) times
+    # its first w entries is diagonal k, padded with exact zeros to width w
+    padded = np.zeros(2 * n + 1)
+    padded[: n + 1] = coeffs
+    window = np.ndarray((n + 1, n + 1), buffer=padded, strides=2 * padded.strides)
+    out = np.empty(max(_CHUNK, n + 1))
+    parts: list[float] = []
+    k0 = 0
     with np.errstate(over="ignore", invalid="ignore"):  # math.fsum judges inf and nan
-        block = [p for run in _whole_runs(diagonals) for p in _exact_parts(run)]
+        while k0 <= n:
+            w = n + 1 - k0
+            k1 = min(n + 1, k0 + max(1, _CHUNK // w))
+            block = out[: (k1 - k0) * w].reshape(k1 - k0, w)
+            np.multiply(padded[:w], window[k0:k1, :w], out=block)
+            block *= kernel[k0:k1, None]
+            # diagonal k and its mirror -k: each product is summed once, doubled (exact)
+            block[0 if k0 else 1 :] *= 2.0
+            parts.extend(_exact_parts(block.ravel()))
+            k0 = k1
     moments = (-2.0 * c * f for c, f in zip(coeffs, moment_table(m, grid)))
-    return (-1) ** m * math.fsum(itertools.chain(block, moments, (kernel_double_integral(m),)))
+    return (-1) ** m * math.fsum(itertools.chain(parts, moments, (kernel_double_integral(m),)))
 
 
 @dataclass(frozen=True)

@@ -123,16 +123,17 @@ class QuadratureRule:
 
 
 def _tail(x, p: int, dps: int | None = None):
-    """Series tail sum_{j>=0} x^(p+2j)/(p+2j)! for p >= 1, x >= 0 (x > 0 with dps).
+    """Series tail sum_{j>=0} x^(p+2j)/(p+2j)! for p >= 1, x >= 0 (|x| > 0 with dps).
 
     It is sinh x (odd p) or cosh x (even p) minus the Taylor head below x^p.
     Float64 sums the positive series, until it stops changing, where the head
     cancels (p > 1 and x <= 4), and takes sinh or cosh minus the head
     elsewhere.  With ``dps`` every x takes sinh or cosh minus the head through
     :func:`optquad._series.extended`, which covers the log10(p!) +
-    p*max(0, -log10 x) digits the head can cancel.  On the kernel samples of
-    the operator identity checks, at 50 digits, that measured 4-14x faster
-    than summing the series.
+    p*max(0, -log10 |x|) digits the head can cancel, and takes |x| at the
+    working digits, so that an mpmath x keeps its digits.  On the kernel
+    samples of the operator identity checks, at 50 digits, that measured
+    4-14x faster than summing the series.
     """
     if dps is None:
         if p > 1 and x <= 4.0:
@@ -145,13 +146,13 @@ def _tail(x, p: int, dps: int | None = None):
                     return total
                 total = updated
         return _minus_head(_series._FLOAT, x, p)
-    lost = math.log10(math.factorial(p)) + p * max(0.0, -math.log10(x))
+    lost = math.log10(math.factorial(p)) + p * max(0.0, -math.log10(abs(float(x))))
     return _series.extended(dps, lost, partial(_minus_head, x=x, p=p))
 
 
 def _minus_head(ar: _series._Arith, x, p: int):
     # sinh x or cosh x in ``ar``'s precision, minus x^k/k! for k < p of p's parity
-    x = ar.num(x)  # so that x**k is taken in ``ar``'s precision
+    x = abs(ar.num(x))  # so that |x| and x**k are taken in ``ar``'s precision
     total = ar.sinh(x) if p % 2 else ar.cosh(x)
     for k in range(p % 2, p, 2):
         # 0! = 1! = 1: the first head term needs no division
@@ -180,15 +181,15 @@ def psi(m: int, x, dps: int | None = None):
     _check_order(m)
     if not math.isfinite(x):
         raise ValueError("x must be finite")
-    ax = abs(_real(x, dps))
+    x = _real(x, dps)
     if dps is None:
         try:
-            return _tail(ax, 2 * m - 1) / 2.0 if ax else 0.0
+            return _tail(abs(x), 2 * m - 1) / 2.0 if x else 0.0
         except OverflowError:
-            raise ValueError(f"psi at |x| = {ax} is beyond the float64 range; pass dps=") from None
+            raise ValueError(f"psi at |x| = {abs(x)} is beyond the float64 range; pass dps=") from None
     # halving an mpmath float with ldexp is exact at any ambient precision
     ar = _series._arith(dps)
-    return ar.ldexp(_tail(ax, 2 * m - 1, dps), -1) if ax else ar.num(0)
+    return ar.ldexp(_tail(x, 2 * m - 1, dps), -1) if x else ar.num(0)
 
 
 def moment_f(m: int, beta: int, grid: GridSpec) -> float:

@@ -95,6 +95,18 @@ class TestKernel:
         with mp.workdps(50):  # an mpmath float keeps its digits
             assert psi(m, mp.mpf(1) / 10, dps=50) != psi(m, 0.1, dps=50)
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_extended_argument_keeps_its_digits_outside_workdps(self, m, sign):
+        # |x| is taken at the working digits, not at the ambient 15
+        with mp.workdps(50):
+            x = sign * mp.mpf(1) / 10
+        value = psi(m, x, dps=50)
+        assert value != psi(m, 0.1, dps=50)
+        with mp.workdps(60):
+            reference = oracles.mp_psi(m, x, 60)
+            assert abs(value - reference) <= mp.mpf(10) ** -45 * reference
+
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             psi(0, 1.0)

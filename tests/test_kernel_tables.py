@@ -3,9 +3,12 @@
 error_norm_squared and assemble_system evaluate each distinct kernel value
 once.  Their outputs must equal, bit for bit, those of the loops that make
 one scalar call per matrix entry, and their call counts must stay linear.
-identity_residuals evaluates each central operator value once and sums the
-geometric tails in closed form; it must agree with the windowed sums of one
-term per (beta, gamma) pair within their truncation bound.  apply_rule
+error_norm_squared forms its products in blocks of diagonals; with small
+blocks, at the fewest nodes and where products overflow it must still give
+those bits, in O(n + 2^13) extra memory.  identity_residuals evaluates
+each central operator value once and sums the geometric tails in closed
+form; it must agree with the windowed sums of one term per (beta, gamma)
+pair within their truncation bound.  apply_rule
 streams its products into one correctly rounded sum, which must equal the
 per-node generator loop, and constraint_residuals must equal one apply_rule
 per row.  The order-2 closed form tabulates its powers only through the
@@ -15,6 +18,7 @@ boundary layers; its weights must equal those over the whole power table.
 import functools
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,13 +65,12 @@ def _optimal(m, n):
 
 def _rules(m, n):
     optimal = _optimal(m, n)
-    step = admissible_perturbations(optimal, count=1)[0]
-    rules = {
-        "optimal": optimal,
-        "perturbed": QuadratureRule(
+    rules = {"optimal": optimal}
+    # at n + 1 = m the constraints fix the weights: no direction is admissible
+    for step in admissible_perturbations(optimal, count=1):
+        rules["perturbed"] = QuadratureRule(
             optimal.grid, tuple(c + d for c, d in zip(optimal.coefficients, step)), optimal.method
-        ),
-    }
+        )
     for kind in ("trapezoid", "simpson") if n % 2 == 0 else ("trapezoid",):
         classical = classical_rule(kind, n)
         rules[kind] = QuadratureRule(GridSpec(m, n), classical.coefficients, classical.method)
@@ -91,8 +94,9 @@ def _distinct_gaps(n):
     return len(np.unique(np.abs(x[:, None] - x[None, :])))
 
 
-@pytest.mark.parametrize("n", SIZES)
-@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize(
+    "m, n", [(m, n) for m in (1, 2, 3) for n in (1, 2, 3, *SIZES) if n + 1 >= m]
+)
 def test_error_norm_equals_double_loop(m, n):
     for name, rule in _rules(m, n).items():
         assert error_norm_squared(rule) == oracles.naive_error_norm_squared(rule), name
@@ -107,6 +111,14 @@ def test_error_norm_equals_streamed_fsum_at_large_n(m, n):
         assert error_norm_squared(rule) == oracles.streamed_error_norm_squared(rule), name
 
 
+def _outcome(norm, rule):
+    # the norm's repr, or the type of the ValueError it raises
+    try:
+        return repr(norm(rule))
+    except ValueError as exc:
+        return type(exc)
+
+
 @pytest.mark.parametrize(
     "weights", [(1e155, 1.0, -1e155), (1e155, -1e155, 1e155)], ids=["nan", "inf-inf"]
 )
@@ -115,15 +127,48 @@ def test_error_norm_overflowing_products_as_streamed_fsum(weights):
     # meets C_0 C_2 = +inf the sums raise ValueError: alike, with no warning
     rule = QuadratureRule(GridSpec(1, 2), weights, RuleMethod.TRAPEZOID)
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            expect = repr(oracles.streamed_error_norm_squared(rule))
-        except ValueError as exc:
-            expect = type(exc)
+        expect = _outcome(oracles.streamed_error_norm_squared, rule)
+    assert _outcome(error_norm_squared, rule) == expect
+
+
+@pytest.mark.parametrize("n", [100, 160])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_error_norm_equals_double_loop_in_small_chunks(monkeypatch, m, n):
+    # 64-double chunks: block rows wider than a chunk, and many blocks
+    monkeypatch.setattr(optquad.analysis, "_CHUNK", 64)
+    for name, rule in _rules(m, n).items():
+        assert error_norm_squared(rule) == oracles.naive_error_norm_squared(rule), name
+
+
+@pytest.mark.parametrize("chunk", [64, optquad.analysis._CHUNK])
+@pytest.mark.parametrize(
+    "big", [{100: 1e155}, {0: 1e155, 100: 1e155}, {0: 1e155, 50: -1e155, 100: 1e155}],
+    ids=["last", "ends", "ends-middle"],
+)
+def test_error_norm_overflow_in_late_block_as_streamed_fsum(monkeypatch, chunk, big):
+    # C_n^2 psi_0 = inf * 0 is nan in the first block; C_0 C_n = +inf comes
+    # only in the last, in rows that hold padding, and meets C_0 C_50 = -inf
+    monkeypatch.setattr(optquad.analysis, "_CHUNK", chunk)
+    coeffs = list(classical_rule("trapezoid", 100).coefficients)
+    for i, c in big.items():
+        coeffs[i] = c
+    rule = QuadratureRule(GridSpec(2, 100), coeffs, RuleMethod.TRAPEZOID)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expect = _outcome(oracles.streamed_error_norm_squared, rule)
+    assert _outcome(error_norm_squared, rule) == expect
+
+
+def test_error_norm_extra_memory_bounded():
+    # O(n + 2^13) doubles beyond the rule, not O(n^2): 8193^2 products
+    # would take 512 MiB
+    rule = build_rule(1, 8192)
+    tracemalloc.start()
     try:
-        got = repr(error_norm_squared(rule))
-    except ValueError as exc:
-        got = type(exc)
-    assert got == expect
+        error_norm_squared(rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 # bits, not values: np.array_equal takes -0.0 for 0.0
@@ -158,6 +203,12 @@ IDENTITY_CELLS = [
 ]
 
 
+@functools.cache
+def _windowed(m, h, lo):
+    # the windowed reference over offsets lo..5; cells share their (m, h)
+    return oracles.naive_identity_residuals(m, h, range(lo, 6))
+
+
 def _exp_swapped(residuals):
     return {**residuals, "exp_growing": residuals["exp_decaying"], "exp_decaying": residuals["exp_growing"]}
 
@@ -165,7 +216,7 @@ def _exp_swapped(residuals):
 @pytest.mark.parametrize("m, h, betas", IDENTITY_CELLS)
 def test_identity_report_equals_per_beta_loop(m, h, betas):
     report = identity_residuals(m, h)
-    window, residuals, bounds = oracles.naive_identity_residuals(m, h, range(6))
+    window, residuals, bounds = _windowed(m, h, 0)
     assert (report.m, report.h, report.window) == (m, h, 5)
     assert report.residuals.keys() == residuals.keys()
     # the windowed sums are the closed ones up to their truncation, which
@@ -177,7 +228,7 @@ def test_identity_report_equals_per_beta_loop(m, h, betas):
     # the offsets -5..-1 add no sum to the windowed reference: the same
     # window and values, except that the exp families at -beta are each
     # other's at beta
-    full_window, full, full_bounds = oracles.naive_identity_residuals(m, h, range(-5, 6))
+    full_window, full, full_bounds = _windowed(m, h, -5)
     assert (full_window, full_bounds) == (window, bounds)
     exp = max(residuals["exp_growing"], residuals["exp_decaying"])
     assert full == {**residuals, "exp_growing": exp, "exp_decaying": exp}
