@@ -140,6 +140,16 @@ def extended(dps: int, lost: float, evaluate: Callable[[_Arith], object]):
     return mp.mpf(total, dps=dps)
 
 
+def cancelled_digits(x, order: int) -> float:
+    """order * max(0, -log10 |x|): the digits that a head of order ``order`` cancels at x.
+
+    The float log10 wherever float(x) is nonzero, mpmath's below the float
+    range, where float(x) underflows to 0.
+    """
+    magnitude = abs(float(x))
+    return order * max(0.0, -(math.log10(magnitude) if magnitude else float(mp.log10(abs(x)))))
+
+
 def value(name: str, h: float, dps: int | None = None):
     """The quantity ``name`` of :data:`_TERMS` at spacing h.
 
@@ -152,7 +162,7 @@ def value(name: str, h: float, dps: int | None = None):
     if dps is None:
         return _horner(_coeffs(name), h)
     order = next(k for k, c in enumerate(_coeffs(name)) if c)
-    return extended(dps, order * max(0.0, -math.log10(h)), partial(_printed_sum, name, h))
+    return extended(dps, cancelled_digits(h, order), partial(_printed_sum, name, h))
 
 
 def _printed_sum(name: str, h, ar: _Arith):

@@ -308,6 +308,10 @@ def main(argv: list[str] | None = None) -> int:
     except QuadratureError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return NUMERIC_ERROR
+    except MemoryError as exc:
+        # a request past the memory there is, such as a weight list of 2^60 entries
+        print("numeric failure: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return NUMERIC_ERROR
     except OSError as exc:
         # only --out is ever written
         print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)

@@ -12,7 +12,6 @@ Orders >= 3 have no closed form here; use :mod:`optquad.solver`.
 from __future__ import annotations
 
 import functools
-from operator import mul
 
 from . import _series
 from .core import ORDERS, GridSpec, QuadratureRule, RuleMethod, _check_order
@@ -30,37 +29,42 @@ def lambda1(h: float) -> float:
     return stable_roots(characteristic_polynomial(2, h))[0]
 
 
-def _powers(x, top: int) -> list:
-    """x^0 .. x^top, each rounded as right-to-left binary powering rounds it.
+def _layer_top(h, scale, power, n: int) -> int:
+    """The first power of two ``top`` <= n + 1 past which the boundary layers round away.
 
-    x^b is x^(b - 2^k) * x^(2^k), k the top bit of b, and x^(2^k) is the
-    square of x^(2^(k-1)): the last product binary powering forms, so each
-    entry equals it bit for bit at one multiplication per entry.
+    ``top`` is the first with h + B == h == h - B, B = scale * |lam^top|,
+    ``power(e)`` giving lam^e; if no top <= n + 1 passes it is n + 1.
     """
-    table = [x ** 0, x]
-    for b in range(2, top + 1):
-        high = 1 << (b.bit_length() - 1)
-        table.append(table[b - high] * table[high] if b > high else table[high >> 1] * table[high >> 1])
-    return table
-
-
-def _power(squares: list, e: int):
-    """x^e for e >= 1 by right-to-left binary powering, from squares[k] = x^(2^k).
-
-    The products are those of :func:`_powers`, in the same order, so x^e
-    equals its table entry bit for bit, at popcount(e) - 1 products.
-    """
-    return functools.reduce(mul, [squares[k] for k in range(e.bit_length()) if e >> k & 1])
+    # Then each weight with top <= beta <= n - top is h, bit for bit, at
+    # any precision that rounds to nearest with unit roundoff u <= 2^-53:
+    #  - its correction x = K * (a * lam^beta + b * lam^(n-beta)), as
+    #    rounded, is at most B in size.  Binary powering rounds a power at
+    #    most 2 * 64 times, so every rounded lam^e, e >= top, is at most
+    #    |lam^top| (1 + 2^-43); x rounds three times more, and the factor 2
+    #    in ``scale`` covers these and the rounding of B.  In float64 a
+    #    power that underflows errs by under 2^-1067 more, and B is about
+    #    h * 2^-60 > 2^-316 (h >= 1e-77).
+    #  - rounding to nearest is monotone, so h - B <= h + x <= h + B gives
+    #    fl(h - B) <= fl(h + x) <= fl(h + B), and both ends are h.
+    # fl(h +- B) == h holds once B is below a quarter ulp of h (not half:
+    # below a power-of-two h the spacing halves), which is more than
+    # h * u / 4.  |lam| < 2 - sqrt(3) and scale is at most 2.2 h (at n = 1;
+    # it tends to 2h), so in float64 (u = 2^-53) |lam|^32 < 2^-60 gives
+    # top <= 32 at every n; 50 digits (u = 2^-169) take 128.
+    powers_of_two = (1 << k for k in range((n + 1).bit_length()))
+    return next((e for e in powers_of_two if h + (B := scale * abs(power(e))) == h == h - B), n + 1)
 
 
 def _closed_weights(m: int, n: int, dps: int | None = None) -> list:
     """Closed-form weights C_0..C_n for m = 1, 2: float64, or mpmath at ``dps`` digits.
 
     The spacing is ``num(1) / n``, so an mpmath run sees the exact 1/n
-    rather than its float64 rounding.  At m = 2 the work is O(top log n)
-    besides the O(n) list, ``top`` being the first power of two at which
-    the boundary layers fall below a quarter ulp of h: 32 in float64 and
-    128 at 50 digits, or n + 1 if the layers never get that small.
+    rather than its float64 rounding.  At m = 2 each power lam^e is
+    rounded as right-to-left binary powering rounds it and formed once, at
+    one product; the weights past :func:`_layer_top`'s ``top`` are h.  The
+    work is O(top log n) besides the O(n) list, ``top`` being 32 in
+    float64 and 128 at 50 digits, or n + 1 if the layers never get that
+    small.
     """
     ar = _series._arith(dps)
     with ar.context():
@@ -71,41 +75,24 @@ def _closed_weights(m: int, n: int, dps: int | None = None) -> list:
             return [w] + [2 * w] * (n - 1) + [w]
         lam = stable_roots(characteristic_polynomial(2, h, dps))[0]
         n = int(n)  # a numpy integer has no bit_length
-        squares = [lam]  # lam^(2^k), the chain binary powering squares along
-        while len(squares) < (n + 1).bit_length():
-            squares.append(squares[-1] * squares[-1])
+
+        @functools.cache
+        def power(e):
+            # lam^e for e >= 1: lam^(e - 2^k) * lam^(2^k), 2^k the top bit
+            # of e, and lam^(2^k) the square of lam^(2^(k-1)), the products
+            # of binary powering in its order
+            high = 1 << (e.bit_length() - 1)
+            if e > high:
+                return power(e - high) * power(high)
+            return power(high >> 1) * power(high >> 1) if e > 1 else lam
+
         # nonzero: 0 < |lam| < 1 (stable_roots checks it), so lam * (1 + lam^n) != 0, and em1 > 0
-        denom = 2 * em1 ** 2 * (lam + _power(squares, n + 1))
+        denom = 2 * em1 ** 2 * (lam + power(n + 1))
         K = _series.value("k_num", h, dps) * (lam - 1) / denom
         t = h / em1
-        kterm = K * (lam - _power(squares, n))
+        kterm = K * (lam - power(n))
         a, b = E - lam, 1 - lam * E
-        scale = 2 * abs(K) * (abs(a) + abs(b))
-        # The table lam^0 .. lam^top stops at the first power of two top
-        # with h + B == h == h - B, B = scale * |lam^top|, tested on the
-        # chain of squares (squares[k] is the table's lam^(2^k), bit for
-        # bit), or is whole if no top <= n + 1 passes.  Then each weight
-        # with top <= beta <= n - top is h, bit for bit, at any precision
-        # that rounds to nearest with unit roundoff u <= 2^-53:
-        #  - its correction x = K * (a * lam^beta + b * lam^(n-beta)), as
-        #    rounded, is at most B in size.  Binary powering rounds a power
-        #    at most 2 * 64 times, so every rounded lam^e, e >= top, is at
-        #    most |lam^top| (1 + 2^-43); x rounds three times more, and the
-        #    factor 2 in ``scale`` covers these and the rounding of B.  In
-        #    float64 a power that underflows errs by under 2^-1067 more,
-        #    and B is about h * 2^-60 > 2^-316 (h >= 1e-77).
-        #  - rounding to nearest is monotone, so h - B <= h + x <= h + B
-        #    gives fl(h - B) <= fl(h + x) <= fl(h + B), and both ends are h.
-        # fl(h +- B) == h holds once B is below a quarter ulp of h (not half:
-        # below a power-of-two h the spacing halves), which is more than
-        # h * u / 4.  |lam| < 2 - sqrt(3) and scale is at most 2.2 h (at
-        # n = 1; it tends to 2h), so in float64 (u = 2^-53) |lam|^32 <
-        # 2^-60 gives top <= 32 at every n; 50 digits (u = 2^-169) take 128.
-        top = next((1 << k for k, p in enumerate(squares) if h + (B := scale * abs(p)) == h == h - B), n + 1)
-        pw = _powers(lam, top)
-
-        def power(e):  # past the table, the same bits from the chain
-            return pw[e] if e <= top else _power(squares, e)
+        top = _layer_top(h, 2 * abs(K) * (abs(a) + abs(b)), power, n)
 
         def weight(beta):
             return h + K * (a * power(beta) + b * power(n - beta))

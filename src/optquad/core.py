@@ -146,7 +146,7 @@ def _tail(x, p: int, dps: int | None = None):
                     return total
                 total = updated
         return _minus_head(_series._FLOAT, x, p)
-    lost = math.log10(math.factorial(p)) + p * max(0.0, -math.log10(abs(float(x))))
+    lost = math.log10(math.factorial(p)) + _series.cancelled_digits(x, p)
     return _series.extended(dps, lost, partial(_minus_head, x=x, p=p))
 
 

@@ -62,7 +62,7 @@ def assemble_system(m: int, n: int) -> WienerHopfSystem:
     size = n + m + 1
     try:
         A = np.zeros((size, size))
-    except MemoryError as exc:
+    except (MemoryError, ValueError) as exc:  # numpy refuses a size past its index range with ValueError
         raise SolveError(f"cannot allocate the order-{m} system for n = {n}:"
                          f" {size} x {size} doubles, {8 * size * size / 2**30:.3g} GiB") from exc
     b = np.zeros(size)

@@ -8,7 +8,8 @@ and bulk writers replaced, kept as bit-identity references and built on
 the package's scalar kernels, the windowed convolution of the operator
 identities with its own truncation bound and window search, which the
 closed-form identity checks replaced, and the order-2 closed form over its
-whole power table, which the cut-off table replaced.
+whole power table, built here bottom up, which the package's cut-off
+layers replaced.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from scipy.integrate import quad
 
 from optquad import _series
 from optquad.analysis import kernel_double_integral
-from optquad.coefficients import _powers
 from optquad.core import GridSpec, moment_f, psi
 from optquad.operator import build_operator, characteristic_polynomial, operator_value, stable_roots
 
@@ -439,18 +439,33 @@ def naive_apply_rule(rule, f) -> float:
 # --- closed weights over the whole power table -------------------------------
 
 
+def binary_power_table(x, top: int) -> list:
+    """x^0 .. x^top, each rounded as right-to-left binary powering rounds it.
+
+    Bottom up: x^b is x^(b - 2^k) * x^(2^k), k the top bit of b, and
+    x^(2^k) is the square of x^(2^(k-1)), the last product binary
+    powering forms, so each entry equals it bit for bit.
+    """
+    table = [x ** 0, x]
+    for b in range(2, top + 1):
+        high = 1 << (b.bit_length() - 1)
+        table.append(table[b - high] * table[high] if b > high else table[high >> 1] * table[high >> 1])
+    return table
+
+
 def full_table_closed_weights(n: int, dps: int | None = None) -> list:
     """Order-2 closed weights with every power lambda1^0 .. lambda1^(n+1) tabulated.
 
     The formula of ``coefficients._closed_weights`` at m = 2, evaluated at
-    every interior node, with no cutoff and no powers outside the table.
+    every interior node, with no cutoff and its powers from
+    :func:`binary_power_table`, not from the package.
     """
     ar = _series._arith(dps)
     with ar.context():
         h = ar.num(1) / n
         E, em1 = ar.exp(h), ar.expm1(h)
         lam = stable_roots(characteristic_polynomial(2, h, dps))[0]
-        pw = _powers(lam, n + 1)
+        pw = binary_power_table(lam, n + 1)
         K = _series.value("k_num", h, dps) * (lam - 1) / (2 * em1 ** 2 * (lam + pw[n + 1]))
         t = h / em1
         kterm = K * (lam - pw[n])

@@ -563,6 +563,22 @@ class TestExitCodes:
                       f"{m + 9} x {m + 9} doubles, {8 * (m + 9) ** 2 / 2**30:.3g} GiB\n"
 
     @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_weight_list_past_memory_exits_three(self, m, fmt, capsys):
+        # 2^60 weights are past the address space: the list is refused
+        # before anything is allocated
+        code, out, err = run_cli("coeffs", "--m", str(m), "--n", str(2**60), "--format", fmt, capsys=capsys)
+        assert (code, out, err) == (3, "", "numeric failure: out of memory\n")
+
+    @pytest.mark.parametrize("command, m", [("coeffs", 3), ("verify", 2)])
+    def test_system_past_numpy_sizes_exits_three(self, command, m, capsys):
+        # numpy refuses a (2^60 + m + 1)^2 matrix before allocating it
+        n = 2**60
+        code, out, err = run_cli(command, "--m", str(m), "--n", str(n), capsys=capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"numeric failure: cannot allocate the order-{m} system for n = {n}: ")
+
+    @pytest.mark.parametrize("m", [1, 2])
     def test_verify_builds_the_solve_before_the_closed_form(self, m, capsys, monkeypatch):
         import optquad.coefficients as coefficients_mod
 

@@ -16,7 +16,7 @@ from optquad import (
     lambda1,
     stable_roots,
 )
-from optquad.coefficients import METHODS, _closed_weights, _power, _powers
+from optquad.coefficients import METHODS, _closed_weights
 
 import oracles
 
@@ -186,14 +186,9 @@ class TestExtendedPrecisionRun:
                 b >>= 1
             return acc
 
+        # the reference table the closed weights are checked against
         for x in (lambda1(1.0 / 28), lambda1(1.0), -0.9999, 0.999999, 1.3, -7.5):
-            table = _powers(x, 3000)
-            assert table == [powi(x, b) for b in range(3001)]
-            # and each power from the chain of squares alone
-            squares = [x]
-            while len(squares) < (3000).bit_length():
-                squares.append(squares[-1] * squares[-1])
-            assert [_power(squares, b) for b in range(1, 3001)] == table[1:]
+            assert oracles.binary_power_table(x, 3000) == [powi(x, b) for b in range(3001)]
 
 
 class TestBuildRule:

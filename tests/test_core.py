@@ -107,6 +107,14 @@ class TestKernel:
             reference = oracles.mp_psi(m, x, 60)
             assert abs(value - reference) <= mp.mpf(10) ** -45 * reference
 
+    def test_extended_argument_below_the_float_range(self):
+        # float(x) underflows to 0 here; the printed head cancels ~1200 digits
+        x = mp.mpf("1e-400")
+        value = psi(2, x, dps=50)
+        with mp.workdps(60):
+            reference = oracles.mp_psi(2, x, 1300)
+            assert abs(value - reference) <= mp.mpf(10) ** -45 * reference
+
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             psi(0, 1.0)

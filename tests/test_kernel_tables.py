@@ -11,7 +11,7 @@ form; it must agree with the windowed sums of one term per (beta, gamma)
 pair within their truncation bound.  apply_rule
 streams its products into one correctly rounded sum, which must equal the
 per-node generator loop, and constraint_residuals must equal one apply_rule
-per row.  The order-2 closed form tabulates its powers only through the
+per row.  The order-2 closed form computes its powers only through the
 boundary layers; its weights must equal those over the whole power table.
 """
 
@@ -340,18 +340,17 @@ def test_extended_closed_weights_equal_full_table(n):
 
 
 def test_closed_weights_table_stops_at_a_fixed_top(monkeypatch):
-    # the table stops at the first power of two where the layers fall below
-    # a quarter ulp of h: 32 in float64 (the bound _closed_weights proves),
-    # 128 at 50 digits; below that it is the whole table
+    # the layers stop at the first power of two where they fall below a
+    # quarter ulp of h: 32 in float64 (the bound _layer_top proves), 128 at
+    # 50 digits; below that they cover every node
     tops = []
-    powers = optquad.coefficients._powers
+    layer_top = optquad.coefficients._layer_top
 
     def recorded(*args):
-        table = powers(*args)
-        tops.append(len(table) - 1)
-        return table
+        tops.append(layer_top(*args))
+        return tops[-1]
 
-    monkeypatch.setattr(optquad.coefficients, "_powers", recorded)
+    monkeypatch.setattr(optquad.coefficients, "_layer_top", recorded)
     for dps, top in [(None, 32), (50, 128)]:
         for n in [1, 2, 27, 28, 29, 30, 31, 32, 64, 126, 127, 128, 1000, 4096, 65536, 10**6]:
             optquad.coefficients._closed_weights(2, n, dps)

@@ -181,6 +181,14 @@ class TestRootDomain:
             with pytest.raises(ValueError, match=rf"h={h} is below the float64 domain .*pass dps"):
                 characteristic_polynomial(m, h)
 
+    def test_extended_spacing_below_the_float_range(self):
+        # float(h) underflows to 0 here; the printed sums cancel ~1200 digits
+        h = mp.mpf("1e-400")
+        got = characteristic_polynomial(2, h, dps=50).coeffs
+        with mp.workdps(60):
+            for a, b in zip(got, oracles.mp_char_coeffs(2, h, dps=1300), strict=True):
+                assert abs(a - b) <= mp.mpf(10) ** -45 * abs(b)
+
     @pytest.mark.parametrize(
         "m, h, side",
         [(2, 1e-300, "below"), (3, 1e-70, "below"), (3, 1e-31, "below"), (2, 2.0, "above"), (3, 1.6, "above")],
