@@ -28,8 +28,8 @@ from .core import (
     apply_rule,
     constraint_rows,
     kernel_double_integral,
+    kernel_table,
     moment_table,
-    psi,
 )
 
 
@@ -57,7 +57,7 @@ def _exact_parts(x: np.ndarray) -> list[float]:
     for start in range(0, x.size, _CHUNK):
         chunk = x[start : start + _CHUNK]
         while chunk.size:
-            top = float(np.max(np.abs(chunk)))
+            top = float(np.abs(chunk).max())
             if not top < _HUGE:  # also true for nan
                 wild = ~(np.abs(chunk) < _HUGE)
                 parts.extend(chunk[wild].tolist())
@@ -66,7 +66,7 @@ def _exact_parts(x: np.ndarray) -> list[float]:
             sigma = math.ldexp(1.0, math.frexp(top)[1] + (chunk.size + 2).bit_length())
             q = sigma + chunk
             q -= sigma
-            parts.append(float(np.sum(q)))
+            parts.append(float(q.sum()))
             np.subtract(chunk, q, out=q)  # the remainders, exact
             chunk = q[q != 0.0]
     return parts
@@ -80,25 +80,28 @@ def error_norm_squared(rule: QuadratureRule) -> float:
     exactly so the cancellation down to the small optimal value is clean.
 
     The kernel block is symmetric Toeplitz: psi((i-j)/n) depends only on
-    k = |i-j|.  So the cost is n+1 kernel evaluations, n//2+1 moment
-    evaluations (the moments are mirror-symmetric bit for bit), and O(n^2)
-    float products.  The products are formed in blocks of consecutive
-    diagonals, about 2^13 doubles each, by one 2-D multiply over a strided
-    window of the zero-padded weights: ((C_i C_(i+k)) psi_k) 2, padding
-    giving exact zeros.  Each block is reduced by exact vector extraction
-    to a few floats; one math.fsum of those, the moment terms and I_m gives
-    the correctly rounded exact sum.  Extra memory is O(n + 2^13).
+    k = |i-j|.  So the cost is :func:`optquad.core.kernel_table` at the n+1
+    offsets k/n, :func:`optquad.core.moment_table` (n+1 tails, as many as
+    n//2+1 moment evaluations take), and O(n^2) float products.  From 32
+    points on both tables run in whole-array passes, with no numpy
+    transcendental ufunc, and below that as scalar calls; either way they
+    are bit-identical to psi and moment_f.  The products are formed in
+    blocks of consecutive diagonals, about 2^13 doubles each, by one 2-D
+    multiply over a strided window of the zero-padded weights:
+    ((C_i C_(i+k)) psi_k) 2, padding giving exact zeros.  Each block is
+    reduced by exact vector extraction to a few floats; one math.fsum of
+    those, the moment terms -2.0 C_b f_b (one array pass) and I_m gives the
+    correctly rounded exact sum.  Extra memory is O(n + 2^13).
     Products that overflow give what math.fsum gives for them: nan or
     ValueError.
     """
     grid = rule.grid
     m, n = grid.m, grid.n
-    coeffs = rule.coefficients
-    kernel = np.array([psi(m, x) for x in grid.nodes()])  # psi(k/n): the offsets k/n are the nodes
+    kernel = kernel_table(m, np.arange(n + 1) / n)  # psi(k/n): the offsets k/n are the nodes
     # row k of the window is C_k..C_n and then zeros, so C_0..C_(w-1) times
     # its first w entries is diagonal k, padded with exact zeros to width w
     padded = np.zeros(2 * n + 1)
-    padded[: n + 1] = coeffs
+    padded[: n + 1] = rule.coefficients
     window = np.ndarray((n + 1, n + 1), buffer=padded, strides=2 * padded.strides)
     out = np.empty(max(_CHUNK, n + 1))
     parts: list[float] = []
@@ -114,8 +117,8 @@ def error_norm_squared(rule: QuadratureRule) -> float:
             block[0 if k0 else 1 :] *= 2.0
             parts.extend(_exact_parts(block.ravel()))
             k0 = k1
-    moments = (-2.0 * c * f for c, f in zip(coeffs, moment_table(m, grid)))
-    return (-1) ** m * math.fsum(itertools.chain(parts, moments, (kernel_double_integral(m),)))
+        moments = -2.0 * padded[: n + 1] * moment_table(grid)
+    return (-1) ** m * math.fsum(itertools.chain(parts, moments.tolist(), (kernel_double_integral(m),)))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Grids, quadrature rules, the sinh-type kernel and its moments.
 
-Everything here is scalar float math on the uniform grid x_beta = beta/n
-over [0, 1], except that the kernel can also be evaluated in mpmath at a
+Everything here is float math on the uniform grid x_beta = beta/n over
+[0, 1], scalar except for the kernel and moment tables, which run in
+whole-array passes.  The kernel can also be evaluated in mpmath at a
 given precision, with the arithmetic of :mod:`optquad._series`.  Rules are
 immutable value objects; the construction routines live in
 :mod:`optquad.coefficients` and :mod:`optquad.solver`.
@@ -205,14 +206,55 @@ def moment_f(m: int, beta: int, grid: GridSpec) -> float:
     return (_tail(t, 2 * m) + _tail(s, 2 * m)) / 2.0
 
 
-def moment_table(m: int, grid: GridSpec) -> list[float]:
-    """moment_f(m, beta, grid) for beta = 0..n, from n//2 + 1 calls.
+_TABLE_MIN = 32  # below this many points a list of scalar calls beats the array passes
 
-    The other half is mirrored: moment_f is symmetric bit for bit.
+
+def _tail_table(x: np.ndarray, p: int) -> np.ndarray:
+    """_tail(x_i, p) for each x_i in [0, 1] of a float64 array, bit for bit.
+
+    Below 32 points it makes one scalar _tail call per point.  From 32 on
+    it runs the float64 series on every element at once until none
+    changes.  For x <= 1 the terms fall at every step, so once an
+    element's total stops changing the later, smaller terms leave it
+    alone: rounding is monotone.  x^p and sinh x (p = 1) are Python's
+    float ``**`` and math.sinh, one element at a time.  No numpy
+    transcendental ufunc is used: numpy's float64 power, sinh, cosh and exp
+    can go through SVML and round differently from libm.
     """
-    n = grid.n
-    half = [moment_f(m, beta, grid) for beta in range(n // 2 + 1)]
-    return [half[min(beta, n - beta)] for beta in range(n + 1)]
+    if x.size < _TABLE_MIN:
+        return np.array([_tail(v, p) for v in x.tolist()])
+    if p == 1:
+        return np.fromiter(map(math.sinh, x.tolist()), float, x.size)
+    total = term = np.array([v**p for v in x.tolist()]) / math.factorial(p)
+    xx = x * x
+    while True:
+        term = term * (xx / ((p + 1) * (p + 2)))
+        p += 2
+        updated = total + term
+        if (updated == total).all():
+            return total
+        total = updated
+
+
+def kernel_table(m: int, x: np.ndarray) -> np.ndarray:
+    """psi(m, x_i) for each x_i in [0, 1] of a float64 array, bit for bit.
+
+    It is half of :func:`_tail_table`, with its crossover at 32 points.
+    Unlike psi it does not check m: its callers take m from a GridSpec.
+    """
+    return _tail_table(x, 2 * m - 1) / 2.0
+
+
+def moment_table(grid: GridSpec) -> np.ndarray:
+    """moment_f(grid.m, beta, grid) for beta = 0..n, bit for bit.
+
+    One :func:`_tail_table` takes the n + 1 tails _tail(beta/n, 2m), as
+    many as n//2 + 1 moment_f calls take (in whole-array passes from 32
+    nodes on, as scalar calls below), and each is added to its mirror, so
+    the moments are symmetric under beta <-> n - beta bit for bit.
+    """
+    tail = _tail_table(np.arange(grid.n + 1) / grid.n, 2 * grid.m)
+    return (tail + tail[::-1]) / 2.0
 
 
 def kernel_double_integral(m: int) -> float:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridSpec, QuadratureRule, RuleMethod, SolveError, constraint_rows, moment_table, psi
+from .core import (GridSpec, QuadratureRule, RuleMethod, SolveError, constraint_rows, kernel_table,
+                   moment_table)
 
 
 @dataclass(frozen=True)
@@ -31,6 +32,13 @@ class WienerHopfSystem:
     rhs: np.ndarray
 
 
+def _memory_error(what: str, grid: GridSpec) -> SolveError:
+    # names the order and the size of the system that did not fit in memory
+    size = grid.n + grid.m + 1
+    return SolveError(f"{what} the order-{grid.m} system for n = {grid.n}:"
+                      f" {size} x {size} doubles, {8 * size * size / 2**30:.3g} GiB")
+
+
 def assemble_system(m: int, n: int) -> WienerHopfSystem:
     """Build the (n+m+1) x (n+m+1) system for order m on n intervals.
 
@@ -40,31 +48,33 @@ def assemble_system(m: int, n: int) -> WienerHopfSystem:
     block is symmetric because the kernel is even, and its diagonal is zero.
 
     The block is filled in whole-array passes: |x_i - x_j| is written into
-    it in place, one kernel call is made per distinct float gap (found in
-    one sorted copy of the block), and the values are mapped back with
-    ``np.searchsorted``.  Rounding makes i/n - j/n differ from (i-j)/n, so
-    a diagonal holds several such gaps: 1 to 3.6 on average for n < 1200.
-    IEEE subtraction is sign-symmetric and the kernel is even, so each
-    entry is the kernel at the gap of the lower-triangle pair.  The
-    moments are mirror-symmetric bit for bit, so
-    :func:`optquad.core.moment_table` evaluates n//2 + 1 of them.  The cost
-    is O(n) kernel and moment evaluations on average, O(n^2 log n) float
-    work for the sort and, at the peak, two temporary arrays the size of
-    the block.  A Toeplitz fill psi(|i-j|/n) needs no sort, but it is not
-    this system: it is bit-identical only when n is a power of two, and
-    elsewhere its weights are less accurate against a 40-60-digit KKT
-    solve in 11 of 14 cells tried, by up to 1.9x.  The
+    it in place, :func:`optquad.core.kernel_table` takes the kernel once at
+    each distinct float gap (found in one sorted copy of the block), and
+    the values are mapped back with ``np.searchsorted``.  Rounding makes
+    i/n - j/n differ from (i-j)/n, so a diagonal holds several such gaps:
+    1 to 3.6 on average for n < 1200.  IEEE subtraction is sign-symmetric
+    and the kernel is even, so each entry is the kernel at the gap of the
+    lower-triangle pair.  The moments come from
+    :func:`optquad.core.moment_table`.  Both tables run in whole-array
+    passes from 32 points on, with no numpy transcendental ufunc, and as
+    scalar calls below; either way they are bit-identical to psi and
+    moment_f.  The cost is O(n) kernel and moment evaluations on average,
+    O(n^2 log n) float work for the sort and, at the peak, two temporary
+    arrays the size of the block.  A Toeplitz fill psi(|i-j|/n) needs no
+    sort, but it is not this system: it is bit-identical only when n is a
+    power of two, and elsewhere its weights are less accurate against a
+    40-60-digit KKT solve in 11 of 14 cells tried, by up to 1.9x.  The
     float-gap block is the consistent system of the float nodes that the
-    constraint rows and apply_rule use.  A matrix too large to allocate
-    raises :class:`optquad.core.SolveError`.
+    constraint rows and apply_rule use.  A matrix too large to allocate,
+    or a sort or index pass that then runs out of memory, raises
+    :class:`optquad.core.SolveError` naming the order and the size.
     """
     grid = GridSpec(m, n)
     size = n + m + 1
     try:
         A = np.zeros((size, size))
     except (MemoryError, ValueError) as exc:  # numpy refuses a size past its index range with ValueError
-        raise SolveError(f"cannot allocate the order-{m} system for n = {n}:"
-                         f" {size} x {size} doubles, {8 * size * size / 2**30:.3g} GiB") from exc
+        raise _memory_error("cannot allocate", grid) from exc
     b = np.zeros(size)
     nodes = grid.nodes()
     x = np.array(nodes)
@@ -73,11 +83,13 @@ def assemble_system(m: int, n: int) -> WienerHopfSystem:
     np.abs(block, out=block)
     # the distinct gaps, from one sorted copy of the block (np.unique would
     # also import numpy.ma, 18 ms on a process's first assembly)
-    gaps = np.sort(block, axis=None)
-    gaps = gaps[np.append(True, gaps[1:] != gaps[:-1])]
-    values = np.array([psi(m, gap) for gap in gaps.tolist()])
-    np.take(values, np.searchsorted(gaps, block), out=block)
-    b[: n + 1] = moment_table(m, grid)
+    try:  # the sorted copy and the indices are each the size of the block
+        gaps = np.sort(block, axis=None)
+        gaps = gaps[np.concatenate(([True], gaps[1:] != gaps[:-1]))]
+        np.take(kernel_table(m, gaps), np.searchsorted(gaps, block), out=block)
+    except MemoryError as exc:
+        raise _memory_error("out of memory assembling", grid) from exc
+    b[: n + 1] = moment_table(grid)
     for row, (_, g, integral) in enumerate(constraint_rows(m), start=n + 1):
         A[row, : n + 1] = A[: n + 1, row] = [g(x) for x in nodes]
         b[row] = integral
@@ -101,26 +113,31 @@ def solve(system: WienerHopfSystem) -> QuadratureRule:
     extended precision and the correction solved for with a second LU
     factorisation.  A max-norm residual above 1e-10 * ||rhs||_inf after that
     step also raises :class:`SolveError`.  Neither limit can be changed.
+    A stage that runs out of memory raises :class:`SolveError` naming the
+    order and the size of the system.
     """
     A, b = system.matrix, system.rhs
-    if not np.isfinite(A).all():
-        raise SolveError("system matrix has a non-finite entry")
-    # eigvalsh reads one triangle, so the other must hold the same values
-    if not np.array_equal(A, A.T):
-        raise SolveError("system matrix is not exactly symmetric")
-    moduli = np.abs(np.linalg.eigvalsh(A))
-    smallest, largest = float(moduli.min()), float(moduli.max())
-    cond = largest / smallest if smallest else math.inf
-    if cond > _COND_LIMIT:
-        raise SolveError(f"system too ill-conditioned: cond ~ {cond:.3e}")
-    try:
-        x = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise SolveError(f"singular system (cond ~ {cond:.3e}): {exc}") from exc
-    r = b.astype(np.longdouble) - A.astype(np.longdouble) @ x.astype(np.longdouble)
-    dx = np.linalg.solve(A, np.asarray(r, dtype=np.float64))
-    x = np.asarray(x.astype(np.longdouble) + dx.astype(np.longdouble), dtype=np.float64)
-    residual = float(np.max(np.abs(A @ x - b)))
+    try:  # the checks, eigvalsh, the LUs and the longdouble copies take O(size^2) memory
+        if not np.isfinite(A).all():
+            raise SolveError("system matrix has a non-finite entry")
+        # eigvalsh reads one triangle, so the other must hold the same values
+        if not np.array_equal(A, A.T):
+            raise SolveError("system matrix is not exactly symmetric")
+        moduli = np.abs(np.linalg.eigvalsh(A))
+        smallest, largest = float(moduli.min()), float(moduli.max())
+        cond = largest / smallest if smallest else math.inf
+        if cond > _COND_LIMIT:
+            raise SolveError(f"system too ill-conditioned: cond ~ {cond:.3e}")
+        try:
+            x = np.linalg.solve(A, b)
+        except np.linalg.LinAlgError as exc:
+            raise SolveError(f"singular system (cond ~ {cond:.3e}): {exc}") from exc
+        r = b.astype(np.longdouble) - A.astype(np.longdouble) @ x.astype(np.longdouble)
+        dx = np.linalg.solve(A, np.asarray(r, dtype=np.float64))
+        x = np.asarray(x.astype(np.longdouble) + dx.astype(np.longdouble), dtype=np.float64)
+        residual = float(np.max(np.abs(A @ x - b)))
+    except MemoryError as exc:
+        raise _memory_error("out of memory solving", system.grid) from exc
     scale = float(np.max(np.abs(b)))
     if not residual <= _RESIDUAL_TOL * scale:  # a nan residual fails too
         raise SolveError(

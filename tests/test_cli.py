@@ -562,6 +562,17 @@ class TestExitCodes:
         assert err == f"numeric failure: cannot allocate the order-{m} system for n = 8: " \
                       f"{m + 9} x {m + 9} doubles, {8 * (m + 9) ** 2 / 2**30:.3g} GiB\n"
 
+    def test_out_of_memory_after_allocation_exits_three(self, capsys, monkeypatch):
+        # the system fits, and eigvalsh then runs out of memory
+        def refuse(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        code, out, err = run_cli("coeffs", "--m", "3", "--n", "8", capsys=capsys)
+        assert (code, out) == (3, "")
+        assert err == f"numeric failure: out of memory solving the order-3 system for n = 8: " \
+                      f"12 x 12 doubles, {8 * 12 ** 2 / 2**30:.3g} GiB\n"
+
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_weight_list_past_memory_exits_three(self, m, fmt, capsys):

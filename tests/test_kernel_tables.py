@@ -1,8 +1,10 @@
 """The tabulated kernel and operator evaluations against the naive loops.
 
 error_norm_squared and assemble_system evaluate each distinct kernel value
-once.  Their outputs must equal, bit for bit, those of the loops that make
-one scalar call per matrix entry, and their call counts must stay linear.
+once, in the array tables of core._tail_table.  Their outputs must equal,
+bit for bit, those of the loops that make one scalar call per matrix
+entry, the tables must equal the scalar psi, moment_f and _tail on both
+sides of their crossover, and the points they evaluate must stay linear.
 error_norm_squared forms its products in blocks of diagonals; with small
 blocks, at the fewest nodes and where products overflow it must still give
 those bits, in O(n + 2^13) extra memory.  identity_residuals evaluates
@@ -42,6 +44,8 @@ from optquad import (
     constraint_rows,
     error_norm_squared,
     identity_residuals,
+    moment_f,
+    psi,
     solve,
 )
 from optquad.analysis import admissible_perturbations
@@ -237,34 +241,98 @@ def test_identity_report_equals_per_beta_loop(m, h, betas):
     assert oracles.naive_identity_residuals(m, h, [-b for b in betas])[1] == _exp_swapped(direct)
 
 
-@pytest.mark.parametrize("m, n", [(1, 64), (2, 256), (3, 100)])
+def _table_points(monkeypatch, parity):
+    # the points passed to _tail_table with p of the given parity: odd for
+    # the kernel (p = 2m - 1), even for the moments (p = 2m).  Below the
+    # crossover the table makes one scalar _tail call per point, above it
+    # array passes
+    points = []
+    tail_table = optquad.core._tail_table
+
+    def counted(x, p):
+        if p % 2 == parity:
+            points.append(x.size)
+        return tail_table(x, p)
+
+    monkeypatch.setattr(optquad.core, "_tail_table", counted)
+    return points
+
+
+# cells below the crossover (n + 1 < 32) and above it
+@pytest.mark.parametrize("m, n", [(1, 16), (2, 30), (1, 64), (2, 31), (2, 256), (3, 100)])
 def test_error_norm_kernel_calls_linear(monkeypatch, m, n):
-    calls = _counting(monkeypatch, optquad.analysis, "psi")
-    error_norm_squared(_rules(m, n)["trapezoid"])
-    assert 0 < len(calls) <= n + 1
+    rule = _rules(m, n)["trapezoid"]
+    points = _table_points(monkeypatch, 1)
+    error_norm_squared(rule)
+    assert 0 < sum(points) <= n + 1
 
 
-@pytest.mark.parametrize("m, n", [(1, 63), (2, 64), (3, 7), (3, 100)])
+# a moment is two tails: the table takes the n + 1 tails once, as many as
+# n//2 + 1 moment_f calls take, so a moment counts as two points
+@pytest.mark.parametrize("m, n", [(1, 30), (3, 7), (1, 63), (2, 31), (2, 64), (3, 100)])
 def test_error_norm_moment_calls_half(monkeypatch, m, n):
     # at m = 3 the rules are built through assemble_system: build them uncounted
     rule = _rules(m, n)["trapezoid"]
-    calls = _counting(monkeypatch, optquad.core, "moment_f")
+    points = _table_points(monkeypatch, 0)
     error_norm_squared(rule)
-    assert 0 < len(calls) <= n // 2 + 1
+    assert 0 < sum(points) / 2 <= n // 2 + 1
 
 
-@pytest.mark.parametrize("m, n", [(1, 63), (2, 64), (3, 7), (3, 100)])
+@pytest.mark.parametrize("m, n", [(1, 30), (3, 7), (1, 63), (2, 31), (2, 64), (3, 100)])
 def test_assembly_moment_calls_half(monkeypatch, m, n):
-    calls = _counting(monkeypatch, optquad.core, "moment_f")
+    points = _table_points(monkeypatch, 0)
     assemble_system(m, n)
-    assert 0 < len(calls) <= n // 2 + 1
+    assert 0 < sum(points) / 2 <= n // 2 + 1
 
 
-@pytest.mark.parametrize("m, n", [(1, 64), (2, 256), (3, 160)])
+# 30 and 17 distinct gaps, below the crossover, at n = 12 and 16; 35 at n = 14
+@pytest.mark.parametrize("m, n", [(1, 12), (2, 16), (3, 14), (1, 64), (2, 256), (3, 160)])
 def test_assembly_kernel_calls_bounded_by_distinct_gaps(monkeypatch, m, n):
-    calls = _counting(monkeypatch, optquad.solver, "psi")
+    points = _table_points(monkeypatch, 1)
     assemble_system(m, n)
-    assert 0 < len(calls) <= _distinct_gaps(n)
+    assert 0 < sum(points) <= _distinct_gaps(n)
+
+
+def _same_bits(a, b):
+    # bits, not values: np.array_equal takes -0.0 for 0.0
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("p", range(1, 8))
+def test_tail_table_equals_scalar_tail(p):
+    # 20,000 points: a numpy power or sinh routed through SVML rounds about
+    # one in twenty of them differently, so it would show here
+    rng = np.random.default_rng(p)
+    x = np.concatenate([[0.0, 1.0, 5e-324, 1e-300, 1e-154, 1e-20, 1e-8, np.nextafter(1.0, 0.0)],
+                        rng.random(16_000), rng.random(4_000) ** 16])
+    expected = [optquad.core._tail(v, p) for v in x.tolist()]
+    assert _same_bits(optquad.core._tail_table(x, p), expected)
+
+
+# one point below the crossover, at it and one above
+@pytest.mark.parametrize("size", [optquad.core._TABLE_MIN + d for d in (-1, 0, 1)])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_tables_equal_scalar_calls_at_the_crossover(m, size):
+    x = np.random.default_rng(size).random(size)
+    x[:2] = 0.0, 1.0
+    assert _same_bits(optquad.core.kernel_table(m, x), [psi(m, v) for v in x.tolist()])
+    grid = GridSpec(m, size - 1)  # size nodes
+    nodes = np.array(grid.nodes())
+    assert _same_bits(optquad.core.kernel_table(m, nodes), [psi(m, v) for v in grid.nodes()])
+    assert _same_bits(optquad.core.moment_table(grid), [moment_f(m, b, grid) for b in range(size)])
+
+
+@pytest.mark.parametrize("n", [160, 511, 1000])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_assembly_kernel_values_equal_psi_at_every_gap(m, n):
+    # each entry of the kernel block is psi at its own float gap |x_i - x_j|
+    x = np.array(GridSpec(m, n).nodes())
+    block = np.abs(np.subtract.outer(x, x))
+    gaps = np.unique(block)
+    expected = np.array([psi(m, gap) for gap in gaps.tolist()])
+    assert _same_bits(optquad.core.kernel_table(m, gaps), expected)
+    assert _same_bits(assemble_system(m, n).matrix[: n + 1, : n + 1], expected[np.searchsorted(gaps, block)])
 
 
 @pytest.mark.parametrize("m, h", [(1, 0.5), (2, 0.125), (3, 0.1), (3, 1.0)])
@@ -320,16 +388,11 @@ def test_constraint_residuals_equal_per_row_apply_rule():
             [struct.pack("<d", v) for v in expected.values()], name
 
 
-def _bits(values):
-    return [struct.pack("<d", v) for v in values]
-
-
 def test_closed_weights_equal_full_table():
     # float64 bits past the cutoff and up to 10^6 nodes; a signed zero or
     # a 1-ulp move would show
     for n in [*range(1, 3001), 4096, 65536, 10**5, 10**6]:
-        assert _bits(optquad.coefficients._closed_weights(2, n)) == \
-            _bits(oracles.full_table_closed_weights(n)), n
+        assert _same_bits(optquad.coefficients._closed_weights(2, n), oracles.full_table_closed_weights(n)), n
 
 
 @pytest.mark.parametrize("n", [1, 2, 8, 29, 64, 127, 128, 160, 512, 4096])

@@ -20,6 +20,10 @@ from optquad.coefficients import _closed_weights
 import oracles
 
 
+def _refuse_memory(*args, **kwargs):
+    raise MemoryError
+
+
 class TestAssembly:
     @pytest.mark.parametrize("m, n, size", [(1, 1, 3), (2, 2, 5), (3, 2, 6), (2, 8, 11)])
     def test_dimensions(self, m, n, size):
@@ -68,7 +72,24 @@ class TestAssembly:
             assemble_system(1, 200_000_000)
 
 
+    @pytest.mark.parametrize("stage", ["sort", "searchsorted"])
+    def test_out_of_memory_after_allocation(self, monkeypatch, stage):
+        # the sorted copy of the block and its indices come after the matrix
+        monkeypatch.setattr(np, stage, _refuse_memory)
+        with pytest.raises(SolveError, match=r"^out of memory assembling the order-2 system for n = 8: "
+                                             r"11 x 11 doubles, 9\.02e-07 GiB$"):
+            assemble_system(2, 8)
+
+
 class TestSolve:
+    @pytest.mark.parametrize("stage", ["eigvalsh", "solve"])
+    def test_out_of_memory_names_order_and_size(self, monkeypatch, stage):
+        system = assemble_system(3, 8)
+        monkeypatch.setattr(np.linalg, stage, _refuse_memory)
+        with pytest.raises(SolveError, match=r"^out of memory solving the order-3 system for n = 8: "
+                                             r"12 x 12 doubles, 1\.07e-06 GiB$"):
+            solve(system)
+
     def test_order_one_single_interval(self):
         rule = solve(assemble_system(1, 1))
         closed = closed_form_m1(1)
