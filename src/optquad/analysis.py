@@ -24,52 +24,15 @@ from .core import (
     Integrand,
     QuadratureRule,
     RuleMethod,
+    _CHUNK,
     _check_order,
+    _exact_parts,
     apply_rule,
     constraint_rows,
     kernel_double_integral,
     kernel_table,
     moment_table,
 )
-
-
-_CHUNK = 1 << 13  # doubles per extraction; 2^16 left the cache and ran slower
-# a chunk takes k <= 14 below, so sigma = 2^(e+k) <= 2^1023 for max|x| < _HUGE
-_HUGE = math.ldexp(1.0, 1023 - (_CHUNK + 2).bit_length())
-
-
-def _exact_parts(x: np.ndarray) -> list[float]:
-    """A few floats whose exact sum is the exact sum of the float64 array x.
-
-    Rump, Ogita and Oishi's ExtractVector (SIAM J. Sci. Comput. 31(1), 2008,
-    section 3), run on slices of at most _CHUNK elements until each is empty.
-    With 2^e > max|x| and 2^k > len(x) + 2, sigma = 2^(e+k) splits every
-    element exactly as q + (x - q), where q = (sigma + x) - sigma lies on a
-    grid fine enough, and small enough, that numpy sums the q exactly in any
-    order.  Each pass strips about 52 - k leading bits.  Elements sigma cannot
-    cover (inf, nan and |x| >= _HUGE = 2^1009) are passed through unchanged.
-    So math.fsum of the parts returns what math.fsum of x returns: the
-    correctly rounded sum, or inf, nan or ValueError for non-finite
-    elements.  Only fsum's "intermediate overflow" OverflowError, which
-    depends on the order of terms near 2^1024, can differ.
-    """
-    parts: list[float] = []
-    for start in range(0, x.size, _CHUNK):
-        chunk = x[start : start + _CHUNK]
-        while chunk.size:
-            top = float(np.abs(chunk).max())
-            if not top < _HUGE:  # also true for nan
-                wild = ~(np.abs(chunk) < _HUGE)
-                parts.extend(chunk[wild].tolist())
-                chunk = chunk[~wild]
-                continue
-            sigma = math.ldexp(1.0, math.frexp(top)[1] + (chunk.size + 2).bit_length())
-            q = sigma + chunk
-            q -= sigma
-            parts.append(float(q.sum()))
-            np.subtract(chunk, q, out=q)  # the remainders, exact
-            chunk = q[q != 0.0]
-    return parts
 
 
 def error_norm_squared(rule: QuadratureRule) -> float:
@@ -97,7 +60,7 @@ def error_norm_squared(rule: QuadratureRule) -> float:
     """
     grid = rule.grid
     m, n = grid.m, grid.n
-    kernel = kernel_table(m, np.arange(n + 1) / n)  # psi(k/n): the offsets k/n are the nodes
+    kernel = kernel_table(m, grid.node_array())  # psi(k/n): the offsets k/n are the nodes
     # row k of the window is C_k..C_n and then zeros, so C_0..C_(w-1) times
     # its first w entries is diagonal k, padded with exact zeros to width w
     padded = np.zeros(2 * n + 1)
@@ -331,8 +294,8 @@ def admissible_perturbations(
     if n + 1 == m:
         # the constraints fix the weights, so no direction is admissible
         return []
-    nodes = grid.nodes()
-    R = np.array([[g(x) for x in nodes] for _, g, _ in constraint_rows(m)])
+    x = grid.node_array()
+    R = np.array([g(x) for _, g, _ in constraint_rows(m)])
     # the rows sample the Chebyshev system x^0..x^(m-2), e^(-x) at n + 1 > m
     # distinct nodes: they have full rank m, so q's m columns span them
     q = np.linalg.qr(R.T)[0]

@@ -1,11 +1,13 @@
 """Grids, quadrature rules, the sinh-type kernel and its moments.
 
 Everything here is float math on the uniform grid x_beta = beta/n over
-[0, 1], scalar except for the kernel and moment tables, which run in
-whole-array passes.  The kernel can also be evaluated in mpmath at a
-given precision, with the arithmetic of :mod:`optquad._series`.  Rules are
-immutable value objects; the construction routines live in
-:mod:`optquad.coefficients` and :mod:`optquad.solver`.
+[0, 1].  The nodes, the kernel and moment tables and the constraint rows
+and their sums run in whole-array passes, bit-identical to the scalar
+functions; apply_rule calls its integrand once per node.  The kernel can
+also be evaluated in mpmath at a given precision, with the arithmetic of
+:mod:`optquad._series`.  Rules are immutable value objects; the
+construction routines live in :mod:`optquad.coefficients` and
+:mod:`optquad.solver`.
 """
 
 from __future__ import annotations
@@ -73,7 +75,15 @@ class GridSpec:
         return 1.0 / self.n
 
     def nodes(self) -> tuple[float, ...]:
-        return tuple(beta / self.n for beta in range(self.n + 1))
+        return tuple(self.node_array().tolist())
+
+    def node_array(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """The nodes beta/n for beta in [start, stop), all n + 1 by default, as floats.
+
+        IEEE division is correctly rounded, so these are the doubles of the
+        scalar beta / n, bit for bit.
+        """
+        return np.arange(start, self.n + 1 if stop is None else stop) / self.n
 
 
 class RuleMethod(enum.Enum):
@@ -253,7 +263,7 @@ def moment_table(grid: GridSpec) -> np.ndarray:
     nodes on, as scalar calls below), and each is added to its mirror, so
     the moments are symmetric under beta <-> n - beta bit for bit.
     """
-    tail = _tail_table(np.arange(grid.n + 1) / grid.n, 2 * grid.m)
+    tail = _tail_table(grid.node_array(), 2 * grid.m)
     return (tail + tail[::-1]) / 2.0
 
 
@@ -266,36 +276,108 @@ def kernel_double_integral(m: int) -> float:
     return _tail(1.0, 2 * m + 1)
 
 
+_CHUNK = 1 << 13  # doubles per extraction and nodes per constraint block; 2^16 ran slower
+# a chunk takes k <= 14 below, so sigma = 2^(e+k) <= 2^1023 for max|x| < _HUGE
+_HUGE = math.ldexp(1.0, 1023 - (_CHUNK + 2).bit_length())
+
+
+def _exact_parts(x: np.ndarray) -> list[float]:
+    """A few floats whose exact sum is the exact sum of the float64 array x.
+
+    Rump, Ogita and Oishi's ExtractVector (SIAM J. Sci. Comput. 31(1), 2008,
+    section 3), run on slices of at most _CHUNK elements until each is empty.
+    With 2^e > max|x| and 2^k > len(x) + 2, sigma = 2^(e+k) splits every
+    element exactly as q + (x - q), where q = (sigma + x) - sigma lies on a
+    grid fine enough, and small enough, that numpy sums the q exactly in any
+    order.  Each pass strips about 52 - k leading bits.  Elements sigma cannot
+    cover (inf, nan and |x| >= _HUGE = 2^1009) are passed through unchanged,
+    in their order, ahead of their slice's extracted parts.  So math.fsum of
+    the parts returns what math.fsum of x returns: the correctly rounded
+    sum, or inf, nan or ValueError for non-finite elements.  Only fsum's
+    "intermediate overflow" OverflowError, which depends on the order of
+    terms near 2^1024, can differ: fsum then sees each slice's terms from
+    2^1009 up first.
+    """
+    parts: list[float] = []
+    for start in range(0, x.size, _CHUNK):
+        chunk = x[start : start + _CHUNK]
+        while chunk.size:
+            top = float(np.abs(chunk).max())
+            if not top < _HUGE:  # also true for nan
+                wild = ~(np.abs(chunk) < _HUGE)
+                parts.extend(chunk[wild].tolist())
+                chunk = chunk[~wild]
+                continue
+            sigma = math.ldexp(1.0, math.frexp(top)[1] + (chunk.size + 2).bit_length())
+            q = sigma + chunk
+            q -= sigma
+            parts.append(float(q.sum()))
+            np.subtract(chunk, q, out=q)  # the remainders, exact
+            chunk = q[q != 0.0]
+    return parts
+
+
+_EXTRACT_MIN = 448  # nodes from which constraint sums reduce their blocks by exact extraction
+
+
 def apply_rule(rule: QuadratureRule, f: Callable[[float], float]) -> float:
     """Sum C_beta * f(beta/n) with exact (compensated) summation."""
     n = rule.grid.n
-    # a generator, not map(f, ...): CPython 3.11 calls a Python-level f from a
-    # generator frame without re-entering the interpreter; through map the
-    # same sums measured 5-12% slower
+    # a generator at every n, not map(f, ...): CPython 3.11 calls a
+    # Python-level f from a generator frame without re-entering the
+    # interpreter.  Through map the same sums measured 5-12% slower, and
+    # mapped over blocks into constraint_residuals' exact sums 5-17% slower
+    # at n = 65536, since f's own frame is most of the cost
     return math.fsum(c * f(beta / n) for beta, c in enumerate(rule.coefficients))
 
 
-def constraint_rows(m: int) -> list[tuple[str, Callable[[float], float], float]]:
+def _exp_neg(x: np.ndarray) -> np.ndarray:
+    # libm's exp per element, as math.exp(-x) gives it: numpy's exp can go
+    # through SVML and round differently
+    return np.fromiter(map(math.exp, (-x).tolist()), float, x.size)
+
+
+def constraint_rows(m: int) -> list[tuple[str, Callable[[np.ndarray], np.ndarray], float]]:
     """The side constraints of an order-m optimal rule, in system row order.
 
     Each row is (name, g, integral of g over [0, 1]): ``monomial_a`` for
-    x^a, a = 0..m-2, then ``exp`` for e^(-x).  An optimal rule integrates
-    every g exactly.
+    x^a, a = 0..m-2, then ``exp`` for e^(-x).  g takes a float64 array of
+    nodes and returns g at each with the bits of the scalar x**a and
+    math.exp(-x): x^0 is 1.0 and x^1 is x, and e^(-x) is libm's exp, one
+    element at a time.  An optimal rule integrates every g exactly.
     """
-    rows = [(f"monomial_{a}", lambda x, a=a: x**a, 1.0 / (a + 1)) for a in range(m - 1)]
-    rows.append(("exp", lambda x: math.exp(-x), -math.expm1(-1.0)))
-    return rows
+    monomials = [("monomial_0", np.ones_like, 1.0), ("monomial_1", lambda x: x, 0.5)]
+    return monomials[: m - 1] + [("exp", _exp_neg, -math.expm1(-1.0))]
 
 
 def constraint_residuals(rule: QuadratureRule) -> dict[str, float]:
     """|sum C_b g(x_b) - integral of g| for each row of :func:`constraint_rows`.
 
     Keys in the order ``exp``, ``monomial_0`` .. ``monomial_(m-2)``.  Each
-    row is one :func:`apply_rule` sum.  Meaningful only for optimal rules;
-    classical rules are not built to satisfy the exponential constraint.
+    sum has the bits of one :func:`apply_rule` per row with the scalar
+    x**a or math.exp(-x), but makes no Python call per node.  The nodes go
+    in blocks of 2^13, and each block's weights are multiplied by each
+    row's samples in one array pass.  One math.fsum per row takes the
+    products, below 448 nodes, or from 448 on the few parts
+    :func:`_exact_parts` reduces each block's products to, in O(2^13)
+    extra memory.  Either way it is the correctly rounded sum.  The
+    products are finite; where they overflow fsum's partial sums near
+    2^1024, the OverflowError can come or not with the order of terms, and
+    from 448 nodes on each block's products from 2^1009 up come first.
+    Meaningful only for optimal rules; classical rules are not built to
+    satisfy the exponential constraint.
     """
     rows = constraint_rows(rule.grid.m)
-    return {name: abs(apply_rule(rule, g) - integral) for name, g, integral in rows[-1:] + rows[:-1]}
+    rows = rows[-1:] + rows[:-1]
+    grid, coefficients = rule.grid, rule.coefficients
+    parts: list[list[float]] = [[] for _ in rows]
+    for start in range(0, grid.n + 1, _CHUNK):
+        x = grid.node_array(start, min(start + _CHUNK, grid.n + 1))
+        c = np.fromiter(coefficients[start : start + x.size], float, x.size)
+        for part, (_, g, _) in zip(parts, rows):
+            products = c * g(x)
+            part += _exact_parts(products) if grid.n + 1 >= _EXTRACT_MIN else products.tolist()
+    return {name: abs(math.fsum(part) - integral) for (name, _, integral), part in zip(rows, parts)}
 
 
 @dataclass(frozen=True)

@@ -76,8 +76,7 @@ def assemble_system(m: int, n: int) -> WienerHopfSystem:
     except (MemoryError, ValueError) as exc:  # numpy refuses a size past its index range with ValueError
         raise _memory_error("cannot allocate", grid) from exc
     b = np.zeros(size)
-    nodes = grid.nodes()
-    x = np.array(nodes)
+    x = grid.node_array()
     block = A[: n + 1, : n + 1]
     np.subtract.outer(x, x, out=block)
     np.abs(block, out=block)
@@ -91,7 +90,7 @@ def assemble_system(m: int, n: int) -> WienerHopfSystem:
         raise _memory_error("out of memory assembling", grid) from exc
     b[: n + 1] = moment_table(grid)
     for row, (_, g, integral) in enumerate(constraint_rows(m), start=n + 1):
-        A[row, : n + 1] = A[: n + 1, row] = [g(x) for x in nodes]
+        A[row, : n + 1] = A[: n + 1, row] = g(x)
         b[row] = integral
     return WienerHopfSystem(grid, A, b)
 

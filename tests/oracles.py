@@ -267,21 +267,17 @@ def naive_assemble_system(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     size = n + m + 1
     A = np.zeros((size, size))
     b = np.zeros(size)
-    nodes = grid.nodes()
+    nodes = naive_nodes(n)
     for i in range(n + 1):
         for j in range(i + 1):
             val = psi(m, nodes[i] - nodes[j])
             A[i, j] = val
             A[j, i] = val
         b[i] = moment_f(m, i, grid)
-    for alpha in range(m - 1):
-        row = n + 1 + alpha
+    for row, (_, g, integral) in enumerate(constraint_functions(m), start=n + 1):
         for j in range(n + 1):
-            A[row, j] = A[j, row] = nodes[j] ** alpha
-        b[row] = 1.0 / (alpha + 1)
-    for j in range(n + 1):
-        A[n + m, j] = A[j, n + m] = math.exp(-nodes[j])
-    b[n + m] = -math.expm1(-1.0)
+            A[row, j] = A[j, row] = g(nodes[j])
+        b[row] = integral
     return A, b
 
 
@@ -428,6 +424,20 @@ def per_element_document_csv(rule) -> str:
     for beta, c in enumerate(rule.coefficients):
         lines.append(f"{beta},{_f17(beta / n)},{_f17(c)}")
     return "\n".join(lines) + "\n"
+
+
+def naive_nodes(n: int) -> tuple[float, ...]:
+    """The grid nodes beta/n, one scalar division each."""
+    return tuple(beta / n for beta in range(n + 1))
+
+
+def constraint_functions(m: int) -> list:
+    """The side constraints as scalar functions: (name, g, integral of g over [0, 1]).
+
+    x**a for a = 0..m-2, then math.exp(-x), in the system's row order.
+    """
+    rows = [(f"monomial_{a}", lambda x, a=a: x**a, 1.0 / (a + 1)) for a in range(m - 1)]
+    return rows + [("exp", lambda x: math.exp(-x), -math.expm1(-1.0))]
 
 
 def naive_apply_rule(rule, f) -> float:

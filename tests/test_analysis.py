@@ -23,7 +23,6 @@ from optquad import (
     classical_rule,
     closed_form_m1,
     closed_form_m2,
-    constraint_rows,
     convergence_study,
     error_norm_squared,
     error_report,
@@ -32,7 +31,7 @@ from optquad import (
     solve,
     stationarity_margin,
 )
-from optquad.analysis import _CHUNK, _exact_parts
+from optquad.core import _CHUNK, _exact_parts
 
 import oracles
 
@@ -118,10 +117,10 @@ class TestErrorNorm:
 
 def _assert_admissible(m, n, directions):
     # each direction has length 1e-3 and leaves every constraint sum unchanged
-    nodes = [beta / n for beta in range(n + 1)]
+    nodes = oracles.naive_nodes(n)
     for v in directions:
         assert np.linalg.norm(v) == pytest.approx(1e-3, rel=1e-14)
-        for name, g, _ in constraint_rows(m):
+        for name, g, _ in oracles.constraint_functions(m):
             assert abs(math.fsum(dv * g(x) for dv, x in zip(v, nodes))) <= 1e-15, name
 
 

@@ -12,9 +12,13 @@ each central operator value once and sums the geometric tails in closed
 form; it must agree with the windowed sums of one term per (beta, gamma)
 pair within their truncation bound.  apply_rule
 streams its products into one correctly rounded sum, which must equal the
-per-node generator loop, and constraint_residuals must equal one apply_rule
-per row.  The order-2 closed form computes its powers only through the
-boundary layers; its weights must equal those over the whole power table.
+per-node generator loop.  The nodes and the constraint rows are sampled as
+whole arrays, which must equal the scalar beta / n, x**a and math.exp(-x)
+at every node, and constraint_residuals sums them in blocks of exact
+extraction, which must equal one generator loop per row on both sides of
+its crossover and of a block boundary, in O(2^13) extra memory.  The
+order-2 closed form computes its powers only through the boundary layers;
+its weights must equal those over the whole power table.
 """
 
 import functools
@@ -140,11 +144,12 @@ def test_error_norm_overflowing_products_as_streamed_fsum(weights):
 def test_error_norm_equals_double_loop_in_small_chunks(monkeypatch, m, n):
     # 64-double chunks: block rows wider than a chunk, and many blocks
     monkeypatch.setattr(optquad.analysis, "_CHUNK", 64)
+    monkeypatch.setattr(optquad.core, "_CHUNK", 64)
     for name, rule in _rules(m, n).items():
         assert error_norm_squared(rule) == oracles.naive_error_norm_squared(rule), name
 
 
-@pytest.mark.parametrize("chunk", [64, optquad.analysis._CHUNK])
+@pytest.mark.parametrize("chunk", [64, optquad.core._CHUNK])
 @pytest.mark.parametrize(
     "big", [{100: 1e155}, {0: 1e155, 100: 1e155}, {0: 1e155, 50: -1e155, 100: 1e155}],
     ids=["last", "ends", "ends-middle"],
@@ -153,6 +158,7 @@ def test_error_norm_overflow_in_late_block_as_streamed_fsum(monkeypatch, chunk, 
     # C_n^2 psi_0 = inf * 0 is nan in the first block; C_0 C_n = +inf comes
     # only in the last, in rows that hold padding, and meets C_0 C_50 = -inf
     monkeypatch.setattr(optquad.analysis, "_CHUNK", chunk)
+    monkeypatch.setattr(optquad.core, "_CHUNK", chunk)
     coeffs = list(classical_rule("trapezoid", 100).coefficients)
     for i, c in big.items():
         coeffs[i] = c
@@ -345,15 +351,25 @@ def test_identity_operator_calls_linear_in_window(monkeypatch, m, h):
 
 def _large_rules(m, n):
     # apply_rule sums any weights, so the perturbed rule needs no admissible
-    # direction: it moves along a seeded random one
-    closed = build_rule(m, n, "closed")
-    step = np.random.default_rng(n).standard_normal(n + 1) * 1e-3
-    return {
-        "closed": closed,
-        "perturbed": QuadratureRule(closed.grid, np.add(closed.coefficients, step), closed.method),
-        "trapezoid": classical_rule("trapezoid", n),
-        "simpson": classical_rule("simpson", n),
-    }
+    # direction: it moves along a seeded random one.  Order 3 has no closed
+    # form, so its rules are the classical ones
+    grid = GridSpec(m, n)
+    rules = {}
+    if m < 3:
+        closed = build_rule(m, n, "closed")
+        step = np.random.default_rng(n).standard_normal(n + 1) * 1e-3
+        rules["closed"] = closed
+        rules["perturbed"] = QuadratureRule(grid, np.add(closed.coefficients, step), closed.method)
+    for kind in ("trapezoid", "simpson") if n % 2 == 0 else ("trapezoid",):
+        classical = classical_rule(kind, n)
+        rules[kind] = QuadratureRule(grid, classical.coefficients, classical.method)
+    return rules
+
+
+# node counts one below constraint_residuals' crossover and at it, and one
+# below a block boundary, at it and one above
+EXTRACT_EDGES = [optquad.core._EXTRACT_MIN - 1, optquad.core._EXTRACT_MIN] + \
+    [optquad.core._CHUNK + d for d in (-1, 0, 1)]
 
 
 @functools.cache
@@ -364,6 +380,8 @@ def _sum_rules():
             rules[f"solve-m{m}-n{n}"] = solve(assemble_system(m, n))
         for n in SIZES:
             rules.update({f"{name}-m{m}-n{n}": rule for name, rule in _rules(m, n).items()})
+        for n in (nodes - 1 for nodes in EXTRACT_EDGES):
+            rules.update({f"{name}-m{m}-n{n}": rule for name, rule in _large_rules(m, n).items()})
     for m in (1, 2):
         for n in (1024, 65536):
             rules.update({f"{name}-m{m}-n{n}": rule for name, rule in _large_rules(m, n).items()})
@@ -379,13 +397,98 @@ def test_apply_rule_equals_generator_loop(integrand):
 
 def test_constraint_residuals_equal_per_row_apply_rule():
     for name, rule in _sum_rules().items():
-        rows = constraint_rows(rule.m)
+        rows = oracles.constraint_functions(rule.m)
         expected = {row: abs(oracles.naive_apply_rule(rule, g) - integral)
                     for row, g, integral in rows[-1:] + rows[:-1]}
         residuals = constraint_residuals(rule)
         assert list(residuals) == list(expected), name
         assert [struct.pack("<d", v) for v in residuals.values()] == \
             [struct.pack("<d", v) for v in expected.values()], name
+
+
+def test_nodes_equal_scalar_division():
+    for n in [*range(1, 3001), 65536, 999983, 10**6]:
+        assert _same_bits(GridSpec(1, n).nodes(), oracles.naive_nodes(n)), n
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_constraint_samples_equal_scalar_functions(m):
+    # x**0 is 1.0 and x**1 is x, and e^(-x) is libm's, at every node
+    rows = constraint_rows(m)
+    functions = oracles.constraint_functions(m)
+    assert [row[::2] for row in rows] == [row[::2] for row in functions]  # names and integrals
+    for n in [*range(max(1, m - 1), 600), 8191, 65536, 10**5, 999983]:
+        x = GridSpec(m, n).node_array()
+        for (name, g, _), (_, scalar, _) in zip(rows, functions):
+            assert _same_bits(g(x), [scalar(v) for v in oracles.naive_nodes(n)]), (name, n)
+
+
+def _sum_outcome(total):
+    # a sum's repr, or the type of the error it raises
+    try:
+        return repr(total())
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("nodes", [8, *EXTRACT_EDGES])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e308], ids=["nan", "inf", "-inf", "huge"])
+def test_apply_rule_non_finite_as_generator_loop(nodes, value):
+    # f is nan or +-inf at the first node, or times weights of 1e300
+    # overflows; f = inf below 1/4 and -inf above makes fsum raise ValueError
+    trapezoid = classical_rule("trapezoid", nodes - 1)
+    for weights in (trapezoid.coefficients, [1e300] * nodes):
+        rule = QuadratureRule(trapezoid.grid, weights, RuleMethod.TRAPEZOID)
+        for f in (lambda x: value if x == 0.0 else x, lambda x: value if x < 0.25 else -value):
+            expect = _sum_outcome(lambda: oracles.naive_apply_rule(rule, f))
+            assert _sum_outcome(lambda: apply_rule(rule, f)) == expect
+
+
+def _naive_constraint_residuals(rule):
+    # one generator loop per row, in constraint_residuals' key order
+    rows = oracles.constraint_functions(rule.m)
+    return {name: abs(oracles.naive_apply_rule(rule, g) - integral)
+            for name, g, integral in rows[-1:] + rows[:-1]}
+
+
+@pytest.mark.parametrize("nodes", [8, *EXTRACT_EDGES])
+@pytest.mark.parametrize("weights", ["huge", "alternating", "huge-and-large"])
+def test_constraint_residuals_huge_weights_as_generator_loop(nodes, weights):
+    # products near 2^1024: sums that overflow fsum's partial sums
+    # (OverflowError), that cancel, and one huge product among many large ones
+    coeffs = {"huge": [1e308] * nodes,
+              "alternating": [1.7e308 if b % 2 else -1.7e308 for b in range(nodes)],
+              "huge-and-large": [1.7e308] + [1e300] * (nodes - 1)}[weights]
+    for m in (1, 2, 3):
+        rule = QuadratureRule(GridSpec(m, nodes - 1), coeffs, RuleMethod.TRAPEZOID)
+        expect = _sum_outcome(lambda: _naive_constraint_residuals(rule))
+        assert _sum_outcome(lambda: constraint_residuals(rule)) == expect, m
+
+
+def test_constraint_residuals_take_huge_products_first():
+    # from the crossover on, fsum takes each block's products from 2^1009
+    # up before the others.  In node order 1.79e308 plus the weights of
+    # 3e303 overflows fsum's partial sums from about 260 of them on; here
+    # the two huge weights cancel first
+    nodes = optquad.core._EXTRACT_MIN
+    coeffs = [1.79e308] + [3e303] * (nodes - 2) + [-1.79e308]
+    rule = QuadratureRule(GridSpec(2, nodes - 1), coeffs, RuleMethod.TRAPEZOID)
+    with pytest.raises(OverflowError):
+        _naive_constraint_residuals(rule)
+    assert constraint_residuals(rule)["monomial_0"] == abs(math.fsum([3e303] * (nodes - 2)) - 1.0)
+
+
+def test_constraint_residuals_extra_memory_bounded():
+    # blocks of 2^13 nodes: one list of all 65,537 sample floats would
+    # take over 2 MiB
+    rule = build_rule(2, 65536)
+    tracemalloc.start()
+    try:
+        constraint_residuals(rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_closed_weights_equal_full_table():
