@@ -51,10 +51,12 @@ def error_norm_squared(rule: QuadratureRule) -> float:
     are bit-identical to psi and moment_f.  The products are formed in
     blocks of consecutive diagonals, about 2^13 doubles each, by one 2-D
     multiply over a strided window of the zero-padded weights:
-    ((C_i C_(i+k)) psi_k) 2, padding giving exact zeros.  Each block is
-    reduced by exact vector extraction to a few floats; one math.fsum of
-    those, the moment terms -2.0 C_b f_b (one array pass) and I_m gives the
-    correctly rounded exact sum.  Extra memory is O(n + 2^13).
+    ((C_i C_(i+k)) psi_k) 2, padding giving exact zeros.
+    :func:`optquad.core._exact_parts` reduces each block to a few floats by
+    exact vector extraction, or gives a block of fewer than 448 products
+    as it is; one math.fsum of those, the moment terms -2.0 C_b f_b (one
+    array pass) and I_m gives the correctly rounded exact sum.  Extra
+    memory is O(n + 2^13).
     Products that overflow give what math.fsum gives for them: nan or
     ValueError.
     """

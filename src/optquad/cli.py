@@ -127,7 +127,7 @@ def rule_document(rule: QuadratureRule) -> dict:
         "m": grid.m,
         "n": grid.n,
         "h": grid.h,
-        "nodes": list(grid.nodes()),
+        "nodes": grid.node_array().tolist(),
         "coefficients": list(rule.coefficients),
         "method": rule.method.value,
         "d": rule.multiplier_d,
@@ -151,7 +151,7 @@ def document_csv(rule: QuadratureRule) -> str:
         column, row = [], "%d,%.17g,%s\n"
         for text, count in runs:
             column += [text] * count
-    cells = zip(range(len(column)), rule.grid.nodes(), column)
+    cells = zip(range(len(column)), rule.grid.node_array().tolist(), column)
     return "beta,node,coefficient\n" + (row * len(column)) % tuple(itertools.chain.from_iterable(cells))
 
 

@@ -43,10 +43,15 @@ class SolveError(QuadratureError):
 ORDERS = (1, 2, 3)
 
 
+def _is_integer(v) -> bool:
+    # an int or a numpy integer.  An integral float such as 2.0, or a bool,
+    # equals an integer but is not one.  psi checks its order on every
+    # call, and int skips the slow ABC test (~0.4 us)
+    return type(v) is int or isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 def _check_order(m: int) -> None:
-    # an integral float such as 2.0 equals an order but is not one.  psi
-    # checks on every call, and int skips the slow ABC test (~0.4 us)
-    if m not in ORDERS or not (type(m) is int or isinstance(m, numbers.Integral)):
+    if m not in ORDERS or not _is_integer(m):
         raise ValueError(f"order m must be in {ORDERS}, got {m}")
 
 
@@ -59,7 +64,7 @@ class GridSpec:
 
     def __post_init__(self):
         _check_order(self.m)
-        if not isinstance(self.n, numbers.Integral):
+        if not _is_integer(self.n):
             raise ValueError(f"interval count n must be an integer, got {self.n}")
         if self.n < 1:
             raise ValueError(f"interval count n must be >= 1, got {self.n}")
@@ -73,9 +78,6 @@ class GridSpec:
     @property
     def h(self) -> float:
         return 1.0 / self.n
-
-    def nodes(self) -> tuple[float, ...]:
-        return tuple(self.node_array().tolist())
 
     def node_array(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """The nodes beta/n for beta in [start, stop), all n + 1 by default, as floats.
@@ -207,13 +209,24 @@ def moment_f(m: int, beta: int, grid: GridSpec) -> float:
     """Kernel moment at node beta of ``grid``; symmetric under beta <-> n-beta."""
     _check_order(m)
     # beta / n of a fractional beta would be a point between the nodes
-    if not (type(beta) is int or isinstance(beta, numbers.Integral)) or not 0 <= beta <= grid.n:
+    if not _is_integer(beta) or not 0 <= beta <= grid.n:
         raise ValueError(f"node index beta must be an integer in [0, {grid.n}], got {beta}")
     # evaluate both distances as exact node fractions so the symmetry
     # moment_f(beta) == moment_f(n - beta) holds bit for bit
     t = beta / grid.n
     s = (grid.n - beta) / grid.n
     return (_tail(t, 2 * m) + _tail(s, 2 * m)) / 2.0
+
+
+def _per_element(f: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """f(x_i) for each element of the float64 array x, one Python call each.
+
+    The float64 tables take every libm function (math.sinh, math.exp) and
+    every scalar routine this way.  No numpy transcendental ufunc is used:
+    numpy's float64 power, sinh, cosh and exp can go through SVML and round
+    differently from libm.
+    """
+    return np.fromiter(map(f, x.tolist()), float, x.size)
 
 
 _TABLE_MIN = 32  # below this many points a list of scalar calls beats the array passes
@@ -227,14 +240,14 @@ def _tail_table(x: np.ndarray, p: int) -> np.ndarray:
     changes.  For x <= 1 the terms fall at every step, so once an
     element's total stops changing the later, smaller terms leave it
     alone: rounding is monotone.  x^p and sinh x (p = 1) are Python's
-    float ``**`` and math.sinh, one element at a time.  No numpy
-    transcendental ufunc is used: numpy's float64 power, sinh, cosh and exp
-    can go through SVML and round differently from libm.
+    float ``**`` and math.sinh, one element at a time (see _per_element).
     """
     if x.size < _TABLE_MIN:
-        return np.array([_tail(v, p) for v in x.tolist()])
+        return _per_element(partial(_tail, p=p), x)
     if p == 1:
-        return np.fromiter(map(math.sinh, x.tolist()), float, x.size)
+        return _per_element(math.sinh, x)
+    # a comprehension: with _per_element of partial(pow, exp=p) the error
+    # norms at (2, 512) and (2, 1024) ran 10-14% slower
     total = term = np.array([v**p for v in x.tolist()]) / math.factorial(p)
     xx = x * x
     while True:
@@ -279,13 +292,16 @@ def kernel_double_integral(m: int) -> float:
 _CHUNK = 1 << 13  # doubles per extraction and nodes per constraint block; 2^16 ran slower
 # a chunk takes k <= 14 below, so sigma = 2^(e+k) <= 2^1023 for max|x| < _HUGE
 _HUGE = math.ldexp(1.0, 1023 - (_CHUNK + 2).bit_length())
+_EXTRACT_MIN = 448  # elements from which extraction beats the list of the elements
 
 
 def _exact_parts(x: np.ndarray) -> list[float]:
     """A few floats whose exact sum is the exact sum of the float64 array x.
 
-    Rump, Ogita and Oishi's ExtractVector (SIAM J. Sci. Comput. 31(1), 2008,
-    section 3), run on slices of at most _CHUNK elements until each is empty.
+    Below 448 elements they are the elements themselves, x.tolist().  From
+    448 on it is Rump, Ogita and Oishi's ExtractVector (SIAM J. Sci. Comput.
+    31(1), 2008, section 3), run on slices of at most _CHUNK elements until
+    each is empty.
     With 2^e > max|x| and 2^k > len(x) + 2, sigma = 2^(e+k) splits every
     element exactly as q + (x - q), where q = (sigma + x) - sigma lies on a
     grid fine enough, and small enough, that numpy sums the q exactly in any
@@ -298,6 +314,8 @@ def _exact_parts(x: np.ndarray) -> list[float]:
     terms near 2^1024, can differ: fsum then sees each slice's terms from
     2^1009 up first.
     """
+    if x.size < _EXTRACT_MIN:
+        return x.tolist()
     parts: list[float] = []
     for start in range(0, x.size, _CHUNK):
         chunk = x[start : start + _CHUNK]
@@ -317,9 +335,6 @@ def _exact_parts(x: np.ndarray) -> list[float]:
     return parts
 
 
-_EXTRACT_MIN = 448  # nodes from which constraint sums reduce their blocks by exact extraction
-
-
 def apply_rule(rule: QuadratureRule, f: Callable[[float], float]) -> float:
     """Sum C_beta * f(beta/n) with exact (compensated) summation."""
     n = rule.grid.n
@@ -329,12 +344,6 @@ def apply_rule(rule: QuadratureRule, f: Callable[[float], float]) -> float:
     # mapped over blocks into constraint_residuals' exact sums 5-17% slower
     # at n = 65536, since f's own frame is most of the cost
     return math.fsum(c * f(beta / n) for beta, c in enumerate(rule.coefficients))
-
-
-def _exp_neg(x: np.ndarray) -> np.ndarray:
-    # libm's exp per element, as math.exp(-x) gives it: numpy's exp can go
-    # through SVML and round differently
-    return np.fromiter(map(math.exp, (-x).tolist()), float, x.size)
 
 
 def constraint_rows(m: int) -> list[tuple[str, Callable[[np.ndarray], np.ndarray], float]]:
@@ -347,7 +356,7 @@ def constraint_rows(m: int) -> list[tuple[str, Callable[[np.ndarray], np.ndarray
     element at a time.  An optimal rule integrates every g exactly.
     """
     monomials = [("monomial_0", np.ones_like, 1.0), ("monomial_1", lambda x: x, 0.5)]
-    return monomials[: m - 1] + [("exp", _exp_neg, -math.expm1(-1.0))]
+    return monomials[: m - 1] + [("exp", lambda x: _per_element(math.exp, -x), -math.expm1(-1.0))]
 
 
 def constraint_residuals(rule: QuadratureRule) -> dict[str, float]:
@@ -358,12 +367,11 @@ def constraint_residuals(rule: QuadratureRule) -> dict[str, float]:
     x**a or math.exp(-x), but makes no Python call per node.  The nodes go
     in blocks of 2^13, and each block's weights are multiplied by each
     row's samples in one array pass.  One math.fsum per row takes the
-    products, below 448 nodes, or from 448 on the few parts
-    :func:`_exact_parts` reduces each block's products to, in O(2^13)
-    extra memory.  Either way it is the correctly rounded sum.  The
-    products are finite; where they overflow fsum's partial sums near
-    2^1024, the OverflowError can come or not with the order of terms, and
-    from 448 nodes on each block's products from 2^1009 up come first.
+    parts :func:`_exact_parts` gives for each block's products, in
+    O(2^13) extra memory: the correctly rounded sum.  The products are
+    finite; where they overflow fsum's partial sums near 2^1024, the
+    OverflowError can come or not with the order of terms, and in a block
+    of 448 nodes or more the products from 2^1009 up come first.
     Meaningful only for optimal rules; classical rules are not built to
     satisfy the exponential constraint.
     """
@@ -375,8 +383,7 @@ def constraint_residuals(rule: QuadratureRule) -> dict[str, float]:
         x = grid.node_array(start, min(start + _CHUNK, grid.n + 1))
         c = np.fromiter(coefficients[start : start + x.size], float, x.size)
         for part, (_, g, _) in zip(parts, rows):
-            products = c * g(x)
-            part += _exact_parts(products) if grid.n + 1 >= _EXTRACT_MIN else products.tolist()
+            part += _exact_parts(c * g(x))
     return {name: abs(math.fsum(part) - integral) for (name, _, integral), part in zip(rows, parts)}
 
 
@@ -390,8 +397,8 @@ class Integrand:
     exact_integral: float = math.nan
 
     def derivative(self, k: int) -> Callable[[float], float]:
-        # a float order equal to an integer still names no derivative
-        if not (isinstance(k, numbers.Integral) and 0 <= k <= len(self.derivatives)):
+        # a float or bool order equal to an integer still names no derivative
+        if not (_is_integer(k) and 0 <= k <= len(self.derivatives)):
             raise ValueError(f"{self.name}: derivative order {k} not available")
         return self.derivatives[k - 1] if k else self.fn
 

@@ -62,10 +62,13 @@ def assemble_system(m: int, n: int) -> WienerHopfSystem:
     O(n^2 log n) float work for the sort and, at the peak, two temporary
     arrays the size of the block.  A Toeplitz fill psi(|i-j|/n) needs no
     sort, but it is not this system: it is bit-identical only when n is a
-    power of two, and elsewhere its weights are less accurate against a
-    40-60-digit KKT solve in 11 of 14 cells tried, by up to 1.9x.  The
-    float-gap block is the consistent system of the float nodes that the
-    constraint rows and apply_rule use.  A matrix too large to allocate,
+    power of two.  Elsewhere, solved with the same border and rhs, its
+    largest weight error against a 50-digit reference is a coin flip at
+    m = 1, 2 (larger in 259 of 496 cells, n = 3..257, by a factor of
+    0.47-2.49) but larger in 11 of 18 cells at m = 3 (n = 5..96: 1.24 in
+    geometric mean, 6.4x at n = 6, 1.67x at n = 96).  The float-gap block
+    is the consistent system of the float nodes that the constraint rows
+    and apply_rule use.  A matrix too large to allocate,
     or a sort or index pass that then runs out of memory, raises
     :class:`optquad.core.SolveError` naming the order and the size.
     """
@@ -145,7 +148,7 @@ def solve(system: WienerHopfSystem) -> QuadratureRule:
     n, m = system.grid.n, system.grid.m
     return QuadratureRule(
         system.grid,
-        tuple(float(v) for v in x[: n + 1]),
+        x[: n + 1],
         RuleMethod.DIRECT_SOLVE,
         multiplier_d=float(x[n + m]),
         polynomial_multipliers=tuple(float(v) for v in x[n + 1 : n + m]) or None,

@@ -293,12 +293,32 @@ class TestBulkWriters:
         assert document_json(rule) == document_json(expected)
         assert document_csv(rule) == document_csv(expected)
 
+    @staticmethod
+    def _whole_grids(monkeypatch):
+        # the grids of the node_array calls that return all n + 1 nodes;
+        # constraint_residuals takes its blocks of 2^13 nodes apart
+        calls = []
+        node_array = GridSpec.node_array
+
+        def counted(grid, *args):
+            nodes = node_array(grid, *args)
+            if nodes.size == grid.n + 1:
+                calls.append(grid)
+            return nodes
+
+        monkeypatch.setattr(GridSpec, "node_array", counted)
+        return calls
+
     def test_json_document_takes_the_nodes_once(self, monkeypatch):
         rule = build_rule(2, 65536)
-        calls = []
-        nodes = GridSpec.nodes
-        monkeypatch.setattr(GridSpec, "nodes", lambda grid: calls.append(grid) or nodes(grid))
+        calls = self._whole_grids(monkeypatch)
         document_json(rule)
+        assert calls == [rule.grid]
+
+    def test_csv_document_takes_the_nodes_once(self, monkeypatch):
+        rule = build_rule(2, 65536)
+        calls = self._whole_grids(monkeypatch)
+        document_csv(rule)
         assert calls == [rule.grid]
 
 

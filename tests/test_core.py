@@ -124,6 +124,8 @@ class TestKernel:
             psi(2, math.inf)
         with pytest.raises(ValueError, match=r"order m must be in \(1, 2, 3\), got 2\.0"):
             psi(2.0, 0.5)
+        with pytest.raises(ValueError, match=r"order m must be in \(1, 2, 3\), got True"):
+            psi(True, 0.5)
 
 
 class TestMoment:
@@ -165,7 +167,7 @@ class TestMoment:
         with pytest.raises(ValueError):
             moment_f(2, 5, grid)
 
-    @pytest.mark.parametrize("beta", [2.5, 2.0, 0.5])
+    @pytest.mark.parametrize("beta", [2.5, 2.0, 0.5, True])
     def test_index_must_be_an_integer(self, beta):
         # 2.5 on n = 4 would be the moment at x = 0.625, which is no node
         grid = GridSpec(2, 4)
@@ -178,15 +180,18 @@ class TestGridSpec:
     def test_spacing(self):
         grid = GridSpec(2, 8)
         assert grid.h * grid.n == pytest.approx(1.0, abs=0.0)
-        assert grid.nodes()[-1] == 1.0
+        assert grid.node_array()[-1] == 1.0
 
-    @pytest.mark.parametrize("m, n", [(0, 4), (4, 4), (1, 0), (2, -3), (3, 1), (2.0, 8), (1, 3.0), (2, 2.5)])
+    # True equals 1 and is an int, but it is no order and no interval count
+    @pytest.mark.parametrize("m, n", [(0, 4), (4, 4), (1, 0), (2, -3), (3, 1), (2.0, 8), (1, 3.0), (2, 2.5),
+                                      (True, 8), (2, True)])
     def test_rejects_invalid(self, m, n):
         with pytest.raises(ValueError):
             GridSpec(m, n)
 
     def test_accepts_numpy_integers(self):
-        assert GridSpec(np.int64(3), np.int32(8)).nodes() == GridSpec(3, 8).nodes()
+        nodes = GridSpec(np.int64(3), np.int32(8)).node_array()
+        assert nodes.tolist() == GridSpec(3, 8).node_array().tolist()
 
     def test_stores_plain_ints(self):
         grid = GridSpec(np.int64(3), np.int32(8))
@@ -194,7 +199,7 @@ class TestGridSpec:
         assert grid == GridSpec(3, 8)
 
     def test_single_interval_allowed_for_low_orders(self):
-        assert GridSpec(1, 1).nodes() == (0.0, 1.0)
+        assert GridSpec(1, 1).node_array().tolist() == [0.0, 1.0]
         assert GridSpec(2, 1).h == 1.0
 
 
@@ -252,7 +257,7 @@ class TestIntegrands:
         with pytest.raises(ValueError, match=rf"sin: derivative order {k} not available"):
             builtin_integrand("sin").derivative(k)
 
-    @pytest.mark.parametrize("k", [1.5, 1.0, 4])
+    @pytest.mark.parametrize("k", [1.5, 1.0, 4, True])
     def test_rejects_order_that_names_no_derivative(self, k):
         with pytest.raises(ValueError, match=rf"sin: derivative order {k} not available"):
             builtin_integrand("sin").derivative(k)

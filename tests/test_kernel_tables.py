@@ -16,7 +16,7 @@ per-node generator loop.  The nodes and the constraint rows are sampled as
 whole arrays, which must equal the scalar beta / n, x**a and math.exp(-x)
 at every node, and constraint_residuals sums them in blocks of exact
 extraction, which must equal one generator loop per row on both sides of
-its crossover and of a block boundary, in O(2^13) extra memory.  The
+_exact_parts' crossover and of a block boundary, in O(2^13) extra memory.  The
 order-2 closed form computes its powers only through the boundary layers;
 its weights must equal those over the whole power table.
 """
@@ -102,8 +102,10 @@ def _distinct_gaps(n):
     return len(np.unique(np.abs(x[:, None] - x[None, :])))
 
 
+# n = 20 is one block of 441 products, which _exact_parts gives as they
+# are, and n = 21 one of 484, which it extracts
 @pytest.mark.parametrize(
-    "m, n", [(m, n) for m in (1, 2, 3) for n in (1, 2, 3, *SIZES) if n + 1 >= m]
+    "m, n", [(m, n) for m in (1, 2, 3) for n in (1, 2, 3, 20, 21, *SIZES) if n + 1 >= m]
 )
 def test_error_norm_equals_double_loop(m, n):
     for name, rule in _rules(m, n).items():
@@ -324,8 +326,8 @@ def test_tables_equal_scalar_calls_at_the_crossover(m, size):
     x[:2] = 0.0, 1.0
     assert _same_bits(optquad.core.kernel_table(m, x), [psi(m, v) for v in x.tolist()])
     grid = GridSpec(m, size - 1)  # size nodes
-    nodes = np.array(grid.nodes())
-    assert _same_bits(optquad.core.kernel_table(m, nodes), [psi(m, v) for v in grid.nodes()])
+    nodes = grid.node_array()
+    assert _same_bits(optquad.core.kernel_table(m, nodes), [psi(m, v) for v in nodes.tolist()])
     assert _same_bits(optquad.core.moment_table(grid), [moment_f(m, b, grid) for b in range(size)])
 
 
@@ -333,7 +335,7 @@ def test_tables_equal_scalar_calls_at_the_crossover(m, size):
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_assembly_kernel_values_equal_psi_at_every_gap(m, n):
     # each entry of the kernel block is psi at its own float gap |x_i - x_j|
-    x = np.array(GridSpec(m, n).nodes())
+    x = GridSpec(m, n).node_array()
     block = np.abs(np.subtract.outer(x, x))
     gaps = np.unique(block)
     expected = np.array([psi(m, gap) for gap in gaps.tolist()])
@@ -366,8 +368,8 @@ def _large_rules(m, n):
     return rules
 
 
-# node counts one below constraint_residuals' crossover and at it, and one
-# below a block boundary, at it and one above
+# node counts one below _exact_parts' crossover and at it, and one below a
+# block boundary, at it and one above
 EXTRACT_EDGES = [optquad.core._EXTRACT_MIN - 1, optquad.core._EXTRACT_MIN] + \
     [optquad.core._CHUNK + d for d in (-1, 0, 1)]
 
@@ -408,7 +410,7 @@ def test_constraint_residuals_equal_per_row_apply_rule():
 
 def test_nodes_equal_scalar_division():
     for n in [*range(1, 3001), 65536, 999983, 10**6]:
-        assert _same_bits(GridSpec(1, n).nodes(), oracles.naive_nodes(n)), n
+        assert _same_bits(GridSpec(1, n).node_array(), oracles.naive_nodes(n)), n
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -442,6 +444,26 @@ def test_apply_rule_non_finite_as_generator_loop(nodes, value):
         for f in (lambda x: value if x == 0.0 else x, lambda x: value if x < 0.25 else -value):
             expect = _sum_outcome(lambda: oracles.naive_apply_rule(rule, f))
             assert _sum_outcome(lambda: apply_rule(rule, f)) == expect
+
+
+@pytest.mark.parametrize("size", [optquad.core._EXTRACT_MIN + d for d in (-1, 0, 1)])
+@pytest.mark.parametrize("kind", ["finite", "huge", "overflow", "inf", "-inf", "inf-inf", "nan"])
+def test_exact_parts_sum_as_fsum_at_the_crossover(size, kind):
+    # the elements themselves below 448, extracted parts from 448 on: either
+    # way math.fsum of the parts gives what math.fsum of the array gives
+    rng = np.random.default_rng(size)
+    x = rng.standard_normal(size) * np.exp2(rng.integers(-60, 60, size))
+    if kind == "huge":  # cancelling pairs from 2^1009 up, among the others
+        x[::7] = 1.7e308
+        x[3::7] = -1.7e308
+    elif kind == "overflow":  # a sum past the float range
+        x[:] = 1e308
+    elif kind != "finite":
+        values = {"inf": [math.inf], "-inf": [-math.inf], "inf-inf": [math.inf, -math.inf],
+                  "nan": [math.nan]}[kind]
+        x[100 : 100 + len(values)] = values
+    assert _sum_outcome(lambda: math.fsum(optquad.core._exact_parts(x))) == \
+        _sum_outcome(lambda: math.fsum(x.tolist()))
 
 
 def _naive_constraint_residuals(rule):

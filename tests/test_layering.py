@@ -1,7 +1,9 @@
 """Layering rules over the source modules.
 
 The precision layer: only ``optquad._series`` touches mpmath or defines its
-arithmetic.  The output layer: only ``optquad.cli.main`` writes to stdout.
+arithmetic.  The libm policy: no module takes a transcendental function from
+numpy, whose float64 ufuncs can go through SVML and round differently from
+libm.  The output layer: only ``optquad.cli.main`` writes to stdout.
 Every source module is parsed with ``ast``, so the rules hold whatever the
 modules do at import time.
 """
@@ -57,6 +59,36 @@ def test_precision_layer(path):
     else:
         assert not any(name.split(".")[0] == "mpmath" for name in imported)
         assert not defined
+
+
+NUMPY_TRANSCENDENTALS = {"exp", "expm1", "sinh", "cosh", "tanh", "power", "float_power", "log", "log10",
+                         "sin", "cos"}
+
+
+def _numpy_transcendentals(tree: ast.Module) -> list[str]:
+    """The numpy transcendental functions that ``tree`` references or imports by name."""
+    aliases = {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names if alias.name == "numpy"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+            if node.attr in NUMPY_TRANSCENDENTALS:
+                found.append(f"{node.value.id}.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found += [alias.name for alias in node.names if alias.name in NUMPY_TRANSCENDENTALS]
+    return found
+
+
+def test_libm_policy_rule_sees_numpy_calls():
+    # the rule must not hold vacuously
+    tree = ast.parse("import numpy as np\nimport numpy\nfrom numpy import cosh as c\n"
+                     "np.exp(x) + numpy.power(x, 2) + np.abs(x)")
+    assert sorted(_numpy_transcendentals(tree)) == ["cosh", "np.exp", "numpy.power"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_libm_policy(path):
+    assert _numpy_transcendentals(_parse(path)) == []
 
 
 def _stdout_writes(tree: ast.AST):
