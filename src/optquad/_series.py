@@ -9,8 +9,8 @@ Instead we expand in h with exact rational coefficients,
 
     coeff of h^k  =  sum_j c_j * b_j^(k - a_j) / (k - a_j)!,
 
-computed with Fraction arithmetic and rounded once to float, and sum the
-series by Horner's rule (:func:`_horner`, which also evaluates the
+computed as one ratio of exact integers and rounded once to float, and sum
+the series by Horner's rule (:func:`_horner`, which also evaluates the
 operator's characteristic polynomial at either precision).  Thirty terms
 keep every quantity within 3e-16 relative for h in (0, 1.6]; past that the
 truncation error grows fast (7.7e-15 at h = 2, 1.4e-12 at h = 2.5), so the
@@ -24,7 +24,9 @@ operations every formula needs in float64 or at ``dps`` digits, and
 :func:`extended` is the one rule for the working digits of a cancelling
 sum.  :func:`tail_power_sums` gives the geometric power sums
 sum_{j >= lo} q^j j^s in closed form, at the caller's precision; the
-operator identities are finite sums of them.
+operator identities are finite sums of them.  mpmath is imported by the
+functions that use it, on the first extended-precision call, so that a
+float64 process never loads it.
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple
-
-import mpmath as mp
 
 _KMAX = 30
 _H_MAX = 1.5  # largest spacing the 30-term float series is trusted at; characteristic_polynomial checks it
@@ -68,14 +68,14 @@ _TERMS = {
 
 @lru_cache(maxsize=None)
 def _coeffs(name: str) -> tuple[float, ...]:
-    out = []
-    for k in range(_KMAX + 1):
-        c = Fraction(0)
-        for coef, a, b in _TERMS[name]:
-            if k >= a:
-                c += Fraction(coef) * Fraction(b) ** (k - a) / math.factorial(k - a)
-        out.append(float(c))
-    return tuple(out)
+    # den * k! times the coefficient of h^k is the integer sum of
+    # (c * den) * b^(k - a) * k! / (k - a)!; int / int rounds it once, correctly
+    den = math.lcm(*(c.denominator for c, _, _ in _TERMS[name]))
+    return tuple(
+        sum(c.numerator * (den // c.denominator) * b ** (k - a) * math.perm(k, a)
+            for c, a, b in _TERMS[name] if k >= a) / (den * math.factorial(k))
+        for k in range(_KMAX + 1)
+    )
 
 
 class _Arith(NamedTuple):
@@ -105,6 +105,8 @@ def _arith(dps: int | None) -> _Arith:
     """Float64 arithmetic for ``dps=None``, otherwise mpmath at ``dps`` digits."""
     if dps is None:
         return _FLOAT
+    import mpmath as mp
+
     return _Arith(
         mp.mpf, mp.exp, mp.expm1, mp.sinh, mp.cosh, mp.sqrt, lambda x, y: mp.sign(y) * abs(x),
         mp.ldexp, lambda: mp.workdps(dps),
@@ -117,6 +119,8 @@ def dot(table, samples):
     Each product is formed exactly and the sum rounded once, to the
     ambient precision.
     """
+    import mpmath as mp
+
     return mp.fdot(table, samples)
 
 
@@ -134,6 +138,8 @@ def extended(dps: int, lost: float, evaluate: Callable[[_Arith], object]):
     ``lost`` is the number of digits the evaluation can cancel, and ``ar``
     is the mpmath arithmetic at the working digits.
     """
+    import mpmath as mp
+
     ar = _arith(dps + math.ceil(lost) + _GUARD_DIGITS)
     with ar.context():
         total = evaluate(ar)
@@ -147,7 +153,11 @@ def cancelled_digits(x, order: int) -> float:
     range, where float(x) underflows to 0.
     """
     magnitude = abs(float(x))
-    return order * max(0.0, -(math.log10(magnitude) if magnitude else float(mp.log10(abs(x)))))
+    if magnitude:
+        return order * max(0.0, -math.log10(magnitude))
+    import mpmath as mp
+
+    return order * max(0.0, -float(mp.log10(abs(x))))
 
 
 def value(name: str, h: float, dps: int | None = None):
@@ -167,6 +177,8 @@ def value(name: str, h: float, dps: int | None = None):
 
 def _printed_sum(name: str, h, ar: _Arith):
     # sum of c * h^a * e^(b*h) over _TERMS[name], in ``ar``'s precision
+    import mpmath as mp
+
     hm = ar.num(h)
     exps = (1, ar.exp(hm), ar.exp(2 * hm))
     return mp.fsum(hm**a * exps[b] * c.numerator / c.denominator for c, a, b in _TERMS[name])

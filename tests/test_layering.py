@@ -1,14 +1,18 @@
 """Layering rules over the source modules.
 
 The precision layer: only ``optquad._series`` touches mpmath or defines its
-arithmetic.  The libm policy: no module takes a transcendental function from
-numpy, whose float64 ufuncs can go through SVML and round differently from
-libm.  The output layer: only ``optquad.cli.main`` writes to stdout.
-Every source module is parsed with ``ast``, so the rules hold whatever the
-modules do at import time.
+arithmetic, and a float64 process never loads mpmath.  The libm policy: no
+module takes a transcendental function from numpy, whose float64 ufuncs can
+go through SVML and round differently from libm.  The output layer: only
+``optquad.cli.main`` writes to stdout.  Every source module is parsed with
+``ast``, so the rules hold whatever the modules do at import time; the
+mpmath rule is also run in a fresh interpreter.
 """
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,6 +63,39 @@ def test_precision_layer(path):
     else:
         assert not any(name.split(".")[0] == "mpmath" for name in imported)
         assert not defined
+
+
+# run in a fresh interpreter: is mpmath loaded after each step?
+_MPMATH_PROBE = """
+import contextlib, io, json, sys
+sys.path.insert(0, {src!r})
+import optquad, optquad.cli
+seen = {{"submodules": sorted(name for name in sys.modules if name.startswith("optquad.")),
+         "unresolved": [name for name in optquad.__all__ if not hasattr(optquad, name)],
+         "import": "mpmath" in sys.modules}}
+optquad.closed_form_m2(4)
+optquad.stable_roots(optquad.characteristic_polynomial(3, 0.25))
+optquad.solve(optquad.assemble_system(3, 4))
+seen["setup"] = "mpmath" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    seen["coeffs status"] = optquad.cli.main(["coeffs", "--m", "3", "--n", "8"])
+seen["coeffs"] = "mpmath" in sys.modules
+optquad.psi(2, 0.5, dps=30)
+seen["psi dps"] = "mpmath" in sys.modules
+print(json.dumps(seen))
+"""
+
+
+def test_float64_process_never_loads_mpmath():
+    # mpmath loads on the first extended-precision call, not before
+    code = _MPMATH_PROBE.format(src=str(Path(optquad.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    seen = json.loads(out)
+    # importing the package still loads every submodule and resolves every public name
+    assert seen.pop("submodules") == sorted(f"optquad.{p.stem}" for p in SOURCES
+                                            if p.stem not in ("__init__", "__main__"))
+    assert seen.pop("unresolved") == []
+    assert seen == {"import": False, "setup": False, "coeffs status": 0, "coeffs": False, "psi dps": True}
 
 
 NUMPY_TRANSCENDENTALS = {"exp", "expm1", "sinh", "cosh", "tanh", "power", "float_power", "log", "log10",

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import mpmath as mp
 import pytest
 
@@ -58,6 +61,20 @@ def test_extended_sum_at_large_spacing(name, h):
     got = float(_series.value(name, h, dps=60))
     ref = oracles.mp_series_reference(name, h)
     assert got == pytest.approx(ref, rel=5e-16, abs=1e-300)
+
+
+@pytest.mark.parametrize("name", QUANTITIES)
+def test_coefficients_match_fraction_sums(name):
+    # each coefficient is the exact rational sum rounded once to float
+    want = []
+    for k in range(_series._KMAX + 1):
+        c = Fraction(0)
+        for coef, a, b in _series._TERMS[name]:
+            if k >= a:
+                c += Fraction(coef) * Fraction(b) ** (k - a) / math.factorial(k - a)
+        want.append(float(c).hex())
+    assert _series._KMAX == 30 and sorted(_series._TERMS) == sorted(QUANTITIES)
+    assert [c.hex() for c in _series._coeffs(name)] == want
 
 
 @pytest.mark.parametrize("h", H_GRID)
