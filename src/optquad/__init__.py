@@ -21,7 +21,6 @@ from .analysis import (
     convergence_study,
     error_norm_squared,
     error_report,
-    kernel_double_integral,
     sobolev_norm,
     stationarity_margin,
 )
@@ -45,6 +44,7 @@ from .core import (
     builtin_integrand,
     constraint_residuals,
     constraint_rows,
+    kernel_double_integral,
     moment_f,
     psi,
 )

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
@@ -43,25 +42,26 @@ _H_MAX = 1.5  # largest spacing the 30-term float series is trusted at; characte
 # cancel at most 2.2 digits more than that (measured for h in [1e-300, 500])
 _GUARD_DIGITS = 5
 
-# (coefficient, power of h, exponential multiple) triples for each quantity
+# (numerator, denominator, power of h, exponential multiple) of each term of
+# each quantity: the coefficients are integers and thirds
 _TERMS = {
     # 1 - e^(2h) + 2h e^h ... leading term -h^3/3  (quadratic's outer coefficients)
-    "p_m2": ((1, 0, 0), (-1, 0, 2), (2, 1, 1)),
+    "p_m2": ((1, 1, 0, 0), (-1, 1, 0, 2), (2, 1, 1, 1)),
     # 2(e^(2h) - 1) - 2h(e^(2h) + 1) ... -4h^3/3   (quadratic's middle coefficient)
-    "p1_m2": ((2, 0, 2), (-2, 0, 0), (-2, 1, 2), (-2, 1, 0)),
+    "p1_m2": ((2, 1, 0, 2), (-2, 1, 0, 0), (-2, 1, 1, 2), (-2, 1, 1, 0)),
     # h(e^h + 1)^2 + 2(1 - e^(2h)) ... h^3/3       (discriminant factor)
-    "radicand_factor": ((1, 1, 2), (2, 1, 1), (1, 1, 0), (-2, 0, 2), (2, 0, 0)),
+    "radicand_factor": ((1, 1, 1, 2), (2, 1, 1, 1), (1, 1, 1, 0), (-2, 1, 0, 2), (2, 1, 0, 0)),
     # 2e^h - 2 - h e^h - h ... -h^3/6              (boundary-constant numerator)
-    "k_num": ((2, 0, 1), (-2, 0, 0), (-1, 1, 1), (-1, 1, 0)),
+    "k_num": ((2, 1, 0, 1), (-2, 1, 0, 0), (-1, 1, 1, 1), (-1, 1, 1, 0)),
     # quartic coefficients: leading, subleading, middle; leading terms multiples of h^5
-    "p4_m3": ((1, 0, 0), (-1, 0, 2), (2, 1, 1), (Fraction(1, 3), 3, 1)),
+    "p4_m3": ((1, 1, 0, 0), (-1, 1, 0, 2), (2, 1, 1, 1), (1, 3, 3, 1)),
     "p3_m3": (
-        (-4, 0, 0), (4, 0, 2), (-4, 1, 1), (Fraction(4, 3), 3, 1),
-        (-2, 1, 2), (-2, 1, 0), (Fraction(-1, 3), 3, 2), (Fraction(-1, 3), 3, 0),
+        (-4, 1, 0, 0), (4, 1, 0, 2), (-4, 1, 1, 1), (4, 3, 3, 1),
+        (-2, 1, 1, 2), (-2, 1, 1, 0), (-1, 3, 3, 2), (-1, 3, 3, 0),
     ),
     "p2_m3": (
-        (6, 0, 0), (-6, 0, 2), (4, 1, 1), (Fraction(2, 3), 3, 1),
-        (4, 1, 2), (4, 1, 0), (Fraction(-4, 3), 3, 2), (Fraction(-4, 3), 3, 0),
+        (6, 1, 0, 0), (-6, 1, 0, 2), (4, 1, 1, 1), (2, 3, 3, 1),
+        (4, 1, 1, 2), (4, 1, 1, 0), (-4, 3, 3, 2), (-4, 3, 3, 0),
     ),
 }
 
@@ -69,11 +69,11 @@ _TERMS = {
 @lru_cache(maxsize=None)
 def _coeffs(name: str) -> tuple[float, ...]:
     # den * k! times the coefficient of h^k is the integer sum of
-    # (c * den) * b^(k - a) * k! / (k - a)!; int / int rounds it once, correctly
-    den = math.lcm(*(c.denominator for c, _, _ in _TERMS[name]))
+    # (c * den / d) * b^(k - a) * k! / (k - a)!; int / int rounds it once, correctly
+    den = math.lcm(*(d for _, d, _, _ in _TERMS[name]))
     return tuple(
-        sum(c.numerator * (den // c.denominator) * b ** (k - a) * math.perm(k, a)
-            for c, a, b in _TERMS[name] if k >= a) / (den * math.factorial(k))
+        sum(c * (den // d) * b ** (k - a) * math.perm(k, a)
+            for c, d, a, b in _TERMS[name] if k >= a) / (den * math.factorial(k))
         for k in range(_KMAX + 1)
     )
 
@@ -181,7 +181,7 @@ def _printed_sum(name: str, h, ar: _Arith):
 
     hm = ar.num(h)
     exps = (1, ar.exp(hm), ar.exp(2 * hm))
-    return mp.fsum(hm**a * exps[b] * c.numerator / c.denominator for c, a, b in _TERMS[name])
+    return mp.fsum(hm**a * exps[b] * c / d for c, d, a, b in _TERMS[name])
 
 
 def tail_power_sums(q, lo: int, r: int) -> list:

@@ -15,15 +15,15 @@ layers replaced.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
+import operator
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
 
 from optquad import _series
-from optquad.analysis import kernel_double_integral
 from optquad.core import GridSpec, moment_f, psi
 from optquad.operator import build_operator, characteristic_polynomial, operator_value, stable_roots
 
@@ -50,6 +50,38 @@ def mp_moment(m: int, t, dps: int = DPS) -> mp.mpf:
         for k in range(1, m):
             val -= (t ** (2 * k) + (1 - t) ** (2 * k)) / (2 * mp.factorial(2 * k))
         return val
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_norm_tables(m: int, n: int, dps: int) -> tuple:
+    # psi(k/n) and f_m(b/n) at the exact offsets and nodes, and
+    # I_m = sum_{k>=m} 1/(2k+1)! = sinh 1 minus its first m terms
+    with mp.workdps(dps):
+        psis = [mp_psi(m, mp.mpf(k) / n, dps) for k in range(n + 1)]
+        moments = [mp_moment(m, mp.mpf(b) / n, dps) for b in range(n + 1)]
+        im = mp.sinh(1) - mp.fsum(1 / mp.factorial(2 * k + 1) for k in range(m))
+        return psis, moments, im
+
+
+def mp_error_norm_squared(rule, dps: int = 50) -> mp.mpf:
+    """Squared error norm of the rule's float weights at the exact nodes i/n, at ``dps`` digits.
+
+    (-1)^m [sum_ij C_i C_j psi((i-j)/n) - 2 sum_i C_i f_m(i/n) + I_m] from
+    :func:`mp_psi` and :func:`mp_moment`.  The kernel sum goes through the
+    exact integer autocorrelation sum_i c_i c_(i+k) of the weights written
+    over one common denominator, so the only roundings are those of the
+    dps-digit tables and sums.
+    """
+    m, n = rule.grid.m, rule.grid.n
+    psis, moments, im = _mp_norm_tables(m, n, dps)
+    ratios = [Fraction(c) for c in rule.coefficients]
+    den = max(r.denominator for r in ratios)
+    ints = [r.numerator * (den // r.denominator) for r in ratios]
+    with mp.workdps(dps):
+        pairs = mp.fsum(2 * sum(map(operator.mul, ints[:-k], ints[k:])) * psis[k]
+                        for k in range(1, n + 1)) / mp.mpf(den) ** 2
+        lin = mp.fsum(mp.mpf(c) * f for c, f in zip(rule.coefficients, moments))
+        return (-1) ** m * (pairs - 2 * lin + im)
 
 
 @functools.lru_cache(maxsize=None)
@@ -198,36 +230,6 @@ def mp_series_reference(name: str, h: float) -> float:
 
 
 # --- naive loops: one scalar kernel call per matrix entry ------------------
-
-
-def naive_error_norm_squared(rule) -> float:
-    """The error norm as a double loop over all (n+1)^2 kernel entries."""
-    grid = rule.grid
-    m, n = grid.m, grid.n
-    C = rule.coefficients
-    terms = []
-    for i in range(n + 1):
-        for j in range(n + 1):
-            terms.append(C[i] * C[j] * psi(m, (i - j) / n))
-        terms.append(-2.0 * C[i] * moment_f(m, i, grid))
-    terms.append(kernel_double_integral(m))
-    return (-1) ** m * math.fsum(terms)
-
-
-def streamed_error_norm_squared(rule) -> float:
-    """The error norm with each kernel value computed once and every O(n^2)
-    Toeplitz product streamed, as a Python float, into one math.fsum."""
-    grid = rule.grid
-    m, n = grid.m, grid.n
-    coeffs = rule.coefficients
-    C = np.asarray(coeffs)
-    kernel = [psi(m, k / n) for k in range(n + 1)]
-    block = itertools.chain.from_iterable(
-        (C[: n + 1 - k] * C[k:] * kernel[k] * (2.0 if k else 1.0)).tolist()
-        for k in range(n + 1)
-    )
-    moments = (-2.0 * coeffs[i] * moment_f(m, i, grid) for i in range(n + 1))
-    return (-1) ** m * math.fsum(itertools.chain(block, moments, (kernel_double_integral(m),)))
 
 
 def fixed_panel_sobolev_norm(f, m: int) -> tuple[float, float]:

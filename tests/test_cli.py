@@ -179,10 +179,11 @@ class TestGoldenStability:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN_JSON_SHA256[(m, n)]
 
-    # SHA-256 of `convergence --norm-mode --format json --n-list 4,8,16,32` stdout
+    # SHA-256 of `convergence --norm-mode --format json --n-list 4,8,16,32` stdout.
+    # Each value is the float nearest the exact-node norm
     GOLDEN_NORM_JSON_SHA256 = {
-        1: "b56fd7b024c5100afff754f87f0e1fa772a869484af579df2d4932aee7873e9a",
-        2: "d10c8f18f9f38e58779ab6af77df2ba0adcc9a11b53824ca6c4b95bf4285f367",
+        1: "951b9694e7e67458a9a930ea92a00bdfe92f18e6ac2eb66862f1b80e80939619",
+        2: "00ee300030c08ada6aa7b6791daf3e0f1627706a92d0180dd6dc081c2aeb0101",
     }
 
     @pytest.mark.parametrize("m", sorted(GOLDEN_NORM_JSON_SHA256))
@@ -474,6 +475,22 @@ class TestConvergence:
         assert lines[0] == "n,value,ratio,order"
         values = [float(line.split(",")[1]) for line in lines[1:]]
         assert all(a > b for a, b in zip(values, values[1:]))
+
+    # the exact norm at every n, up to n = 65536: the observed order of the
+    # optimal rule's norm is m, within 0.01 from n = 256 on (2.008 there at
+    # m = 2)
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_norm_order_within_a_hundredth_of_m(self, m, capsys):
+        ns = [64 << k for k in range(11)]
+        code, out, _ = run_cli(
+            "convergence", "--m", str(m), "--norm-mode", "--n-list", ",".join(map(str, ns)),
+            "--format", "json", capsys=capsys,
+        )
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [row["n"] for row in rows] == ns
+        orders = {row["n"]: row["order"] for row in rows if row["n"] >= 256}
+        assert all(abs(order - m) <= 0.01 for order in orders.values()), orders
 
     def test_exactness_column_for_exp_neg(self, capsys):
         code, out, _ = run_cli(

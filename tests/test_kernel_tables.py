@@ -1,13 +1,16 @@
 """The tabulated kernel and operator evaluations against the naive loops.
 
-error_norm_squared and assemble_system evaluate each distinct kernel value
-once, in the array tables of core._tail_table.  Their outputs must equal,
-bit for bit, those of the loops that make one scalar call per matrix
-entry, the tables must equal the scalar psi, moment_f and _tail on both
-sides of their crossover, and the points they evaluate must stay linear.
-error_norm_squared forms its products in blocks of diagonals; with small
-blocks, at the fewest nodes and where products overflow it must still give
-those bits, in O(n + 2^13) extra memory.  identity_residuals evaluates
+assemble_system evaluates each distinct kernel value once, in the array
+tables of core._tail_table.  Its outputs must equal, bit for bit, those of
+the loops that make one scalar call per matrix entry, the tables must
+equal the scalar psi, moment_f and _tail on both sides of their
+crossover, and the points they evaluate must stay linear.
+error_norm_squared takes the kernel and the moments from the n + 1
+fixed-point powers q^(+-j), q = e^(1/n), with no float table, in O(n)
+memory.  It must return the float nearest the 50-digit double loop over
+the pairs of weights at the exact nodes, for optimal, perturbed,
+admissible classical and random weights, and inf with its sign where that
+value is past the float range.  identity_residuals evaluates
 each central operator value once and sums the geometric tails in closed
 form; it must agree with the windowed sums of one term per (beta, gamma)
 pair within their truncation bound.  apply_rule
@@ -20,15 +23,16 @@ _exact_parts' crossover and of a block boundary, in O(2^13) extra memory.  The
 order-2 closed form computes its powers only through the boundary layers;
 its weights must equal those over the whole power table.
 """
-
 import functools
 import math
 import struct
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import optquad._exact
 import optquad.analysis
 import optquad.coefficients
 import optquad.core
@@ -102,85 +106,89 @@ def _distinct_gaps(n):
     return len(np.unique(np.abs(x[:, None] - x[None, :])))
 
 
-# n = 20 is one block of 441 products, which _exact_parts gives as they
-# are, and n = 21 one of 484, which it extracts
+def _admissible(rule, m):
+    # the nearest weights, in least squares, that meet the order-m
+    # constraints: a classical rule made comparable with the optimal one
+    grid = GridSpec(m, rule.grid.n)
+    x = grid.node_array()
+    rows = constraint_rows(m)
+    R = np.array([g(x) for _, g, _ in rows])
+    w = np.array(rule.coefficients)
+    gap = np.array([integral for _, _, integral in rows]) - R @ w
+    return QuadratureRule(grid, w + R.T @ np.linalg.solve(R @ R.T, gap), rule.method)
+
+
+def _norm_rules(m, n):
+    # optimal, perturbed along an admissible direction, admissible
+    # trapezoid and Simpson, and random dyadic weights
+    optimal = _optimal(m, n)
+    rules = {"optimal": optimal}
+    for step in admissible_perturbations(optimal, count=1):
+        rules["perturbed"] = QuadratureRule(
+            optimal.grid, tuple(c + d for c, d in zip(optimal.coefficients, step)), optimal.method
+        )
+    for kind in ("trapezoid", "simpson") if n % 2 == 0 else ("trapezoid",):
+        rules[kind] = _admissible(classical_rule(kind, n), m)
+    dyadic = np.random.default_rng([m, n]).integers(-2**20, 2**20, n + 1) / 2**26
+    rules["dyadic"] = QuadratureRule(optimal.grid, dyadic, RuleMethod.TRAPEZOID)
+    return rules
+
+
+NORM_SIZES = (*range(1, 41), 63, 64, 100, 127, 128, 160, 256)
+
+
+# the float nearest the 50-digit value of the exact-node sum, which is an
+# O(n^2) double loop over the pairs of weights, through their exact integer
+# autocorrelation
 @pytest.mark.parametrize(
-    "m, n", [(m, n) for m in (1, 2, 3) for n in (1, 2, 3, 20, 21, *SIZES) if n + 1 >= m]
+    "m, n", [(m, n) for m in (1, 2, 3) for n in NORM_SIZES if n + 1 >= m]
+    + [(m, n) for m in (1, 2) for n in (512, 1024)]
 )
 def test_error_norm_equals_double_loop(m, n):
-    for name, rule in _rules(m, n).items():
-        assert error_norm_squared(rule) == oracles.naive_error_norm_squared(rule), name
+    for name, rule in _norm_rules(m, n).items():
+        assert error_norm_squared(rule) == float(oracles.mp_error_norm_squared(rule)), name
 
 
-@pytest.mark.parametrize("n", [1024, 2048])
-@pytest.mark.parametrize("m", [1, 2])
-def test_error_norm_equals_streamed_fsum_at_large_n(m, n):
-    # 525,825 and 2,100,225 products: many extraction chunks, and diagonals
-    # that straddle chunk boundaries
-    for name, rule in _rules(m, n).items():
-        assert error_norm_squared(rule) == oracles.streamed_error_norm_squared(rule), name
-
-
-def _outcome(norm, rule):
-    # the norm's repr, or the type of the ValueError it raises
-    try:
-        return repr(norm(rule))
-    except ValueError as exc:
-        return type(exc)
-
-
+# the weights whose float products overflowed: C_0 C_n, C_0 C_50 and C_n^2
+# are about 1e310.  An exact norm past the float range comes back as inf
+# with its sign.  With one huge weight ("last") C_n^2 meets psi(0) = 0, so
+# the norm, about 4.5e149, is in range.  A hundredth of the huge weights
+# gives a norm in range everywhere
 @pytest.mark.parametrize(
-    "weights", [(1e155, 1.0, -1e155), (1e155, -1e155, 1e155)], ids=["nan", "inf-inf"]
+    "m, n, big, beyond",
+    [(1, 2, {0: 1e155, 1: 1.0, 2: -1e155}, True), (1, 2, {0: 1e155, 1: -1e155, 2: 1e155}, True),
+     (2, 100, {100: 1e155}, False), (2, 100, {0: 1e155, 100: 1e155}, True),
+     (2, 100, {0: 1e155, 50: -1e155, 100: 1e155}, True)],
+    ids=["n2-ends-opposite", "n2-alternating", "last", "ends", "ends-middle"],
 )
-def test_error_norm_overflowing_products_as_streamed_fsum(weights):
-    # C_0^2 overflows, and times psi(0) = 0 is nan; where C_0 C_1 = -inf
-    # meets C_0 C_2 = +inf the sums raise ValueError: alike, with no warning
-    rule = QuadratureRule(GridSpec(1, 2), weights, RuleMethod.TRAPEZOID)
-    with np.errstate(over="ignore", invalid="ignore"):
-        expect = _outcome(oracles.streamed_error_norm_squared, rule)
-    assert _outcome(error_norm_squared, rule) == expect
-
-
-@pytest.mark.parametrize("n", [100, 160])
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_error_norm_equals_double_loop_in_small_chunks(monkeypatch, m, n):
-    # 64-double chunks: block rows wider than a chunk, and many blocks
-    monkeypatch.setattr(optquad.analysis, "_CHUNK", 64)
-    monkeypatch.setattr(optquad.core, "_CHUNK", 64)
-    for name, rule in _rules(m, n).items():
-        assert error_norm_squared(rule) == oracles.naive_error_norm_squared(rule), name
-
-
-@pytest.mark.parametrize("chunk", [64, optquad.core._CHUNK])
-@pytest.mark.parametrize(
-    "big", [{100: 1e155}, {0: 1e155, 100: 1e155}, {0: 1e155, 50: -1e155, 100: 1e155}],
-    ids=["last", "ends", "ends-middle"],
-)
-def test_error_norm_overflow_in_late_block_as_streamed_fsum(monkeypatch, chunk, big):
-    # C_n^2 psi_0 = inf * 0 is nan in the first block; C_0 C_n = +inf comes
-    # only in the last, in rows that hold padding, and meets C_0 C_50 = -inf
-    monkeypatch.setattr(optquad.analysis, "_CHUNK", chunk)
-    monkeypatch.setattr(optquad.core, "_CHUNK", chunk)
-    coeffs = list(classical_rule("trapezoid", 100).coefficients)
-    for i, c in big.items():
-        coeffs[i] = c
-    rule = QuadratureRule(GridSpec(2, 100), coeffs, RuleMethod.TRAPEZOID)
-    with np.errstate(over="ignore", invalid="ignore"):
-        expect = _outcome(oracles.streamed_error_norm_squared, rule)
-    assert _outcome(error_norm_squared, rule) == expect
+def test_error_norm_beyond_float_range(m, n, big, beyond):
+    for scale in (1.0, 1e-2):
+        coeffs = list(classical_rule("trapezoid", n).coefficients)
+        for i, c in big.items():
+            coeffs[i] = c * scale
+        rule = QuadratureRule(GridSpec(m, n), coeffs, RuleMethod.TRAPEZOID)
+        exact = oracles.mp_error_norm_squared(rule)
+        assert (abs(exact) > sys.float_info.max) == (beyond and scale == 1.0)
+        expect = math.copysign(math.inf, exact) if abs(exact) > sys.float_info.max else float(exact)
+        assert error_norm_squared(rule) == expect, scale
 
 
 def test_error_norm_extra_memory_bounded():
-    # O(n + 2^13) doubles beyond the rule, not O(n^2): 8193^2 products
-    # would take 512 MiB
-    rule = build_rule(1, 8192)
-    tracemalloc.start()
-    try:
-        error_norm_squared(rule)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 2**20
+    # O(n) memory, tables included: the peak at 16,384 intervals is about
+    # twice that at 8,192, not four times.  8193^2 float products would
+    # take 512 MiB
+    peaks = []
+    for n in (8192, 16384):
+        rule = build_rule(2, n)
+        optquad._exact._tables.clear()
+        tracemalloc.start()
+        try:
+            error_norm_squared(rule)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 6 * 2**20
+    assert peaks[1] < 2.3 * peaks[0]
 
 
 # bits, not values: np.array_equal takes -0.0 for 0.0
@@ -266,24 +274,25 @@ def _table_points(monkeypatch, parity):
     return points
 
 
-# cells below the crossover (n + 1 < 32) and above it
-@pytest.mark.parametrize("m, n", [(1, 16), (2, 30), (1, 64), (2, 31), (2, 256), (3, 100)])
+# the kernel and the moments come from the n + 1 powers q^(+-j), with no
+# float kernel or moment table; the cells are those of the float tables,
+# below their crossover (n + 1 < 32) and above it
+@pytest.mark.parametrize("m, n", [(1, 16), (1, 30), (3, 7), (2, 30), (2, 31), (1, 63), (1, 64), (2, 64),
+                                  (3, 100), (2, 256)])
 def test_error_norm_kernel_calls_linear(monkeypatch, m, n):
     rule = _rules(m, n)["trapezoid"]
-    points = _table_points(monkeypatch, 1)
-    error_norm_squared(rule)
-    assert 0 < sum(points) <= n + 1
+    tables = []
+    exp_powers = optquad.analysis.exp_powers
+    monkeypatch.setattr(optquad.core, "_tail_table", lambda *args: pytest.fail("float table"))
 
+    def recorded(*args):
+        tables.append(exp_powers(*args))
+        return tables[-1]
 
-# a moment is two tails: the table takes the n + 1 tails once, as many as
-# n//2 + 1 moment_f calls take, so a moment counts as two points
-@pytest.mark.parametrize("m, n", [(1, 30), (3, 7), (1, 63), (2, 31), (2, 64), (3, 100)])
-def test_error_norm_moment_calls_half(monkeypatch, m, n):
-    # at m = 3 the rules are built through assemble_system: build them uncounted
-    rule = _rules(m, n)["trapezoid"]
-    points = _table_points(monkeypatch, 0)
+    monkeypatch.setattr(optquad.analysis, "exp_powers", recorded)
     error_norm_squared(rule)
-    assert 0 < sum(points) / 2 <= n // 2 + 1
+    (up, down), = tables
+    assert len(up) == len(down) == n + 1
 
 
 @pytest.mark.parametrize("m, n", [(1, 30), (3, 7), (1, 63), (2, 31), (2, 64), (3, 100)])

@@ -1,7 +1,8 @@
 """Layering rules over the source modules.
 
 The precision layer: only ``optquad._series`` touches mpmath or defines its
-arithmetic, and a float64 process never loads mpmath.  The libm policy: no
+arithmetic, ``optquad._exact`` works in plain Python integers, and a
+float64 process loads neither mpmath nor fractions.  The libm policy: no
 module takes a transcendental function from numpy, whose float64 ufuncs can
 go through SVML and round differently from libm.  The output layer: only
 ``optquad.cli.main`` writes to stdout.  Every source module is parsed with
@@ -65,29 +66,42 @@ def test_precision_layer(path):
         assert not defined
 
 
-# run in a fresh interpreter: is mpmath loaded after each step?
+def test_exact_layer_is_plain_integers():
+    # the exact error norm's tables: Python integers only
+    (path,) = [p for p in SOURCES if p.stem == "_exact"]
+    roots = {name.split(".")[0] for name in _imported_modules(_parse(path))}
+    assert roots and not roots & {"mpmath", "fractions", "decimal", "numpy"}
+
+
+# run in a fresh interpreter: are mpmath and fractions loaded after each step?
 _MPMATH_PROBE = """
 import contextlib, io, json, sys
 sys.path.insert(0, {src!r})
+def loaded():
+    return sorted(name for name in ("mpmath", "fractions") if name in sys.modules)
 import optquad, optquad.cli
 seen = {{"submodules": sorted(name for name in sys.modules if name.startswith("optquad.")),
          "unresolved": [name for name in optquad.__all__ if not hasattr(optquad, name)],
-         "import": "mpmath" in sys.modules}}
+         "import": loaded()}}
 optquad.closed_form_m2(4)
 optquad.stable_roots(optquad.characteristic_polynomial(3, 0.25))
 optquad.solve(optquad.assemble_system(3, 4))
-seen["setup"] = "mpmath" in sys.modules
+seen["setup"] = loaded()
 with contextlib.redirect_stdout(io.StringIO()):
     seen["coeffs status"] = optquad.cli.main(["coeffs", "--m", "3", "--n", "8"])
-seen["coeffs"] = "mpmath" in sys.modules
+    seen["coeffs"] = loaded()
+    seen["convergence status"] = optquad.cli.main(["convergence", "--m", "2", "--norm-mode", "--n-list", "4,8"])
+    seen["convergence"] = loaded()
 optquad.psi(2, 0.5, dps=30)
-seen["psi dps"] = "mpmath" in sys.modules
+seen["psi dps"] = loaded()
 print(json.dumps(seen))
 """
 
 
 def test_float64_process_never_loads_mpmath():
-    # mpmath loads on the first extended-precision call, not before
+    # mpmath loads on the first extended-precision call, not before, and
+    # fractions never: the float64 commands, the exact error norm among
+    # them, need neither
     code = _MPMATH_PROBE.format(src=str(Path(optquad.__file__).parent.parent))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
     seen = json.loads(out)
@@ -95,7 +109,8 @@ def test_float64_process_never_loads_mpmath():
     assert seen.pop("submodules") == sorted(f"optquad.{p.stem}" for p in SOURCES
                                             if p.stem not in ("__init__", "__main__"))
     assert seen.pop("unresolved") == []
-    assert seen == {"import": False, "setup": False, "coeffs status": 0, "coeffs": False, "psi dps": True}
+    assert seen == {"import": [], "setup": [], "coeffs status": 0, "coeffs": [], "convergence status": 0,
+                    "convergence": [], "psi dps": ["mpmath"]}
 
 
 NUMPY_TRANSCENDENTALS = {"exp", "expm1", "sinh", "cosh", "tanh", "power", "float_power", "log", "log10",

@@ -69,9 +69,9 @@ def test_coefficients_match_fraction_sums(name):
     want = []
     for k in range(_series._KMAX + 1):
         c = Fraction(0)
-        for coef, a, b in _series._TERMS[name]:
+        for num, den, a, b in _series._TERMS[name]:
             if k >= a:
-                c += Fraction(coef) * Fraction(b) ** (k - a) / math.factorial(k - a)
+                c += Fraction(num, den) * Fraction(b) ** (k - a) / math.factorial(k - a)
         want.append(float(c).hex())
     assert _series._KMAX == 30 and sorted(_series._TERMS) == sorted(QUANTITIES)
     assert [c.hex() for c in _series._coeffs(name)] == want
