@@ -10,7 +10,9 @@ fixed-point powers q^(+-j), q = e^(1/n), with no float table, in O(n)
 memory.  It must return the float nearest the 50-digit double loop over
 the pairs of weights at the exact nodes, for optimal, perturbed,
 admissible classical and random weights, and inf with its sign where that
-value is past the float range.  identity_residuals evaluates
+value is past the float range, also when the table cache holds fewer
+powers than one table, and its moments make no float moment call and are
+the same for the weights reversed.  identity_residuals evaluates
 each central operator value once and sums the geometric tails in closed
 form; it must agree with the windowed sums of one term per (beta, gamma)
 pair within their truncation bound.  apply_rule
@@ -149,6 +151,24 @@ def test_error_norm_equals_double_loop(m, n):
         assert error_norm_squared(rule) == float(oracles.mp_error_norm_squared(rule)), name
 
 
+def _bound_table_cache(monkeypatch, powers):
+    # an empty q^(+-j) table cache that keeps at most `powers` powers
+    monkeypatch.setattr(optquad._exact, "_CACHED_POWERS", powers)
+    monkeypatch.setattr(optquad._exact, "_tables", {})
+
+
+@pytest.mark.parametrize("n", [100, 160])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_error_norm_equals_double_loop_in_small_chunks(monkeypatch, m, n):
+    # a cache of 64 powers, fewer than one table of 2 (n + 1): each table is
+    # dropped as soon as it is built, and every call builds its own
+    rules = _norm_rules(m, n)
+    _bound_table_cache(monkeypatch, 64)
+    for name, rule in rules.items():
+        assert error_norm_squared(rule) == float(oracles.mp_error_norm_squared(rule)), name
+        assert not optquad._exact._tables, name
+
+
 # the weights whose float products overflowed: C_0 C_n, C_0 C_50 and C_n^2
 # are about 1e310.  An exact norm past the float range comes back as inf
 # with its sign.  With one huge weight ("last") C_n^2 meets psi(0) = 0, so
@@ -171,6 +191,30 @@ def test_error_norm_beyond_float_range(m, n, big, beyond):
         assert (abs(exact) > sys.float_info.max) == (beyond and scale == 1.0)
         expect = math.copysign(math.inf, exact) if abs(exact) > sys.float_info.max else float(exact)
         assert error_norm_squared(rule) == expect, scale
+
+
+@pytest.mark.parametrize("cached", [64, 8192])
+@pytest.mark.parametrize(
+    "big", [{100: 1e155}, {0: 1e155, 100: 1e155}, {0: 1e155, 50: -1e155, 100: 1e155}],
+    ids=["last", "ends", "ends-middle"],
+)
+def test_error_norm_overflow_in_late_block_as_streamed_fsum(monkeypatch, cached, big):
+    # the weights of the "last", "ends" and "ends-middle" cells above, after
+    # a table of 2 * 4096 powers (4095 intervals) that fills a cache of
+    # 8192: the norm's table at n = 100 pushes it out, least recently used
+    # first, and stays; a cache of 64 keeps neither.  The norm is the
+    # oracle's, inf with its sign past the float range
+    _bound_table_cache(monkeypatch, cached)
+    optquad._exact.exp_powers(4095, 160)
+    assert [key[0] for key in optquad._exact._tables] == ([4095] if cached == 8192 else [])
+    coeffs = list(classical_rule("trapezoid", 100).coefficients)
+    for i, c in big.items():
+        coeffs[i] = c
+    rule = QuadratureRule(GridSpec(2, 100), coeffs, RuleMethod.TRAPEZOID)
+    exact = oracles.mp_error_norm_squared(rule)
+    expect = math.copysign(math.inf, exact) if abs(exact) > sys.float_info.max else float(exact)
+    assert error_norm_squared(rule) == expect
+    assert [key[0] for key in optquad._exact._tables] == ([100] if cached == 8192 else [])
 
 
 def test_error_norm_extra_memory_bounded():
@@ -293,6 +337,21 @@ def test_error_norm_kernel_calls_linear(monkeypatch, m, n):
     error_norm_squared(rule)
     (up, down), = tables
     assert len(up) == len(down) == n + 1
+
+
+# f_m(t) = f_m(1 - t): the float moment table took the n//2 + 1 moments of
+# one half.  The moments now come from the totals of c_i q^(+-i), with no
+# float moment call, and the norm of the reversed weights is the same float
+@pytest.mark.parametrize("m, n", [(1, 30), (3, 7), (1, 63), (2, 31), (2, 64), (3, 100)])
+def test_error_norm_moment_calls_half(monkeypatch, m, n):
+    # at m = 3 the rules are built through assemble_system: build them uncounted
+    rule = _norm_rules(m, n)["dyadic"]
+    mirrored = QuadratureRule(rule.grid, rule.coefficients[::-1], rule.method)
+    points = _table_points(monkeypatch, 0)
+    monkeypatch.setattr(optquad.core, "moment_f", lambda *args: pytest.fail("float moment"))
+    norm = error_norm_squared(rule)
+    assert points == []
+    assert norm == error_norm_squared(mirrored) == float(oracles.mp_error_norm_squared(rule))
 
 
 @pytest.mark.parametrize("m, n", [(1, 30), (3, 7), (1, 63), (2, 31), (2, 64), (3, 100)])
