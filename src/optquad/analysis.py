@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._exact import exp_powers, factorial_tail, integer_weights
+from ._exact import exp_powers, factorial_tail, grid_bits, head_coefficients, integer_weights
 from .coefficients import build_rule
 from .core import (
     GridSpec,
@@ -66,7 +66,7 @@ def error_norm_squared(rule: QuadratureRule) -> float:
     included, is 3.8 MiB at (2, 8192).
     """
     m, n = rule.grid.m, rule.grid.n
-    bits = 160 + n.bit_length()
+    bits = grid_bits(n)
     c, den = integer_weights(rule.coefficients)
     up, down = exp_powers(n, bits)
     one, square = 1 << bits, 1 << 2 * bits
@@ -80,7 +80,7 @@ def error_norm_squared(rule: QuadratureRule) -> float:
     sinh2 = 2 * sum(map(mul, cu, accumulate(cd, initial=0))) - su * sd + sum(map(mul, cu, cd))
     # the heads over the common scale n^(2m-2) (2m-2)!: c_i i^s, their
     # totals, and sum_{i>j} c_i c_j h(i-j) with h the odd head times the scale
-    scale = n ** (2 * m - 2) * math.factorial(2 * m - 2)
+    scale, h = head_coefficients(m, n)
     powers = [c]
     for _ in range(2 * m - 2):
         powers.append(list(map(mul, powers[-1], range(n + 1))))
@@ -89,11 +89,10 @@ def error_norm_squared(rule: QuadratureRule) -> float:
     head_pairs = head_moments = 0
     for k in range(1, m):
         p = 2 * k - 1  # the kernel's head term x^p / p!
-        head_pairs += scale // (n**p * math.factorial(p)) * sum(
-            math.comb(p, t) * (-1) ** (p - t) * sum(map(mul, powers[t], prefix[p - t]))
-            for t in range(p + 1))
+        head_pairs += h[p] * sum(math.comb(p, t) * (-1) ** (p - t) * sum(map(mul, powers[t], prefix[p - t]))
+                                 for t in range(p + 1))
         # the moment's head term (t^2k + (1-t)^2k) / (2k)!, with (n - i)^2k expanded
-        head_moments += scale // (n ** (2 * k) * math.factorial(2 * k)) * (totals[2 * k] + sum(
+        head_moments += h[2 * k] * (totals[2 * k] + sum(
             math.comb(2 * k, s) * n ** (2 * k - s) * (-1) ** s * totals[s] for s in range(2 * k + 1)))
     # sum_i c_i (cosh(i/n) + cosh(1 - i/n)), times 2^(2 bits + 1)
     cosh2 = one * (su + sd) + up[n] * sd + down[n] * su
@@ -213,18 +212,19 @@ def error_report(rule: QuadratureRule, integrands: Sequence[Integrand]) -> Error
     """Cauchy-Schwarz certificates for each integrand, sharing one norm evaluation.
 
     Each entry checks |f.exact_integral - rule(f)| <= ||error functional|| *
-    ||f|| + slack.  The slack combines the Sobolev-norm discretisation
-    estimate with the roundoff floor of the squared-norm evaluation.
+    ||f|| + slack.  The slack is the Sobolev-norm discretisation estimate
+    times the rule's norm, plus 1e-12 (1 + |integral|) for the rounding of
+    the quadrature sum and of the reference.  The squared norm is the
+    float nearest its exact-node value, so it needs no roundoff floor.
     """
     norm_sq = error_norm_squared(rule)
     rule_norm = math.sqrt(max(norm_sq, 0.0))
-    norm_floor = math.sqrt(max(norm_sq, 0.0) + 1e-14) - rule_norm
     entries = []
     for f in integrands:
         reference = f.exact_integral
         value = apply_rule(rule, f.fn)
         sob = sobolev_norm(f, rule.grid.m)
-        slack = sob.error_estimate * rule_norm + norm_floor * sob.value + 1e-12 * (1.0 + abs(reference))
+        slack = sob.error_estimate * rule_norm + 1e-12 * (1.0 + abs(reference))
         entries.append(ReportEntry(f.name, value, reference, abs(value - reference),
                                    rule_norm * sob.value, slack))
     return ErrorReport(rule.grid, norm_sq, tuple(entries))

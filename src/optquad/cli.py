@@ -10,8 +10,8 @@ IEEE doubles exactly.  Runs are deterministic: with one numpy/BLAS build and
 one BLAS thread count, repeated invocations are byte-identical.  The dense
 solve's weights change with the thread count, by more than their last bits:
 between one and two OpenBLAS threads, ``coeffs --m 3 --n 96`` differed in all
-97 weights, by up to 4.6e-8 relative, and ``--method solve`` at m = 2,
-n = 300 by up to 2.6e-9.  ``OPENBLAS_NUM_THREADS=1`` gives reproducible output.
+97 weights, by up to 3.8e-8 relative, and ``--method solve`` at m = 2,
+n = 300 by up to 4.6e-9.  ``OPENBLAS_NUM_THREADS=1`` gives reproducible output.
 """
 
 from __future__ import annotations

@@ -1,13 +1,14 @@
 """Grids, quadrature rules, the sinh-type kernel and its moments.
 
 Everything here is float math on the uniform grid x_beta = beta/n over
-[0, 1].  The nodes, the kernel and moment tables and the constraint rows
-and their sums run in whole-array passes, bit-identical to the scalar
-functions; apply_rule calls its integrand once per node.  The kernel can
-also be evaluated in mpmath at a given precision, with the arithmetic of
-:mod:`optquad._series`.  Rules are immutable value objects; the
-construction routines live in :mod:`optquad.coefficients` and
-:mod:`optquad.solver`.
+[0, 1].  The nodes and the constraint rows and their sums run in
+whole-array passes, bit-identical to the scalar functions; apply_rule
+calls its integrand once per node.  The kernel can also be evaluated in
+mpmath at a given precision, with the arithmetic of
+:mod:`optquad._series`.  The dense system and the error norm take the
+kernel and its moments at the nodes from :mod:`optquad._exact` instead.
+Rules are immutable value objects; the construction routines live in
+:mod:`optquad.coefficients` and :mod:`optquad.solver`.
 """
 
 from __future__ import annotations
@@ -221,63 +222,11 @@ def moment_f(m: int, beta: int, grid: GridSpec) -> float:
 def _per_element(f: Callable[[float], float], x: np.ndarray) -> np.ndarray:
     """f(x_i) for each element of the float64 array x, one Python call each.
 
-    The float64 tables take every libm function (math.sinh, math.exp) and
-    every scalar routine this way.  No numpy transcendental ufunc is used:
-    numpy's float64 power, sinh, cosh and exp can go through SVML and round
-    differently from libm.
+    The constraint rows take libm's math.exp this way.  No numpy
+    transcendental ufunc is used: numpy's float64 power, sinh, cosh and exp
+    can go through SVML and round differently from libm.
     """
     return np.fromiter(map(f, x.tolist()), float, x.size)
-
-
-_TABLE_MIN = 32  # below this many points a list of scalar calls beats the array passes
-
-
-def _tail_table(x: np.ndarray, p: int) -> np.ndarray:
-    """_tail(x_i, p) for each x_i in [0, 1] of a float64 array, bit for bit.
-
-    Below 32 points it makes one scalar _tail call per point.  From 32 on
-    it runs the float64 series on every element at once until none
-    changes.  For x <= 1 the terms fall at every step, so once an
-    element's total stops changing the later, smaller terms leave it
-    alone: rounding is monotone.  x^p and sinh x (p = 1) are Python's
-    float ``**`` and math.sinh, one element at a time (see _per_element).
-    """
-    if x.size < _TABLE_MIN:
-        return _per_element(partial(_tail, p=p), x)
-    if p == 1:
-        return _per_element(math.sinh, x)
-    # a comprehension: with _per_element of partial(pow, exp=p) the error
-    # norms at (2, 512) and (2, 1024) ran 10-14% slower
-    total = term = np.array([v**p for v in x.tolist()]) / math.factorial(p)
-    xx = x * x
-    while True:
-        term = term * (xx / ((p + 1) * (p + 2)))
-        p += 2
-        updated = total + term
-        if (updated == total).all():
-            return total
-        total = updated
-
-
-def kernel_table(m: int, x: np.ndarray) -> np.ndarray:
-    """psi(m, x_i) for each x_i in [0, 1] of a float64 array, bit for bit.
-
-    It is half of :func:`_tail_table`, with its crossover at 32 points.
-    Unlike psi it does not check m: its callers take m from a GridSpec.
-    """
-    return _tail_table(x, 2 * m - 1) / 2.0
-
-
-def moment_table(grid: GridSpec) -> np.ndarray:
-    """moment_f(grid.m, beta, grid) for beta = 0..n, bit for bit.
-
-    One :func:`_tail_table` takes the n + 1 tails _tail(beta/n, 2m), as
-    many as n//2 + 1 moment_f calls take (in whole-array passes from 32
-    nodes on, as scalar calls below), and each is added to its mirror, so
-    the moments are symmetric under beta <-> n - beta bit for bit.
-    """
-    tail = _tail_table(grid.node_array(), 2 * grid.m)
-    return (tail + tail[::-1]) / 2.0
 
 
 def kernel_double_integral(m: int) -> float:

@@ -1,11 +1,13 @@
 """Dense constrained solve for the optimal weights at any supported order.
 
 The optimality conditions form a symmetric bordered (KKT-style) system: a
-kernel block psi(x_i - x_j) bordered by the constraint rows/columns (the
+kernel block psi((i - j)/n) bordered by the constraint rows/columns (the
 monomials x^a for a <= m-2 and e^(-x)), with the multipliers P_0..P_(m-2), d
-as extra unknowns.  At desk scale (n <= a few hundred) a pivoted dense solve
-plus one step of extended-precision iterative refinement is accurate to near
-machine level, which is what the closed forms are compared against.
+as extra unknowns.  The kernel and moment entries are the floats nearest
+their exact values at the nodes, from :mod:`optquad._exact`.  At desk scale
+(n <= a few hundred) a pivoted dense solve plus one step of iterative
+refinement, whose extended-precision residual also takes the remainders
+of those entries, is what the closed forms are compared against.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
-from .core import (GridSpec, QuadratureRule, RuleMethod, SolveError, constraint_rows, kernel_table,
-                   moment_table)
+from ._exact import grid_tables
+from .core import GridSpec, QuadratureRule, RuleMethod, SolveError, constraint_rows
 
 
 @dataclass(frozen=True)
@@ -24,12 +27,16 @@ class WienerHopfSystem:
     """Assembled bordered system for order m on n intervals.
 
     The unknowns are laid out as C_0..C_n (indices 0..n), the polynomial
-    multipliers P_0..P_(m-2) (n+1..n+m-1) and d (n+m).
+    multipliers P_0..P_(m-2) (n+1..n+m-1) and d (n+m).  ``low`` holds the
+    remainders of the kernel and moment entries, psi(m, k/n) and
+    f_m(k/n) less their floats for k = 0..n, as :func:`assemble_system`
+    fills it; a system built by hand leaves it None.
     """
 
     grid: GridSpec
     matrix: np.ndarray
     rhs: np.ndarray
+    low: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def _memory_error(what: str, grid: GridSpec) -> SolveError:
@@ -39,38 +46,24 @@ def _memory_error(what: str, grid: GridSpec) -> SolveError:
                       f" {size} x {size} doubles, {8 * size * size / 2**30:.3g} GiB")
 
 
+def _mirrored(table: np.ndarray) -> np.ndarray:
+    # t(|d|) for d = -n..n from t(k), k = 0..n
+    return np.concatenate((table[:0:-1], table))
+
+
 def assemble_system(m: int, n: int) -> WienerHopfSystem:
     """Build the (n+m+1) x (n+m+1) system for order m on n intervals.
 
-    Rows 0..n pair the kernel block with the multiplier columns against the
-    kernel moments; the final m rows are :func:`optquad.core.constraint_rows`,
-    each g sampled at the nodes against its exact integral.  The kernel
-    block is symmetric because the kernel is even, and its diagonal is zero.
-
-    The block is filled in whole-array passes: |x_i - x_j| is written into
-    it in place, :func:`optquad.core.kernel_table` takes the kernel once at
-    each distinct float gap (found in one sorted copy of the block), and
-    the values are mapped back with ``np.searchsorted``.  Rounding makes
-    i/n - j/n differ from (i-j)/n, so a diagonal holds several such gaps:
-    1 to 3.6 on average for n < 1200.  IEEE subtraction is sign-symmetric
-    and the kernel is even, so each entry is the kernel at the gap of the
-    lower-triangle pair.  The moments come from
-    :func:`optquad.core.moment_table`.  Both tables run in whole-array
-    passes from 32 points on, with no numpy transcendental ufunc, and as
-    scalar calls below; either way they are bit-identical to psi and
-    moment_f.  The cost is O(n) kernel and moment evaluations on average,
-    O(n^2 log n) float work for the sort and, at the peak, two temporary
-    arrays the size of the block.  A Toeplitz fill psi(|i-j|/n) needs no
-    sort, but it is not this system: it is bit-identical only when n is a
-    power of two.  Elsewhere, solved with the same border and rhs, its
-    largest weight error against a 50-digit reference is a coin flip at
-    m = 1, 2 (larger in 259 of 496 cells, n = 3..257, by a factor of
-    0.47-2.49) but larger in 11 of 18 cells at m = 3 (n = 5..96: 1.24 in
-    geometric mean, 6.4x at n = 6, 1.67x at n = 96).  The float-gap block
-    is the consistent system of the float nodes that the constraint rows
-    and apply_rule use.  A matrix too large to allocate,
-    or a sort or index pass that then runs out of memory, raises
-    :class:`optquad.core.SolveError` naming the order and the size.
+    Rows 0..n pair the kernel block psi(m, (i-j)/n) with the multiplier
+    columns against the moments f_m(i/n); the final m rows are
+    :func:`optquad.core.constraint_rows`, each g sampled at the float
+    nodes against its exact integral.  The kernel and moment values are
+    the nearest floats of :func:`optquad._exact.grid_tables`, and their
+    remainders go into ``low``.  The kernel block is the symmetric
+    Toeplitz matrix of the n + 1 kernel values, copied from a strided
+    view of their mirror, with a zero diagonal.  A matrix too large to
+    allocate raises :class:`optquad.core.SolveError` naming the order and
+    the size.
     """
     grid = GridSpec(m, n)
     size = n + m + 1
@@ -79,23 +72,16 @@ def assemble_system(m: int, n: int) -> WienerHopfSystem:
     except (MemoryError, ValueError) as exc:  # numpy refuses a size past its index range with ValueError
         raise _memory_error("cannot allocate", grid) from exc
     b = np.zeros(size)
+    (kernel, kernel_lo), (moments, moment_lo) = grid_tables(grid.m, grid.n)  # ints, not numpy integers
+    # entry (i, j) of the view is the mirror at offset n - i + j: psi(|j - i| / n)
+    mirror = _mirrored(np.array(kernel))
+    A[: n + 1, : n + 1] = as_strided(mirror[n:], (n + 1, n + 1), (-mirror.itemsize, mirror.itemsize))
+    b[: n + 1] = moments
     x = grid.node_array()
-    block = A[: n + 1, : n + 1]
-    np.subtract.outer(x, x, out=block)
-    np.abs(block, out=block)
-    # the distinct gaps, from one sorted copy of the block (np.unique would
-    # also import numpy.ma, 18 ms on a process's first assembly)
-    try:  # the sorted copy and the indices are each the size of the block
-        gaps = np.sort(block, axis=None)
-        gaps = gaps[np.concatenate(([True], gaps[1:] != gaps[:-1]))]
-        np.take(kernel_table(m, gaps), np.searchsorted(gaps, block), out=block)
-    except MemoryError as exc:
-        raise _memory_error("out of memory assembling", grid) from exc
-    b[: n + 1] = moment_table(grid)
     for row, (_, g, integral) in enumerate(constraint_rows(m), start=n + 1):
         A[row, : n + 1] = A[: n + 1, row] = g(x)
         b[row] = integral
-    return WienerHopfSystem(grid, A, b)
+    return WienerHopfSystem(grid, A, b, (np.array(kernel_lo), np.array(moment_lo)))
 
 
 _COND_LIMIT = 1e14  # largest 2-norm condition number solve accepts
@@ -112,13 +98,16 @@ def solve(system: WienerHopfSystem) -> QuadratureRule:
     is attached to the rule; a system with cond > 1e14, or with a zero
     eigenvalue (cond = inf), raises :class:`SolveError`.  An LU solve is
     followed by one step of iterative refinement: the residual is formed in
-    extended precision and the correction solved for with a second LU
-    factorisation.  A max-norm residual above 1e-10 * ||rhs||_inf after that
-    step also raises :class:`SolveError`.  Neither limit can be changed.
+    extended precision, plus moment_lo - Toeplitz(kernel_lo) C from the
+    system's ``low`` when it has one, and the correction solved for with a
+    second LU factorisation.  A max-norm residual above
+    1e-10 * ||rhs||_inf after that step also raises :class:`SolveError`.
+    Neither limit can be changed.
     A stage that runs out of memory raises :class:`SolveError` naming the
     order and the size of the system.
     """
     A, b = system.matrix, system.rhs
+    n, m = system.grid.n, system.grid.m
     try:  # the checks, eigvalsh, the LUs and the longdouble copies take O(size^2) memory
         if not np.isfinite(A).all():
             raise SolveError("system matrix has a non-finite entry")
@@ -135,6 +124,8 @@ def solve(system: WienerHopfSystem) -> QuadratureRule:
         except np.linalg.LinAlgError as exc:
             raise SolveError(f"singular system (cond ~ {cond:.3e}): {exc}") from exc
         r = b.astype(np.longdouble) - A.astype(np.longdouble) @ x.astype(np.longdouble)
+        if system.low is not None:  # the remainders of the exact entries: (kernel lo, moment lo)
+            r[: n + 1] += system.low[1] - np.convolve(_mirrored(system.low[0]), x[: n + 1])[n : 2 * n + 1]
         dx = np.linalg.solve(A, np.asarray(r, dtype=np.float64))
         x = np.asarray(x.astype(np.longdouble) + dx.astype(np.longdouble), dtype=np.float64)
         residual = float(np.max(np.abs(A @ x - b)))
@@ -145,7 +136,6 @@ def solve(system: WienerHopfSystem) -> QuadratureRule:
         raise SolveError(
             f"residual {residual:.3e} exceeds {_RESIDUAL_TOL:.1e} * ||rhs|| (cond ~ {cond:.3e})"
         )
-    n, m = system.grid.n, system.grid.m
     return QuadratureRule(
         system.grid,
         x[: n + 1],

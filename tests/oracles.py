@@ -5,7 +5,8 @@ mpmath / scipy / numpy machinery rather than the package's own evaluation
 paths, so agreement is meaningful.  The exception is the last four
 sections: the straightforward loops the package's structured fast paths
 and bulk writers replaced, kept as bit-identity references and built on
-the package's scalar kernels, the windowed convolution of the operator
+the package's scalar functions (the dense system's on the 50-digit
+kernel above), the windowed convolution of the operator
 identities with its own truncation bound and window search, which the
 closed-form identity checks replaced, and the order-2 closed form over its
 whole power table, built here bottom up, which the package's cut-off
@@ -24,7 +25,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from optquad import _series
-from optquad.core import GridSpec, moment_f, psi
+from optquad.core import psi
 from optquad.operator import build_operator, characteristic_polynomial, operator_value, stable_roots
 
 DPS = 45
@@ -229,7 +230,7 @@ def mp_series_reference(name: str, h: float) -> float:
         return float(refs[name])
 
 
-# --- naive loops: one scalar kernel call per matrix entry ------------------
+# --- naive loops: one scalar call per panel point or matrix entry ------------
 
 
 def fixed_panel_sobolev_norm(f, m: int) -> tuple[float, float]:
@@ -264,18 +265,23 @@ def fixed_panel_sobolev_norm(f, m: int) -> tuple[float, float]:
 
 
 def naive_assemble_system(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The bordered system's matrix and rhs, one kernel call per lower-triangle entry."""
-    grid = GridSpec(m, n)
+    """The bordered system's matrix and rhs at the exact nodes, one entry at a time.
+
+    Kernel entry (i, j) is the float nearest psi(m, |i - j|/n) and rhs row i
+    the float nearest f_m(i/n): :func:`mp_psi` and :func:`mp_moment` at 50
+    digits of the exact fraction, rounded once.  The border rows are the
+    constraint functions at the float nodes.
+    """
     size = n + m + 1
     A = np.zeros((size, size))
     b = np.zeros(size)
+    with mp.workdps(50):
+        kernel = [float(mp_psi(m, mp.mpf(k) / n, 50)) for k in range(n + 1)]
+        for i in range(n + 1):
+            for j in range(i + 1):
+                A[i, j] = A[j, i] = kernel[i - j]
+            b[i] = float(mp_moment(m, mp.mpf(i) / n, 50))
     nodes = naive_nodes(n)
-    for i in range(n + 1):
-        for j in range(i + 1):
-            val = psi(m, nodes[i] - nodes[j])
-            A[i, j] = val
-            A[j, i] = val
-        b[i] = moment_f(m, i, grid)
     for row, (_, g, integral) in enumerate(constraint_functions(m), start=n + 1):
         for j in range(n + 1):
             A[row, j] = A[j, row] = g(nodes[j])

@@ -398,6 +398,17 @@ class TestCauchySchwarz:
         assert entry.within_bound
         assert entry.abs_error <= entry.bound + entry.slack
 
+    @pytest.mark.parametrize("m, n", [(2, 1024), (3, 64)])
+    def test_slack_below_bound(self, m, n):
+        # the squared norm is exact at the nodes: no roundoff floor of a
+        # float norm (sqrt(norm_sq + 1e-14) - sqrt(norm_sq), 3.8e-8 and
+        # 1.0e-7 here) may swamp the bounds of 1.9e-8 and 3.4e-8
+        integrands = [builtin_integrand(name) for name in ("sin", "exp", "runge", "x2")]
+        report = error_report(build_rule(m, n), integrands)
+        for entry in report.entries:
+            assert entry.within_bound, entry.name
+            assert entry.slack < entry.bound, entry.name
+
     def test_constant_for_order_two(self):
         entry = cauchy_schwarz_check(closed_form_m2(6), builtin_integrand("one"))
         assert entry.abs_error <= 1e-12

@@ -429,6 +429,17 @@ class TestVerify:
         assert check["value"] <= 1e-9
         assert check["tolerance"] == 1e-9
 
+    @pytest.mark.parametrize("n", [192, 256, 512])
+    def test_order_two_solve_within_tolerance_of_closed_form(self, n, capsys):
+        # with the float-gap kernel block closed_vs_solve read 1.6e-9, 2.05e-9
+        # and 1.89e-8 here, above its unchanged 1e-9 tolerance
+        code, out, _ = run_cli("verify", "--m", "2", "--n", str(n), capsys=capsys)
+        report = json.loads(out)
+        assert (code, report["passed"]) == (0, True)
+        check = next(c for c in report["checks"] if c["name"] == "closed_vs_solve")
+        assert check["tolerance"] == 1e-9
+        assert check["value"] <= 1e-10
+
     def test_usage_error_for_bad_grid(self, capsys):
         code, _, err = run_cli("verify", "--m", "2", "--n", "0", capsys=capsys)
         assert code == 2

@@ -1,10 +1,13 @@
 """The tabulated kernel and operator evaluations against the naive loops.
 
-assemble_system evaluates each distinct kernel value once, in the array
-tables of core._tail_table.  Its outputs must equal, bit for bit, those of
-the loops that make one scalar call per matrix entry, the tables must
-equal the scalar psi, moment_f and _tail on both sides of their
-crossover, and the points they evaluate must stay linear.
+assemble_system takes the kernel psi(m, k/n) and the moments f_m(k/n),
+k = 0..n, from the exact tables of optquad._exact.grid_tables, each the
+float nearest the value plus the float nearest the remainder.  Its matrix
+and rhs must equal, bit for bit, the loop that rounds the 50-digit kernel
+at each exact offset |i - j|/n and the 50-digit moment at each node, the
+remainders must bring the tables within 1e-32 of the 50-digit values, and
+it must take one table of n + 1 powers, with no float kernel or moment
+call, for n + 1 offsets and n//2 + 1 mirrored moments.
 error_norm_squared takes the kernel and the moments from the n + 1
 fixed-point powers q^(+-j), q = e^(1/n), with no float table, in O(n)
 memory.  It must return the float nearest the 50-digit double loop over
@@ -31,6 +34,7 @@ import struct
 import sys
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -54,16 +58,14 @@ from optquad import (
     constraint_rows,
     error_norm_squared,
     identity_residuals,
-    moment_f,
-    psi,
     solve,
 )
 from optquad.analysis import admissible_perturbations
 
 import oracles
 
-# at n = 160, i/n - j/n != (i-j)/n for 6,465 pairs i > j, so assembly must
-# key its kernel calls on the float gap; powers of two have no such pairs
+# at n = 160, i/n - j/n != (i-j)/n for 6,465 pairs i > j: the float nodes'
+# gaps are not the exact offsets the kernel block takes, except at powers of two
 SIZES = (7, 63, 100, 160, 256)
 
 
@@ -101,11 +103,6 @@ def _counting(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return calls
-
-
-def _distinct_gaps(n):
-    x = np.array([beta / n for beta in range(n + 1)])
-    return len(np.unique(np.abs(x[:, None] - x[None, :])))
 
 
 def _admissible(rule, m):
@@ -301,33 +298,15 @@ def test_identity_report_equals_per_beta_loop(m, h, betas):
     assert oracles.naive_identity_residuals(m, h, [-b for b in betas])[1] == _exp_swapped(direct)
 
 
-def _table_points(monkeypatch, parity):
-    # the points passed to _tail_table with p of the given parity: odd for
-    # the kernel (p = 2m - 1), even for the moments (p = 2m).  Below the
-    # crossover the table makes one scalar _tail call per point, above it
-    # array passes
-    points = []
-    tail_table = optquad.core._tail_table
-
-    def counted(x, p):
-        if p % 2 == parity:
-            points.append(x.size)
-        return tail_table(x, p)
-
-    monkeypatch.setattr(optquad.core, "_tail_table", counted)
-    return points
-
-
 # the kernel and the moments come from the n + 1 powers q^(+-j), with no
-# float kernel or moment table; the cells are those of the float tables,
-# below their crossover (n + 1 < 32) and above it
+# float kernel or moment table; the cells are those of the former float
+# tables, below their crossover (n + 1 < 32) and above it
 @pytest.mark.parametrize("m, n", [(1, 16), (1, 30), (3, 7), (2, 30), (2, 31), (1, 63), (1, 64), (2, 64),
                                   (3, 100), (2, 256)])
 def test_error_norm_kernel_calls_linear(monkeypatch, m, n):
     rule = _rules(m, n)["trapezoid"]
     tables = []
     exp_powers = optquad.analysis.exp_powers
-    monkeypatch.setattr(optquad.core, "_tail_table", lambda *args: pytest.fail("float table"))
 
     def recorded(*args):
         tables.append(exp_powers(*args))
@@ -347,26 +326,55 @@ def test_error_norm_moment_calls_half(monkeypatch, m, n):
     # at m = 3 the rules are built through assemble_system: build them uncounted
     rule = _norm_rules(m, n)["dyadic"]
     mirrored = QuadratureRule(rule.grid, rule.coefficients[::-1], rule.method)
-    points = _table_points(monkeypatch, 0)
     monkeypatch.setattr(optquad.core, "moment_f", lambda *args: pytest.fail("float moment"))
     norm = error_norm_squared(rule)
-    assert points == []
     assert norm == error_norm_squared(mirrored) == float(oracles.mp_error_norm_squared(rule))
 
 
-@pytest.mark.parametrize("m, n", [(1, 30), (3, 7), (1, 63), (2, 31), (2, 64), (3, 100)])
-def test_assembly_moment_calls_half(monkeypatch, m, n):
-    points = _table_points(monkeypatch, 0)
-    assemble_system(m, n)
-    assert 0 < sum(points) / 2 <= n // 2 + 1
+def _assembly_points(monkeypatch, m, n):
+    # assemble_system with every float kernel and moment routine refused:
+    # the system, the q^(+-j) tables it took and the number of values it
+    # rounded, kernel first, then moments
+    for name in ("_tail", "psi", "moment_f"):
+        monkeypatch.setattr(optquad.core, name, lambda *args, name=name: pytest.fail(f"float {name}"))
+    tables, rounded = [], []
+    exp_powers, split = optquad._exact.exp_powers, optquad._exact._rounded
+
+    def recorded(*args):
+        tables.append(exp_powers(*args))
+        return tables[-1]
+
+    def counted(values, *args):
+        rounded.append(len(values))
+        return split(values, *args)
+
+    monkeypatch.setattr(optquad._exact, "exp_powers", recorded)
+    monkeypatch.setattr(optquad._exact, "_rounded", counted)
+    system = assemble_system(m, n)
+    (up, down), = tables
+    assert len(up) == len(down) == n + 1
+    return system, rounded
 
 
-# 30 and 17 distinct gaps, below the crossover, at n = 12 and 16; 35 at n = 14
+# the block is Toeplitz: the kernel is taken once at each of the n + 1
+# exact gaps k/n, from one table of n + 1 powers
 @pytest.mark.parametrize("m, n", [(1, 12), (2, 16), (3, 14), (1, 64), (2, 256), (3, 160)])
 def test_assembly_kernel_calls_bounded_by_distinct_gaps(monkeypatch, m, n):
-    points = _table_points(monkeypatch, 1)
-    assemble_system(m, n)
-    assert 0 < sum(points) <= _distinct_gaps(n)
+    system, rounded = _assembly_points(monkeypatch, m, n)
+    assert rounded[0] == n + 1
+    block = system.matrix[: n + 1, : n + 1]
+    assert len(np.unique(block)) == n + 1
+
+
+# f_m(t) = f_m(1 - t): the moments of one half, n//2 + 1 of them, mirrored,
+# from the same table as the kernel
+@pytest.mark.parametrize("m, n", [(1, 30), (3, 7), (1, 63), (2, 31), (2, 64), (3, 100)])
+def test_assembly_moment_calls_half(monkeypatch, m, n):
+    system, rounded = _assembly_points(monkeypatch, m, n)
+    assert rounded == [n + 1, n // 2 + 1]
+    rhs = system.rhs[: n + 1]
+    assert _same_bits(rhs, rhs[::-1])
+    assert _same_bits(system.low[1], system.low[1][::-1])
 
 
 def _same_bits(a, b):
@@ -375,40 +383,41 @@ def _same_bits(a, b):
     return np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-@pytest.mark.parametrize("p", range(1, 8))
-def test_tail_table_equals_scalar_tail(p):
-    # 20,000 points: a numpy power or sinh routed through SVML rounds about
-    # one in twenty of them differently, so it would show here
-    rng = np.random.default_rng(p)
-    x = np.concatenate([[0.0, 1.0, 5e-324, 1e-300, 1e-154, 1e-20, 1e-8, np.nextafter(1.0, 0.0)],
-                        rng.random(16_000), rng.random(4_000) ** 16])
-    expected = [optquad.core._tail(v, p) for v in x.tolist()]
-    assert _same_bits(optquad.core._tail_table(x, p), expected)
+def _rounded_50_digit_tables(m, n):
+    # psi(m, k/n) and f_m(k/n), k = 0..n, at 50 digits of the exact fractions
+    with mp.workdps(50):
+        kernel = [oracles.mp_psi(m, mp.mpf(k) / n, 50) for k in range(n + 1)]
+        moments = [oracles.mp_moment(m, mp.mpf(k) / n, 50) for k in range(n + 1)]
+    return kernel, moments
 
 
-# one point below the crossover, at it and one above
-@pytest.mark.parametrize("size", [optquad.core._TABLE_MIN + d for d in (-1, 0, 1)])
+def _check_tables(m, n):
+    # hi is the rounded 50-digit value and hi + lo within 1e-32 of it
+    for (hi, lo), exact in zip(optquad._exact.grid_tables(m, n), _rounded_50_digit_tables(m, n)):
+        assert hi == [float(v) for v in exact]
+        with mp.workdps(50):
+            assert all(abs(mp.mpf(h) + l - v) <= 1e-32 * abs(v) for h, l, v in zip(hi, lo, exact))
+
+
+# the sizes of the former float tables' crossover (31, 32 and 33 points)
+@pytest.mark.parametrize("size", [31, 32, 33])
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_tables_equal_scalar_calls_at_the_crossover(m, size):
-    x = np.random.default_rng(size).random(size)
-    x[:2] = 0.0, 1.0
-    assert _same_bits(optquad.core.kernel_table(m, x), [psi(m, v) for v in x.tolist()])
-    grid = GridSpec(m, size - 1)  # size nodes
-    nodes = grid.node_array()
-    assert _same_bits(optquad.core.kernel_table(m, nodes), [psi(m, v) for v in nodes.tolist()])
-    assert _same_bits(optquad.core.moment_table(grid), [moment_f(m, b, grid) for b in range(size)])
+    _check_tables(m, size - 1)
 
 
 @pytest.mark.parametrize("n", [160, 511, 1000])
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_assembly_kernel_values_equal_psi_at_every_gap(m, n):
-    # each entry of the kernel block is psi at its own float gap |x_i - x_j|
-    x = GridSpec(m, n).node_array()
-    block = np.abs(np.subtract.outer(x, x))
-    gaps = np.unique(block)
-    expected = np.array([psi(m, gap) for gap in gaps.tolist()])
-    assert _same_bits(optquad.core.kernel_table(m, gaps), expected)
-    assert _same_bits(assemble_system(m, n).matrix[: n + 1, : n + 1], expected[np.searchsorted(gaps, block)])
+    # each entry (i, j) of the kernel block is the float nearest psi(m, |i - j|/n),
+    # and the remainders of the kernel and the moments are the ones in `low`
+    _check_tables(m, n)
+    system = assemble_system(m, n)
+    (kernel, kernel_lo), (moments, moment_lo) = optquad._exact.grid_tables(m, n)
+    i, j = np.indices((n + 1, n + 1))
+    assert _same_bits(system.matrix[: n + 1, : n + 1], np.array(kernel)[abs(i - j)])
+    assert _same_bits(system.rhs[: n + 1], moments)
+    assert _same_bits(system.low[0], kernel_lo) and _same_bits(system.low[1], moment_lo)
 
 
 @pytest.mark.parametrize("m, h", [(1, 0.5), (2, 0.125), (3, 0.1), (3, 1.0)])
