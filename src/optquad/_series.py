@@ -24,7 +24,10 @@ operations every formula needs in float64 or at ``dps`` digits, and
 :func:`extended` is the one rule for the working digits of a cancelling
 sum.  :func:`tail_power_sums` gives the geometric power sums
 sum_{j >= lo} q^j j^s in closed form, at the caller's precision; the
-operator identities are finite sums of them.  mpmath is imported by the
+operator identities are finite sums of them.  For the kernel's integer
+series, :func:`ratio` gives any real, an mpmath float included, as an
+exact integer ratio, and :func:`quotient` rounds an integer ratio once to
+``dps`` digits.  mpmath is imported by the
 functions that use it, on the first extended-precision call, so that a
 float64 process never loads it.
 """
@@ -84,8 +87,6 @@ class _Arith(NamedTuple):
     num: Callable
     exp: Callable
     expm1: Callable
-    sinh: Callable
-    cosh: Callable
     sqrt: Callable
     copysign: Callable
     ldexp: Callable
@@ -93,13 +94,11 @@ class _Arith(NamedTuple):
 
 
 _FLOAT = _Arith(
-    float, math.exp, math.expm1, math.sinh, math.cosh, math.sqrt, math.copysign, math.ldexp,
-    contextlib.nullcontext,
+    float, math.exp, math.expm1, math.sqrt, math.copysign, math.ldexp, contextlib.nullcontext,
 )
 
 
-# built once per precision: an extended kernel sample asks for two, and
-# building one took about 1.7 us
+# built once per precision: building one took about 1.7 us
 @lru_cache(maxsize=128)
 def _arith(dps: int | None) -> _Arith:
     """Float64 arithmetic for ``dps=None``, otherwise mpmath at ``dps`` digits."""
@@ -108,7 +107,7 @@ def _arith(dps: int | None) -> _Arith:
     import mpmath as mp
 
     return _Arith(
-        mp.mpf, mp.exp, mp.expm1, mp.sinh, mp.cosh, mp.sqrt, lambda x, y: mp.sign(y) * abs(x),
+        mp.mpf, mp.exp, mp.expm1, mp.sqrt, lambda x, y: mp.sign(y) * abs(x),
         mp.ldexp, lambda: mp.workdps(dps),
     )
 
@@ -122,6 +121,22 @@ def dot(table, samples):
     import mpmath as mp
 
     return mp.fdot(table, samples)
+
+
+def ratio(x) -> tuple[int, int]:
+    """|x| as an exact integer ratio (a, b), b > 0: an mpmath float from its mantissa and exponent."""
+    if hasattr(x, "_mpf_"):
+        _, man, exp, _ = x._mpf_
+        return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+    a, b = x.as_integer_ratio()
+    return abs(a), b
+
+
+def quotient(num: int, den: int, dps: int):
+    """The mpmath float nearest num / den at ``dps`` digits, rounded once."""
+    import mpmath as mp
+
+    return mp.fdiv(num, den, dps=dps)
 
 
 def _horner(coeffs, x):

@@ -43,6 +43,14 @@ def mp_psi(m: int, x, dps: int = DPS) -> mp.mpf:
         return mp.sign(x) / 2 * s
 
 
+def mp_tail(x, p: int, dps: int = DPS) -> mp.mpf:
+    """sum_{j>=0} x^(p+2j)/(p+2j)! from its printed form: sinh x (odd p) or cosh x (even p) minus the head."""
+    with mp.workdps(dps):
+        x = mp.mpf(x)
+        whole = mp.sinh(x) if p % 2 else mp.cosh(x)
+        return whole - mp.fsum(x**k / mp.factorial(k) for k in range(p % 2, p, 2))
+
+
 def mp_moment(m: int, t, dps: int = DPS) -> mp.mpf:
     """Kernel moment from its printed exponential form (not the series tail)."""
     with mp.workdps(dps):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -14,9 +15,11 @@ from optquad import (
     closed_form_m1,
     closed_form_m2,
     constraint_residuals,
+    kernel_double_integral,
     moment_f,
     psi,
 )
+from optquad import _exact
 from optquad.core import _tail
 
 import oracles
@@ -59,6 +62,39 @@ class TestKernel:
             ref = whole - mp.fsum(mp.mpf(x) ** k / mp.factorial(k) for k in range(p % 2, p, 2))
             assert abs(_tail(x, p, 50) - ref) <= mp.mpf(10) ** -48 * ref
         assert _tail(x, p) == pytest.approx(float(ref), rel=1e-15)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("x", [2.0**-20, 0.1, 0.3, 1.0, 3.9, 4.0, 4.5, 25.0, 700.0, 710.0])
+    def test_float_kernel_is_correctly_rounded(self, m, x):
+        # the float nearest the 60-digit kernel: the series is rounded once
+        assert psi(m, x) == float(oracles.mp_psi(m, x, 60))
+
+    @pytest.mark.parametrize("m, x", [(2, 1.8e-104), (2, 5.6e-104), (3, 1e-63), (3, 1e-62)])
+    def test_float_kernel_is_correctly_rounded_below_the_normal_range(self, m, x):
+        # a subnormal kernel: halving the rounded tail would round twice
+        assert psi(m, x) == float(oracles.mp_psi(m, x, 60 + (2 * m - 1) * 105))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_kernel_double_integral_is_correctly_rounded(self, m):
+        # I_m = sum_{k>=m} 1/(2k+1)!, exact to well below 2^-200 at 60 terms
+        exact = sum(Fraction(1, math.factorial(2 * k + 1)) for k in range(m, m + 60))
+        assert kernel_double_integral(m) == float(exact)
+
+    @pytest.mark.parametrize(("a", "b"), [(0, 1), (1, 1 << 20), (3, 10), (1, 1), (39, 10), (9, 2), (700, 1)])
+    @pytest.mark.parametrize("p", [1, 2, 5, 7])
+    def test_integer_series_is_floored_below_its_value(self, a, b, p):
+        # every term is floored: the ratio lies below the series, by at most
+        # 2 units of 2^-bits, relative, per term summed
+        bits = 64
+        num, den = _exact.tail(a, b, p, bits)
+        with mp.workdps(150):
+            ref, value = oracles.mp_tail(mp.mpf(a) / b, p, 150), mp.mpf(num) / den
+            assert value <= ref
+            terms, ratio, k = 1, mp.mpf(1), p
+            while a and ratio >= mp.mpf(2) ** -bits:
+                ratio *= mp.mpf(a) ** 2 / (b * b * (k + 1) * (k + 2))
+                terms, k = terms + 1, k + 2
+            assert ref - value <= 2 * terms * ref * mp.mpf(2) ** -bits
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("x, message", [
@@ -159,6 +195,18 @@ class TestMoment:
         assert moment_f(m, beta, grid) == pytest.approx(
             oracles.quad_moment(m, beta / n), abs=1e-12
         )
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n", [3, 7, 64, 1000])
+    def test_moment_is_correctly_rounded(self, m, n):
+        # the float nearest the 60-digit (T(t) + T(s))/2, T the tail of order
+        # 2m, at the moment's own floats t = beta/n and s = (n - beta)/n
+        grid = GridSpec(m, n)
+        for beta in range(n + 1):
+            t, s = beta / n, (n - beta) / n
+            with mp.workdps(60):
+                ref = (oracles.mp_tail(t, 2 * m, 60) + oracles.mp_tail(s, 2 * m, 60)) / 2
+            assert moment_f(m, beta, grid) == float(ref), beta
 
     def test_rejects_out_of_range_index(self):
         grid = GridSpec(2, 4)

@@ -478,6 +478,22 @@ def test_extended_psi_keeps_its_digits(m, dps):
             assert abs(psi(m, x, dps) - ref) <= mp.mpf(10) ** (2 - dps) * abs(ref), x
 
 
+@pytest.mark.parametrize("dps", [30, 50, 70])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_extended_psi_within_one_unit(m, dps):
+    # one unit in the last place of the dps-digit result, against the
+    # printed formula at 120 digits plus the (2m - 1) log10(1/x) the head
+    # cancels: the series is summed exactly and rounded once
+    prec = mp.libmp.dps_to_prec(dps)
+    for x in [*_KERNEL_POINTS, 711.0, mp.mpf("1e-400")]:
+        value = psi(m, x, dps)
+        _, _, exp, bc = value._mpf_
+        assert bc <= prec
+        cancelled = (2 * m - 1) * max(0, -int(mp.log10(x)))
+        with mp.workdps(120 + cancelled):
+            assert abs(value - oracles.mp_psi(m, x, dps=120 + cancelled)) <= mp.ldexp(1, exp + bc - prec), x
+
+
 def test_mp_psi_consistent_with_float():
     with mp.workdps(40):
         for m in (1, 2, 3):

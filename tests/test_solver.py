@@ -184,8 +184,8 @@ class TestSolve:
 # 50-digit solve of the same bordered system.  Each row is (n, the error of
 # the former float-gap kernel block, which names the cell, the error
 # measured with the correctly rounded entries and their remainders); it is
-# held to twice the latter.  The single refinement step, not the entries,
-# limits it now.
+# held to twice the latter.  The rounding of the longdouble residual, not
+# the entries and not the number of refinement steps, limits it now.
 M3_ENVELOPE = [(8, 8.9e-14, 8.01e-15), (16, 1.15e-12, 2.63e-14), (32, 2.61e-10, 2.02e-13),
                (64, 1.25e-8, 1.73e-11), (96, 9.66e-8, 2.47e-10)]
 
