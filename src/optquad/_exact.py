@@ -1,4 +1,4 @@
-"""Exact integer arithmetic for the kernel, its moments and its series.
+"""Exact integer arithmetic for the kernel, its moments, its series and the operator identities.
 
 All in Python integers, with no mpmath and no numpy:
 
@@ -12,7 +12,10 @@ All in Python integers, with no mpmath and no numpy:
   the nearest float and the float nearest the remainder;
 - :func:`tail` sums the kernel's series sum_j x^(p+2j)/(p+2j)! at a
   rational x as one integer ratio, and :func:`factorial_tail` gives
-  sum_{k>=m} 1/(2k+1)!, its value at x = 1, in fixed point.
+  sum_{k>=m} 1/(2k+1)!, its value at x = 1, in fixed point;
+- :func:`dot` and :func:`tail_power_sums` give a dot product and the
+  geometric power sums sum_{j >= lo} q^j j^s in fixed point, from which
+  the operator identities are summed.
 
 On the nodes i/n the kernel's sinh and cosh are q^(+-i) and e^(+-1) is
 q^(+-n), so the kernel, the moments and sums over the grid need no
@@ -169,3 +172,31 @@ def factorial_tail(m: int, bits: int) -> int:
     """sum_{k>=m} 1/(2k+1)! scaled by 2^bits: :func:`tail` at x = 1, p = 2m + 1, within 60 units."""
     num, den = tail(1, 1, 2 * m + 1, bits)
     return (num << bits) // den
+
+
+def dot(xs, ys, bits: int) -> int:
+    """sum_i x_i y_i over 2^bits, floored once: a fixed-point dot product."""
+    return sum(x * y for x, y in zip(xs, ys)) >> bits
+
+
+def tail_power_sums(q: int, lo: int, r: int, bits: int) -> list[int]:
+    """S_s = sum_{j >= lo} q^j j^s for s = 0..r, q and each S_s in fixed point over 2^bits.
+
+    Shifting the sum by one index gives, for s = 0, 1, ..., r in turn,
+
+        (1 - q) S_s = q^lo lo^s + sum_{t < s} C(s, t) (-1)^(s-t+1) (S_t - q^lo lo^t),
+
+    with 0^0 = 1; q^lo and each quotient are floored.  The sums converge for
+    |q| < 1; for |q| > 1 the same recurrence gives their analytic
+    continuation, the rational function of q that the convergent sums
+    equal.  q = 1 has no value.
+    """
+    one = 1 << bits
+    first = (q**lo << bits) >> bits * lo
+    sums = []
+    for s in range(r + 1):
+        acc = first * lo**s
+        for t in range(s):
+            acc += math.comb(s, t) * (-1) ** (s - t + 1) * (sums[t] - first * lo**t)
+        sums.append((acc << bits) // (one - q))
+    return sums

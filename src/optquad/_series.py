@@ -22,14 +22,11 @@ sum in mpmath, for any h > 0, through :func:`extended`.
 This module is the package's one precision layer: :func:`_arith` gives the
 operations every formula needs in float64 or at ``dps`` digits, and
 :func:`extended` is the one rule for the working digits of a cancelling
-sum.  :func:`tail_power_sums` gives the geometric power sums
-sum_{j >= lo} q^j j^s in closed form, at the caller's precision; the
-operator identities are finite sums of them.  For the kernel's integer
-series, :func:`ratio` gives any real, an mpmath float included, as an
-exact integer ratio, and :func:`quotient` rounds an integer ratio once to
-``dps`` digits.  mpmath is imported by the
-functions that use it, on the first extended-precision call, so that a
-float64 process never loads it.
+sum.  For the integer sums of :mod:`optquad._exact`, :func:`ratio` gives
+any real, an mpmath float included, as an exact integer ratio, and
+:func:`quotient` rounds an integer ratio once to ``dps`` digits.  mpmath
+is imported by the functions that use it, on the first extended-precision
+call, so that a float64 process never loads it.
 """
 
 from __future__ import annotations
@@ -112,17 +109,6 @@ def _arith(dps: int | None) -> _Arith:
     )
 
 
-def dot(table, samples):
-    """Sum of the products table[i] * samples[i], in mpmath.
-
-    Each product is formed exactly and the sum rounded once, to the
-    ambient precision.
-    """
-    import mpmath as mp
-
-    return mp.fdot(table, samples)
-
-
 def ratio(x) -> tuple[int, int]:
     """|x| as an exact integer ratio (a, b), b > 0: an mpmath float from its mantissa and exponent."""
     if hasattr(x, "_mpf_"):
@@ -197,24 +183,3 @@ def _printed_sum(name: str, h, ar: _Arith):
     hm = ar.num(h)
     exps = (1, ar.exp(hm), ar.exp(2 * hm))
     return mp.fsum(hm**a * exps[b] * c / d for c, d, a, b in _TERMS[name])
-
-
-def tail_power_sums(q, lo: int, r: int) -> list:
-    """S_s = sum_{j >= lo} q^j j^s for s = 0..r, at the ambient precision.
-
-    Shifting the sum by one index gives, for s = 0, 1, ..., r in turn,
-
-        (1 - q) S_s = q^lo lo^s + sum_{t < s} C(s, t) (-1)^(s-t+1) (S_t - q^lo lo^t),
-
-    with 0^0 = 1.  The sums converge for |q| < 1; for |q| > 1 the same
-    recurrence gives their analytic continuation, the rational function of
-    q that the convergent sums equal.  q = 1 has no value.
-    """
-    first = q**lo
-    sums = []
-    for s in range(r + 1):
-        acc = first * lo**s
-        for t in range(s):
-            acc += math.comb(s, t) * (-1) ** (s - t + 1) * (sums[t] - first * lo**t)
-        sums.append(acc / (1 - q))
-    return sums

@@ -192,9 +192,11 @@ def _verify_checks(m: int, n: int) -> list[dict]:
         closed = rules["closed"].coefficients
         dev = max(abs(a - b) for a, b in zip(closed, rules["solve"].coefficients))
         add("closed_vs_solve", dev, 1e-12 if m == 1 else 1e-9)
-        # the same closed-form code run in extended precision, with the exact spacing 1/n
+        # the same closed-form code run in extended precision, with the exact spacing 1/n;
+        # a run of equal pairs (the m = 1 interior is one) is subtracted once
         extended = _closed_weights(m, n, dps=_EXTENDED_DPS)
-        add("closed_vs_extended", float(max(abs(a - b) for a, b in zip(closed, extended))), 1e-12)
+        pairs = (pair for pair, _ in itertools.groupby(zip(closed, extended)))
+        add("closed_vs_extended", float(max(abs(a - b) for a, b in pairs)), 1e-12)
     add("operator_identities", max(identity_residuals(m, 1.0 / n).residuals.values()), 1e-9)
     norm_sq = error_norm_squared(rules["solve"])
     add("error_norm_nonnegative", -norm_sq, 1e-12)

@@ -180,9 +180,12 @@ def _tail(x, p: int, dps: int | None = None):
 
 def _real(x, dps: int | None):
     # x as a float for float64 (dps=None); at dps digits a numpy floating
-    # scalar as a float too, which mpmath cannot take, and any other number
-    # (an mpmath float, say) as given, so that it keeps its digits
-    return float(x) if dps is None or isinstance(x, np.floating) else x
+    # scalar as a float too and a numpy integer as an int, which mpmath
+    # cannot take, and any other number (an mpmath float, say) as given, so
+    # that it keeps its digits
+    if dps is None or isinstance(x, np.floating):
+        return float(x)
+    return int(x) if isinstance(x, np.integer) else x
 
 
 def psi(m: int, x, dps: int | None = None):
@@ -194,8 +197,8 @@ def psi(m: int, x, dps: int | None = None):
     although the printed head cancels about (2m - 1) log10(1/|x|) of them
     at small x.  In float64, |x| past about 710.48, where sinh x overflows,
     raises ValueError.  Without ``dps`` any real x (a float32, say) is
-    taken as a float64; with it a numpy float is taken as a float64 and an
-    mpmath float as it is.
+    taken as a float64; with it a numpy float is taken as a float64, a
+    numpy integer as an int and an mpmath float as it is.
     """
     _check_order(m)
     if not math.isfinite(x):

@@ -14,16 +14,18 @@ default, with the polynomial coefficients from its series, or mpmath at
 rounding of the large central values would swamp the identities.  Those
 checks (:func:`identity_residuals`) sum the few central terms one by one
 and the geometric tails in closed form, so they need no truncation window
-and also hold where the tails against e^(+-x) do not converge.
+and also hold where the tails against e^(+-x) do not converge.  They take
+each 50-digit value once into a Python-integer fixed point of 256 or more
+fractional bits and sum there (:mod:`optquad._exact`), so the sums add
+nothing to the 50-digit rounding of the values they check.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
-from . import _series
+from . import _exact, _series
 from ._series import _Arith, _arith, _horner
 from .core import ConstructionError, _check_order, _real, psi
 
@@ -68,7 +70,8 @@ def characteristic_polynomial(m: int, h: float, dps: int | None = None) -> Chara
     [2e-31, 1.5] (m = 3), where the roots keep 2e-15 relative accuracy;
     other h raise ValueError asking for ``dps``, which accepts every h > 0.
     Without ``dps`` any real h (a float32, say) is taken as a float64; with
-    it a numpy float is taken as a float64 and an mpmath float as it is.
+    it a numpy float is taken as a float64, a numpy integer as an int and an
+    mpmath float as it is.
     """
     if m == 1:
         raise ValueError("order 1 has no characteristic polynomial; use build_operator")
@@ -248,18 +251,26 @@ _EXTENDED_DPS = 50  # working digits of the extended-precision checks
 # offsets the identities are checked at: D_m is even and the samples mirror
 # exactly, so each sum at -beta repeats one at beta and 0..5 covers -5..5
 _OFFSETS = range(6)
+# fractional bits of the identity sums' fixed point (about 77 digits), 2 ceil(h) more at spacing h
+_FIXED_BITS = 256
+
+
+def _fixed(x, bits: int) -> int:
+    # x as the integer x * 2^bits, its magnitude floored
+    a, b = _series.ratio(x)
+    v = (a << bits) // b
+    return -v if x < 0 else v
 
 
 def identity_residuals(m: int, h: float) -> IdentityReport:
-    """Evaluate the operator identities in mpmath at 50 digits.
+    """Evaluate the operator identities on 50-digit values, summed in integers.
 
     The identities are checked at the offsets beta = 0..5, which give every
     sum at -5..5: the sum at -beta is the delta sum at beta, (-1)^k times
     the monomial_k sum, or the other exponential family's sum.  Each sum
-    over gamma takes the terms gamma = -1..max(1, beta) one by one, with
-    exact products summed exactly (:func:`optquad._series.dot`), from one
-    table of D_m(0..5) and the samples at x = h*(beta - gamma):
-    psi(m, x, 50), e^(+-x), x^k.
+    over gamma takes the terms gamma = -1..max(1, beta) one by one
+    (:func:`optquad._exact.dot`), from one table of D_m(0..5) and the
+    samples at x = h*(beta - gamma): psi(m, x, 50), e^(+-x), x^k.
     At m = 1, D_1 vanishes past |gamma| = 1, so the sum is its three terms.
 
     For m >= 2 the two tails gamma <= -2 and gamma > max(1, beta) are
@@ -267,14 +278,28 @@ def identity_residuals(m: int, h: float) -> IdentityReport:
     with alpha_k = A_k / (p lambda_k), and each sample is a sum of terms
     c t^s e^(w h t) at t = beta - gamma; for the kernel, in |t|, those are
     e^(h|t|)/4, -e^(-h|t|)/4 and -(h|t|)^(2r-1) / (2 (2r-1)!) for r < m.
-    So each tail is a binomial combination of the power sums
-    :func:`optquad._series.tail_power_sums` at q = lambda_k e^(+-w h).
-    Where |lambda_k| e^h > 1 (m = 3 at h = 1) the tails against e^(+-x)
-    and the kernel do not converge, and their closed form is the analytic
-    continuation: the value of the operator's symbol, at which the
-    identities still hold.  The precision is fixed.  An h whose sample
-    growth e^(5h) is beyond float range raises ValueError.  A numpy float h
-    is taken as a float64.
+    So each tail is a combination of the power sums
+    :func:`optquad._exact.tail_power_sums` at q = lambda_k e^(w h), one set
+    per root and w: over gamma = -j <= -2 a binomial one in t = beta + j,
+    and past gamma = max(1, beta) lambda_k^beta times a sum over
+    u = gamma - beta that is the same at every beta >= 1 (at beta = 0 it
+    starts at u = 2).  Where |lambda_k| e^h > 1 (m = 3 at h = 1) the tails
+    against e^(+-x) and the kernel do not converge, and their closed form
+    is the analytic continuation: the value of the operator's symbol, at
+    which the identities still hold.
+
+    The operator values, roots, alpha_k, e^(h t) and psi samples are
+    computed at 50 digits and each becomes an integer once: x * 2^B,
+    floored, with B = 256 + 2 ceil(h) fractional bits (h^k is exact).
+    Products, sums and the divisions of the power sums then run in Python
+    integers, and each family's largest |residual| is rounded once to a
+    float.  Each floor adds at most a unit of 2^-B times the size of the
+    values it meets, some 10^-27 of the 50-digit rounding of those values,
+    which sets the residuals' floor near 1e-50 * h^(1-2m); the 2 ceil(h)
+    bits keep that margin for D_1(1), about e^-h, against samples up to
+    e^(6h).  The precision is fixed.  An h whose sample growth e^(5h) is
+    beyond float range raises ValueError.  A numpy float h is taken as a
+    float64 and a numpy integer as an int.
     """
     h = _real(h, _EXTENDED_DPS)
     beta_span = _OFFSETS[-1]
@@ -290,58 +315,55 @@ def identity_residuals(m: int, h: float) -> IdentityReport:
         )
     spec = build_operator(m, h, dps=_EXTENDED_DPS)
     ar = _arith(_EXTENDED_DPS)
+    bits = _FIXED_BITS + 2 * math.ceil(h)
+    one, central = 1 << bits, range(-1, beta_span + 2)  # t at the central terms
     with ar.context():
-        table = [ar.num(_value(spec, b)) for b in range(beta_span + 1)]
         hm = ar.num(h)
-        geometric = [(lam, amp / (spec.p * lam)) for lam, amp in zip(spec.roots, spec.amplitudes)]
-        degree = max(0, 2 * m - 3)  # the highest power of t in a sample term
-        exp = functools.cache(lambda t: ar.exp(hm * t))  # e^(h t) at integer t
-
-        @functools.cache
-        def tail_sums(w, lo):
-            # sum_k alpha_k sum_{j >= lo} (lambda_k e^(w h))^j j^s for s = 0..degree
-            sums = [_series.tail_power_sums(lam * exp(w), lo, degree) for lam, _ in geometric]
-            return [sum(alpha * S[s] for (_, alpha), S in zip(geometric, sums)) for s in range(degree + 1)]
-
-        def tail(terms, beta, sign, lo):
-            # sum_{j >= lo} D_m(j) g(beta + sign*j) for g(t) = sum c t^s e^(w h t),
-            # with (beta + sign*j)^s expanded binomially
-            total = 0
-            for c, s, w in terms:
-                sums = tail_sums(sign * w, lo)
-                expanded = sum(math.comb(s, i) * beta ** (s - i) * sign**i * sums[i] for i in range(s + 1))
-                total += c * exp(w * beta) * expanded
-            return total
-
-        # each family: its sample g(t) at x = h*t, and the (c, s, w) terms of
-        # g(t) = sum c t^s e^(w h t) for t > 0 and for t < 0
-        kernel = [(0.25, 0, 1), (-0.25, 0, -1)]
-        kernel += [(-hm ** (2 * r - 1) / (2 * math.factorial(2 * r - 1)), 2 * r - 1, 0) for r in range(1, m)]
-        # the kernel is even: at t < 0 its terms in |t| = -t change sign with s and w
-        mirrored = [(c * (-1) ** s, s, -w) for c, s, w in kernel]
-        families = {
-            "exp_growing": (exp, [(1, 0, 1)], [(1, 0, 1)]),
-            "exp_decaying": (lambda t: exp(-t), [(1, 0, -1)], [(1, 0, -1)]),
-            "delta": (lambda t: psi(m, hm * t, _EXTENDED_DPS), kernel, mirrored),
-        }
-        for k in range(2 * m - 2):
-            terms = [(hm**k, k, 0)]
-            families[f"monomial_{k}"] = (lambda t, k=k: (hm * t) ** k, terms, terms)
-        residuals: dict[str, float] = {}
-        for name, (sample, positive, negative) in families.items():
-            # samples[t + 1] = g(t) at the central points t = -1..beta_span + 1
-            samples = [sample(t) for t in range(-1, beta_span + 2)]
-            worst = ar.num(0)
-            for beta in _OFFSETS:
-                # without roots (m = 1) D_m vanishes past |gamma| = 1, tails included
-                top = max(1, beta) if geometric else 1
-                gammas = range(-1, top + 1)
-                val = _series.dot([table[abs(g)] for g in gammas], [samples[beta - g + 1] for g in gammas])
-                if geometric:
-                    # t = beta + j over gamma = -j <= -2, t = beta - j over gamma = j > top
-                    val += tail(positive, beta, 1, 2) + tail(negative, beta, -1, top + 1)
-                if name == "delta" and beta == 0:
-                    val -= 1
-                worst = max(worst, abs(val))
-            residuals[name] = float(worst)
+        table = [_fixed(_value(spec, b), bits) for b in _OFFSETS]
+        exp = {t: _fixed(ar.exp(hm * t), bits) for t in range(-beta_span - 1, beta_span + 2)}  # e^(h t)
+        kernel_samples = [_fixed(psi(m, hm * t, _EXTENDED_DPS), bits) for t in central]
+        geometric = [(_fixed(lam, bits), _fixed(amp / (spec.p * lam), bits))
+                     for lam, amp in zip(spec.roots, spec.amplitudes)]
+    num, den = _series.ratio(h)
+    h_power = [(num**k << bits) // den**k for k in range(2 * m - 1)]  # h^k
+    degree = max(0, 2 * m - 3)  # the highest power of t in a sample term
+    # sums[k, w, lo][s] = sum_{j >= lo} q^j j^s at q = lambda_k e^(w h); powers[k][beta] = lambda_k^beta
+    sums = {(k, w, lo): _exact.tail_power_sums(lam * exp[w] >> bits, lo, degree, bits)
+            for k, (lam, _) in enumerate(geometric) for w in (-1, 0, 1) for lo in (1, 2)}
+    powers = [[(lam**b << bits) >> bits * b for b in _OFFSETS] for lam, _ in geometric]
+    # each family: its samples g(t) at the central t, and the (c, s, w) terms of
+    # g(t) = sum c t^s e^(w h t) and of g(-u) = sum c u^s e^(w h u) for t, u > 0
+    kernel = [(one >> 2, 0, 1), (-(one >> 2), 0, -1)]  # in |t|: the kernel is even
+    kernel += [(-(h_power[2 * r - 1] // (2 * math.factorial(2 * r - 1))), 2 * r - 1, 0) for r in range(1, m)]
+    families = {
+        "exp_growing": ([exp[t] for t in central], [(one, 0, 1)], [(one, 0, -1)]),
+        "exp_decaying": ([exp[-t] for t in central], [(one, 0, -1)], [(one, 0, 1)]),
+        "delta": (kernel_samples, kernel, kernel),
+    }
+    for k in range(2 * m - 2):
+        families[f"monomial_{k}"] = ([h_power[k] * t**k for t in central], [(h_power[k], k, 0)],
+                                     [((-1) ** k * h_power[k], k, 0)])
+    residuals: dict[str, float] = {}
+    for name, (samples, positive, negative) in families.items():
+        # the tail over gamma = -j <= -2, t = beta + j, binomial in the sums from j = 2;
+        # past gamma = max(1, beta), t = -u: lambda_k^beta times the sum from u = 1
+        # (from u = 2 at beta = 0).  Both are 0 without roots (m = 1)
+        near = [[sum(alpha * sums[k, w, 2][i] for k, (_, alpha) in enumerate(geometric)) >> bits
+                 for i in range(s + 1)] for _, s, w in positive]
+        far = [[alpha * sum(c * sums[k, w, lo][s] for c, s, w in negative) >> 2 * bits for lo in (2, 1)]
+               for k, (_, alpha) in enumerate(geometric)]
+        worst = 0
+        for beta in _OFFSETS:
+            # without roots (m = 1) D_m vanishes past |gamma| = 1
+            top = max(1, beta) if geometric else 1
+            gammas = range(-1, top + 1)
+            val = _exact.dot([table[abs(g)] for g in gammas], [samples[beta - g + 1] for g in gammas], bits)
+            binomial = (sum(math.comb(s, i) * beta ** (s - i) * S[i] for i in range(s + 1))
+                        for (_, s, _), S in zip(positive, near))
+            val += (sum((c * exp[w * beta] >> bits) * b for (c, _, w), b in zip(positive, binomial))
+                    + sum(lam[beta] * f[beta > 0] for lam, f in zip(powers, far))) >> bits
+            if name == "delta" and beta == 0:
+                val -= one
+            worst = max(worst, abs(val))
+        residuals[name] = worst / one
     return IdentityReport(m, float(h), beta_span, residuals)

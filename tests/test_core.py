@@ -124,6 +124,12 @@ class TestKernel:
         assert value.hex() == expected.hex()
 
     @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_numpy_integer_argument_in_extended_precision(self, m):
+        # a numpy integer is taken as a Python int, which mpmath and the series take
+        assert psi(m, np.int64(3), dps=30) == psi(m, 3, dps=30) == psi(m, 3.0, dps=30)
+        assert psi(m, np.int64(3)) == psi(m, 3.0)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
     def test_float32_argument_in_extended_precision(self, m):
         # a numpy float is taken as a float64; mpmath would refuse the float32 itself
         x32 = np.float32(0.125)

@@ -6,6 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import optquad._exact
 import optquad.operator
 from optquad import (
     CharacteristicPolynomial,
@@ -389,17 +390,24 @@ class TestExtendedPrecisionIdentities:
     @pytest.mark.parametrize("m, h", [(1, 0.5), (2, 0.25), (2, 1.0 / 160.0), (3, 1.0 / 16.0), (3, 1.0)])
     def test_detects_an_operator_off_by_1e_30(self, monkeypatch, m, h):
         # the check is not vacuous: D_m(0) off by 1e-30 relative moves every
-        # family above 1e-31 (measured 4.3e-30 to 1.5e-22)
+        # family above 1e-31 (measured 4.3e-30 to 1.5e-22), and so does the
+        # last root or the last amplitude off by as much (m >= 2; measured
+        # 1.3e-29 to 2.1e-23), which only the tails and D_m(2..5) read
         build = optquad.operator.build_operator
+        fields = ["center"] + (["roots", "amplitudes"] if m > 1 else [])
+        for field in fields:
 
-        def perturbed(m, h, dps=None):
-            spec = build(m, h, dps)
-            with mp.workdps(dps):
-                return dataclasses.replace(spec, center=spec.center * (1 + mp.mpf(10) ** -30))
+            def perturbed(m, h, dps=None, field=field):
+                spec = build(m, h, dps)
+                with mp.workdps(dps):
+                    value = getattr(spec, field)
+                    if field == "center":
+                        return dataclasses.replace(spec, center=value * (1 + mp.mpf(10) ** -30))
+                    return dataclasses.replace(spec, **{field: (*value[:-1], value[-1] * (1 + mp.mpf(10) ** -30))})
 
-        monkeypatch.setattr(optquad.operator, "build_operator", perturbed)
-        report = identity_residuals(m, h)
-        assert min(report.residuals.values()) > 1e-31, report.residuals
+            monkeypatch.setattr(optquad.operator, "build_operator", perturbed)
+            report = identity_residuals(m, h)
+            assert min(report.residuals.values()) > 1e-31, (field, report.residuals)
 
     # identity_residuals(1, 1/n) as the closed form printed them when it
     # still summed the zero central terms and tails of D_1
@@ -418,13 +426,13 @@ class TestExtendedPrecisionIdentities:
     def test_order_one_sums_only_its_support(self, monkeypatch, n):
         # D_1 vanishes past |gamma| = 1: each central sum has the three
         # terms gamma = -1, 0, 1, and the residuals keep their bits
-        dot, lengths = optquad._series.dot, []
+        dot, lengths = optquad._exact.dot, []
 
-        def counting(table, samples):
+        def counting(table, samples, bits):
             lengths.append(len(table))
-            return dot(table, samples)
+            return dot(table, samples, bits)
 
-        monkeypatch.setattr(optquad._series, "dot", counting)
+        monkeypatch.setattr(optquad._exact, "dot", counting)
         assert identity_residuals(1, 1.0 / n).residuals == self.ORDER_ONE_RESIDUALS[n]
         assert lengths == [3] * 18  # 3 families x 6 offsets
 
@@ -526,3 +534,10 @@ def test_float32_spacing_in_extended_precision(m):
     h32 = np.float32(0.125)
     assert build_operator(m, h32, dps=50) == build_operator(m, float(h32), dps=50)
     assert identity_residuals(m, h32) == identity_residuals(m, float(h32))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_numpy_integer_spacing_in_extended_precision(m):
+    # mpmath refuses a numpy integer itself; it is taken as a Python int
+    assert build_operator(m, np.int64(1), dps=50) == build_operator(m, 1, dps=50)
+    assert identity_residuals(m, np.int64(1)) == identity_residuals(m, 1.0)

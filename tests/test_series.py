@@ -4,7 +4,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from optquad import _series, characteristic_polynomial
+from optquad import _exact, _series, characteristic_polynomial
 
 import oracles
 
@@ -102,12 +102,13 @@ def test_small_h_asymptotics():
 @pytest.mark.parametrize("lo", [0, 2, 6])
 def test_tail_power_sums_match_polylog(q, lo):
     # sum_{j >= lo} q^j j^s is Li_{-s}(q) = sum_{j >= 1} q^j j^s less its
-    # head (with 0^0 = 1 at j = 0); for |q| > 1 both are the continuation
-    with mp.workdps(50):
-        got = _series.tail_power_sums(mp.mpf(q), lo, 4)
+    # head (with 0^0 = 1 at j = 0); for |q| > 1 both are the continuation.
+    # The sums run in fixed point (optquad._exact), q floored to 2^-256
+    bits, exact = 256, Fraction(q)
+    got = _exact.tail_power_sums((exact.numerator << bits) // exact.denominator, lo, 4, bits)
     with mp.workdps(80):
         qq = mp.mpf(q)
         for s, value in enumerate(got):
             head = mp.fsum(qq**j * mp.mpf(j) ** s for j in range(lo))
             want = mp.polylog(-s, qq) + (1 if s == 0 else 0) - head
-            assert abs(value - want) <= mp.mpf(10) ** -49 * abs(want), s
+            assert abs(mp.ldexp(value, -bits) - want) <= mp.mpf(10) ** -49 * abs(want), s
