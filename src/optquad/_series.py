@@ -5,7 +5,7 @@ integer/rational c_j, a_j, b_j, and vanishes to third or fifth order at h = 0.
 Evaluating the printed expression directly loses ~(order * log10(1/h)) digits
 to cancellation, which is fatal below h ~ 0.25 for the tolerances used here.
 
-Instead we expand in h with exact rational coefficients,
+In float64 we instead expand in h with exact rational coefficients,
 
     coeff of h^k  =  sum_j c_j * b_j^(k - a_j) / (k - a_j)!,
 
@@ -16,31 +16,35 @@ keep every quantity within 3e-16 relative for h in (0, 1.6]; past that the
 truncation error grows fast (7.7e-15 at h = 2, 1.4e-12 at h = 2.5), so the
 float series is trusted only up to h = 1.5, the bound that
 :func:`optquad.operator.characteristic_polynomial` enforces; every grid has
-h = 1/n <= 1.  Given ``dps``, :func:`value` instead evaluates the printed
-sum in mpmath, for any h > 0, through :func:`extended`.
+h = 1/n <= 1.
+
+At any other precision the printed sum itself is taken in Python
+integers: :func:`fixed` sums it at the exact rational h over 2^bits, with
+e^h from :func:`optquad._exact.exp_fixed`, and the bits cover the
+order * log2(1/h) that the sum cancels.  :func:`value` rounds that integer
+once to ``dps`` digits, for any h > 0, and so does
+:mod:`optquad.operator` with the operator it builds from these sums.
 
 This module is the package's one precision layer: :func:`_arith` gives the
-operations every formula needs in float64 or at ``dps`` digits, and
-:func:`extended` is the one rule for the working digits of a cancelling
-sum.  For the integer sums of :mod:`optquad._exact`, :func:`ratio` gives
-any real, an mpmath float included, as an exact integer ratio, and
-:func:`quotient` rounds an integer ratio once to ``dps`` digits.  mpmath
-is imported by the functions that use it, on the first extended-precision
-call, so that a float64 process never loads it.
+operations the float64 and mpmath formulas need, :func:`ratio` gives any
+real, an mpmath float included, as an exact integer ratio, :func:`quotient`
+rounds an integer ratio once to ``dps`` digits, and :func:`dps_bits` is the
+one rule for the fixed-point bits behind ``dps`` digits.  mpmath is imported
+by the functions that use it, on the first extended-precision call, so that
+a float64 process never loads it.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, NamedTuple
+
+from . import _exact
 
 _KMAX = 30
 _H_MAX = 1.5  # largest spacing the 30-term float series is trusted at; characteristic_polynomial checks it
-# digits kept beyond the order * log10(1/h) that the printed sums cancel; they
-# cancel at most 2.2 digits more than that (measured for h in [1e-300, 500])
-_GUARD_DIGITS = 5
 
 # (numerator, denominator, power of h, exponential multiple) of each term of
 # each quantity: the coefficients are integers and thirds
@@ -84,15 +88,10 @@ class _Arith(NamedTuple):
     num: Callable
     exp: Callable
     expm1: Callable
-    sqrt: Callable
-    copysign: Callable
-    ldexp: Callable
     context: Callable  # () -> context manager that sets the working precision
 
 
-_FLOAT = _Arith(
-    float, math.exp, math.expm1, math.sqrt, math.copysign, math.ldexp, contextlib.nullcontext,
-)
+_FLOAT = _Arith(float, math.exp, math.expm1, contextlib.nullcontext)
 
 
 # built once per precision: building one took about 1.7 us
@@ -103,10 +102,7 @@ def _arith(dps: int | None) -> _Arith:
         return _FLOAT
     import mpmath as mp
 
-    return _Arith(
-        mp.mpf, mp.exp, mp.expm1, mp.sqrt, lambda x, y: mp.sign(y) * abs(x),
-        mp.ldexp, lambda: mp.workdps(dps),
-    )
+    return _Arith(mp.mpf, mp.exp, mp.expm1, lambda: mp.workdps(dps))
 
 
 def ratio(x) -> tuple[int, int]:
@@ -133,53 +129,45 @@ def _horner(coeffs, x):
     return val
 
 
-def extended(dps: int, lost: float, evaluate: Callable[[_Arith], object]):
-    """``evaluate(ar)`` at ``dps + ceil(lost) + _GUARD_DIGITS`` digits, rounded to ``dps``.
+def dps_bits(dps: int) -> int:
+    """ceil(3.33 dps) + 20: the fixed-point bits behind a value rounded to ``dps`` digits."""
+    return math.ceil(3.33 * dps) + 20
 
-    ``lost`` is the number of digits the evaluation can cancel, and ``ar``
-    is the mpmath arithmetic at the working digits.
+
+def basis(num: int, den: int, bits: int) -> tuple[list[int], tuple[int, int, int]]:
+    """(h^a for a = 0..3, e^(b h) for b = 0..2) at h = num/den, each an integer over 2^bits, floored."""
+    one = 1 << bits
+    e = _exact.exp_fixed(num, den, bits)
+    return [(num**a << bits) // den**a for a in range(4)], (one, e, e * e >> bits)
+
+
+def fixed(name: str, powers, exps, bits: int) -> int:
+    """The quantity ``name`` of :data:`_TERMS` over 2^bits, from :func:`basis`'s ``powers`` and ``exps``.
+
+    The terms are summed over one common denominator and floored once;
+    each is within a few units, so the sum is too, and it keeps
+    bits - order * log2(1/h) bits of its own, ``order`` being the power of
+    h it vanishes like.
     """
-    import mpmath as mp
-
-    ar = _arith(dps + math.ceil(lost) + _GUARD_DIGITS)
-    with ar.context():
-        total = evaluate(ar)
-    return mp.mpf(total, dps=dps)
-
-
-def cancelled_digits(x, order: int) -> float:
-    """order * max(0, -log10 |x|): the digits that a head of order ``order`` cancels at x.
-
-    The float log10 wherever float(x) is nonzero, mpmath's below the float
-    range, where float(x) underflows to 0.
-    """
-    magnitude = abs(float(x))
-    if magnitude:
-        return order * max(0.0, -math.log10(magnitude))
-    import mpmath as mp
-
-    return order * max(0.0, -float(mp.log10(abs(x))))
+    den = math.lcm(*(d for _, d, _, _ in _TERMS[name]))
+    total = sum(c * (den // d) * powers[a] * exps[b] for c, d, a, b in _TERMS[name])
+    return total // (den << bits)
 
 
 def value(name: str, h: float, dps: int | None = None):
     """The quantity ``name`` of :data:`_TERMS` at spacing h.
 
     With ``dps=None``: the float series, accurate for h <= ``_H_MAX``.
-    With ``dps``: the printed sum of c * h^a * e^(b*h), an mpmath float good
-    to ``dps`` digits.  The sum is taken by :func:`extended`, the digits lost
-    being ~(order * log10(1/h)), the order being the power of h the quantity
-    vanishes like.
+    With ``dps``: an mpmath float good to ``dps`` digits at any h > 0, the
+    printed sum of c * h^a * e^(b*h) at the exact value of h, summed by
+    :func:`fixed` with order * log2(1/h) bits beyond :func:`dps_bits`
+    and rounded once.  16 bits more cover the coefficient, as small as
+    1/60, and what the sums cancel beyond order * log2(1/h), measured at
+    most 2.2 digits for h in [1e-300, 500].
     """
     if dps is None:
         return _horner(_coeffs(name), h)
+    num, den = ratio(h)
     order = next(k for k, c in enumerate(_coeffs(name)) if c)
-    return extended(dps, cancelled_digits(h, order), partial(_printed_sum, name, h))
-
-
-def _printed_sum(name: str, h, ar: _Arith):
-    # sum of c * h^a * e^(b*h) over _TERMS[name], in ``ar``'s precision
-    import mpmath as mp
-
-    hm = ar.num(h)
-    exps = (1, ar.exp(hm), ar.exp(2 * hm))
-    return mp.fsum(hm**a * exps[b] * c / d for c, d, a, b in _TERMS[name])
+    bits = dps_bits(dps) + 16 + order * max(0, den.bit_length() - num.bit_length() + 1)
+    return quotient(fixed(name, *basis(num, den, bits), bits), 1 << bits, dps)

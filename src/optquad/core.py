@@ -139,11 +139,14 @@ class QuadratureRule:
 
 _FLOAT_BITS = 128  # bits of the series behind a float result
 _SINH_MAX = 710.4758600739439  # the largest float whose sinh is finite
+# the largest |x| psi sums at dps digits: the series costs about |x|^2
+# (0.74 ms at 1000, 47 ms at 10^4), and the tests sample it up to 711
+_DPS_X_MAX = 1000
 
 
 def _tail_ratio(x, p: int, dps: int | None) -> tuple[int, int]:
     # T_p(|x|) as one integer ratio, at the bits a float or dps digits need
-    bits = _FLOAT_BITS if dps is None else math.ceil(3.33 * dps) + 20
+    bits = _FLOAT_BITS if dps is None else _series.dps_bits(dps)
     return _exact.tail(*_series.ratio(x), p, bits)
 
 
@@ -168,10 +171,11 @@ def _tail(x, p: int, dps: int | None = None):
     minus the head it replaced: a float psi(3, 0.3) 1 -> 5.5 us and
     psi(3, 700.0) 0.9 us -> 0.4 ms; psi(2, x, dps=50) 0.02 ms at any x ->
     0.013 ms at x = 0.5, 0.44 ms at 711, 0.74 ms at 1000 and 47 ms at
-    10^4.  The library's own 50-digit samples, those of
-    :func:`optquad.operator.identity_residuals`, stay below |x| = 850,
-    where its growth guard stops them, and got faster: seven of them took
-    about 220 -> 105 us.  No float path of the library calls this series.
+    10^4, so :func:`psi` refuses |x| past 1000 at dps digits.  The
+    operator identities (:func:`optquad.operator.identity_residuals`) sum
+    the same series, :func:`optquad._exact.tail`, at |x| below 850, where
+    their growth guard stops them.  No float path of the library calls
+    this series.
     :func:`psi`, :func:`moment_f` and :func:`kernel_double_integral` take
     it through ``_tail_ratio`` and round their own ratio once.
     """
@@ -196,9 +200,10 @@ def psi(m: int, x, dps: int | None = None):
     or with ``dps`` an mpmath float that keeps all dps digits at every x,
     although the printed head cancels about (2m - 1) log10(1/|x|) of them
     at small x.  In float64, |x| past about 710.48, where sinh x overflows,
-    raises ValueError.  Without ``dps`` any real x (a float32, say) is
-    taken as a float64; with it a numpy float is taken as a float64, a
-    numpy integer as an int and an mpmath float as it is.
+    raises ValueError, and so does |x| past 1000 with ``dps``.  Without
+    ``dps`` any real x (a float32, say) is taken as a float64; with it a
+    numpy float is taken as a float64, a numpy integer as an int and an
+    mpmath float as it is.
     """
     _check_order(m)
     if not math.isfinite(x):
@@ -206,6 +211,8 @@ def psi(m: int, x, dps: int | None = None):
     x = _real(x, dps)
     if dps is None and abs(x) > _SINH_MAX:  # refused before its ~2000 terms are summed
         raise ValueError(f"psi at |x| = {abs(x)} is beyond the float64 range; pass dps=")
+    if dps is not None and abs(x) > _DPS_X_MAX:
+        raise ValueError(f"psi at |x| = {abs(x)} is past the extended-precision limit |x| <= {_DPS_X_MAX}")
     num, den = _tail_ratio(x, 2 * m - 1, dps)
     return _rounded(num, 2 * den, dps)
 

@@ -175,6 +175,38 @@ def mp_stable_roots(m: int, h: float, dps: int = 80) -> tuple[mp.mpf, ...]:
         return tuple(sorted(r.real for r in roots if abs(r) < 1))
 
 
+def mp_operator(m: int, h: float, dps: int = 100) -> dict:
+    """D_m's data at ``dps`` digits from the printed definitions, keyed as the package's integer operator.
+
+    exp (e^h), coeffs (:func:`mp_char_coeffs`), p, roots
+    (:func:`mp_stable_roots`), amplitudes A_k = 2 (1 - lambda)^(2m-2)
+    (lambda (e^(2h) + 1) - e^h (lambda^2 + 1)) p / (lambda P'(lambda)),
+    center = (2c + sum A_k / lambda_k) / p with c = 1 + (2m - 2) e^h +
+    e^(2h) + e^h p_sub / p, near = (-2 e^h + sum A_k) / p and alphas
+    A_k / (p lambda_k); at m = 1, p = 1 - e^(2h) and c = 1 + e^(2h).  The
+    sums run at (2m - 1) log10(1/h) + 10 digits beyond ``dps``, which
+    covers what the printed coefficients cancel.
+    """
+    work = dps + int((2 * m - 1) * max(0.0, -math.log10(h))) + 10
+    with mp.workdps(work):
+        hm = mp.mpf(h)
+        E, E2 = mp.exp(hm), mp.exp(2 * hm)
+        if m == 1:
+            coeffs, roots, amps, p, c = (), (), (), 1 - E2, 1 + E2
+        else:
+            coeffs = tuple(mp_char_coeffs(m, h, dps=work))
+            roots = mp_stable_roots(m, h, dps)
+            p, p_sub = coeffs[-1], coeffs[-2]
+            c = 1 + (2 * m - 2) * E + E2 + E * p_sub / p
+            amps = tuple(2 * (1 - lam) ** (2 * m - 2) * (lam * (E2 + 1) - E * (lam**2 + 1)) * p
+                         / (lam * mp.fsum(s * a * lam ** (s - 1) for s, a in enumerate(coeffs) if s))
+                         for lam in roots)
+        return {"exp": E, "coeffs": coeffs, "p": p, "roots": roots, "amplitudes": amps,
+                "center": (2 * c + mp.fsum(a / lam for a, lam in zip(amps, roots))) / p,
+                "near": (-2 * E + mp.fsum(amps)) / p,
+                "alphas": tuple(a / (p * lam) for a, lam in zip(amps, roots))}
+
+
 def np_inner_roots(m: int, h: float) -> list[float]:
     coeffs = [float(c) for c in mp_char_coeffs(m, h)]
     roots = np.roots(list(reversed(coeffs)))

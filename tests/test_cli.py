@@ -440,6 +440,16 @@ class TestVerify:
         assert check["tolerance"] == 1e-9
         assert check["value"] <= 1e-10
 
+    def test_order_three_loads_no_mpmath(self):
+        # the identities run on the integer operator, and m = 3 has no
+        # 50-digit closed form: a fresh interpreter's verify never imports mpmath
+        code = ("import contextlib, io, sys, optquad.cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    status = optquad.cli.main(['verify', '--m', '3', '--n', '16'])\n"
+                "print(status, 'mpmath' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+        assert out.split() == ["0", "False"]
+
     def test_usage_error_for_bad_grid(self, capsys):
         code, _, err = run_cli("verify", "--m", "2", "--n", "0", capsys=capsys)
         assert code == 2

@@ -110,6 +110,17 @@ class TestKernel:
             psi(m, x)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("x", [1000.5, -1000.5, 1e6])
+    def test_extended_kernel_refuses_past_its_limit(self, m, x):
+        # refused before the series, whose cost grows like |x|^2, is summed
+        with pytest.raises(ValueError, match=rf"\|x\| = {abs(x)} is past the extended-precision limit \|x\| <= 1000"):
+            psi(m, x, dps=50)
+        with mp.workdps(50):
+            with pytest.raises(ValueError, match="past the extended-precision limit"):
+                psi(m, -mp.mpf(10) ** 6, dps=50)
+        assert psi(m, 1000.0, dps=30) > 0
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
     def test_extended_kernel_past_float64_range(self, m):
         value = psi(m, 711.0, dps=50)
         with mp.workdps(80):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -387,39 +386,62 @@ class TestExtendedPrecisionIdentities:
         bound = 1e-45 * h ** (1 - 2 * m)
         assert all(value <= bound for value in report.residuals.values()), report.residuals
 
+    @pytest.mark.parametrize("m, h", [(2, 2.0), (2, 5.0), (2, 20.0), (3, 20.0)])
+    def test_every_family_near_the_working_precision_at_large_spacing(self, m, h):
+        # the fixed point grows by 6h / ln 2 bits, so samples up to e^(6h)
+        # keep the floor; with 256 + 2 ceil(h) bits on 50-digit values the
+        # largest family read 2.1e-46, 1.2e-39, 0.78 and 5.1e-2 here
+        report = identity_residuals(m, h)
+        bound = 1e-45 * h ** (1 - 2 * m)
+        assert all(value <= bound for value in report.residuals.values()), report.residuals
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("h", GATE_SPACINGS + [2.0, 5.0, 20.0])
+    def test_integer_operator_matches_a_100_digit_build(self, m, h):
+        # every value of the integer operator at 256 bits against the printed
+        # formulas at 100 digits, with generic root finding: measured within
+        # 2.6e-85 relative
+        op = optquad.operator._fixed_operator(m, h, 256)
+        ref = oracles.mp_operator(m, h, 100)
+        with mp.workdps(100):
+            for name, want in ref.items():
+                got = getattr(op, name)
+                for a, b in zip(*((got, want) if isinstance(want, tuple) else ((got,), (want,))), strict=True):
+                    assert abs(mp.ldexp(a, -op.bits) - b) <= mp.mpf(10) ** -80 * abs(b), name
+
     @pytest.mark.parametrize("m, h", [(1, 0.5), (2, 0.25), (2, 1.0 / 160.0), (3, 1.0 / 16.0), (3, 1.0)])
     def test_detects_an_operator_off_by_1e_30(self, monkeypatch, m, h):
-        # the check is not vacuous: D_m(0) off by 1e-30 relative moves every
-        # family above 1e-31 (measured 4.3e-30 to 1.5e-22), and so does the
-        # last root or the last amplitude off by as much (m >= 2; measured
-        # 1.3e-29 to 2.1e-23), which only the tails and D_m(2..5) read
-        build = optquad.operator.build_operator
-        fields = ["center"] + (["roots", "amplitudes"] if m > 1 else [])
+        # the check is not vacuous: the integer operator's D_m(0) off by
+        # 1e-30 relative moves every family above 1e-31 (measured 4.3e-30 to
+        # 1.5e-22), and so does its last root or last tail amplitude alpha_k
+        # off by as much (m >= 2; measured 1.4e-29 to 5.3e-23), which only
+        # the tails and D_m(2..5) read
+        build = optquad.operator._fixed_operator
+        fields = ["center"] + (["roots", "alphas"] if m > 1 else [])
         for field in fields:
 
-            def perturbed(m, h, dps=None, field=field):
-                spec = build(m, h, dps)
-                with mp.workdps(dps):
-                    value = getattr(spec, field)
-                    if field == "center":
-                        return dataclasses.replace(spec, center=value * (1 + mp.mpf(10) ** -30))
-                    return dataclasses.replace(spec, **{field: (*value[:-1], value[-1] * (1 + mp.mpf(10) ** -30))})
+            def perturbed(m, h, bits, field=field):
+                op = build(m, h, bits)
+                value = getattr(op, field)
+                if field == "center":
+                    return op._replace(center=value + value // 10**30)
+                return op._replace(**{field: (*value[:-1], value[-1] + value[-1] // 10**30)})
 
-            monkeypatch.setattr(optquad.operator, "build_operator", perturbed)
+            monkeypatch.setattr(optquad.operator, "_fixed_operator", perturbed)
             report = identity_residuals(m, h)
             assert min(report.residuals.values()) > 1e-31, (field, report.residuals)
 
-    # identity_residuals(1, 1/n) as the closed form printed them when it
-    # still summed the zero central terms and tails of D_1
+    # identity_residuals(1, 1/n) on the integer operator, as summed over
+    # all of D_1's support and none of its zero tails
     ORDER_ONE_RESIDUALS = {
-        1: {"exp_growing": 9.70711444770978e-50, "exp_decaying": 2.2850971858503004e-51,
-            "delta": 6.130353745384364e-50},
-        4: {"exp_growing": 4.348553465925301e-50, "exp_decaying": 1.6969449157573844e-50,
-            "delta": 1.4418295427971128e-50},
-        16: {"exp_growing": 9.289922146446976e-50, "exp_decaying": 6.069797373879685e-50,
-             "delta": 1.0660621251975336e-50},
-        512: {"exp_growing": 2.6499307597747225e-48, "exp_decaying": 2.2771027276669765e-48,
-              "delta": 8.159288279338012e-51},
+        1: {"exp_growing": 1.796728208298968e-88, "exp_decaying": 1.9636373861190906e-90,
+            "delta": 3.8487292767934176e-88},
+        4: {"exp_growing": 2.1992738724533815e-88, "exp_decaying": 1.885091890674327e-88,
+            "delta": 1.5709099088952725e-87},
+        16: {"exp_growing": 5.655275672022981e-88, "exp_decaying": 6.28363963558109e-88,
+             "delta": 6.220803239225279e-87},
+        512: {"exp_growing": 6.921821786069794e-88, "exp_decaying": 9.97527792148498e-88,
+              "delta": 5.616002924300599e-87},
     }
 
     @pytest.mark.parametrize("n", sorted(ORDER_ONE_RESIDUALS))
