@@ -20,16 +20,17 @@ h = 1/n <= 1.
 
 At any other precision the printed sum itself is taken in Python
 integers: :func:`fixed` sums it at the exact rational h over 2^bits, with
-e^h from :func:`optquad._exact.exp_fixed`, and the bits cover the
-order * log2(1/h) that the sum cancels.  :func:`value` rounds that integer
+e^h from :func:`optquad._exact.exp_fixed`, and :func:`working_bits`
+covers the order * log2(1/h) bits that the sum cancels.  :func:`value` rounds that integer
 once to ``dps`` digits, for any h > 0, and so does
 :mod:`optquad.operator` with the operator it builds from these sums.
 
 This module is the package's one precision layer: :func:`_arith` gives the
 operations the float64 and mpmath formulas need, :func:`ratio` gives any
 real, an mpmath float included, as an exact integer ratio, :func:`quotient`
-rounds an integer ratio once to ``dps`` digits, and :func:`dps_bits` is the
-one rule for the fixed-point bits behind ``dps`` digits.  mpmath is imported
+rounds an integer ratio once to ``dps`` digits, :func:`dps_bits` is the
+one rule for the fixed-point bits behind ``dps`` digits, and
+:func:`working_bits` the one rule for the guard bits beyond them.  mpmath is imported
 by the functions that use it, on the first extended-precision call, so that
 a float64 process never loads it.
 """
@@ -134,6 +135,21 @@ def dps_bits(dps: int) -> int:
     return math.ceil(3.33 * dps) + 20
 
 
+def working_bits(order: int, num: int, den: int, bits: int, growth: int = 0) -> int:
+    """The fixed-point bits that keep ``bits`` bits of a value at h = num/den.
+
+    The one rule for the guard bits of these sums: order * log2(1/h) bits
+    cover a printed sum that cancels to h^order, growth * h / ln 2 bits a
+    value used against terms up to e^(growth h) larger than it, and 32
+    bits the rest: the coefficients, as small as 1/60, and what the sums
+    cancel beyond order * log2(1/h), measured at most 2.2 digits for h in
+    [1e-300, 500].
+    """
+    small = order * max(0, den.bit_length() - num.bit_length() + 1)
+    large = -(-growth * num * 1_442_695_041 // (10**9 * den))  # 1.442695041 > 1/ln 2; exact at any h
+    return bits + small + large + 32
+
+
 def basis(num: int, den: int, bits: int) -> tuple[list[int], tuple[int, int, int]]:
     """(h^a for a = 0..3, e^(b h) for b = 0..2) at h = num/den, each an integer over 2^bits, floored."""
     one = 1 << bits
@@ -160,14 +176,12 @@ def value(name: str, h: float, dps: int | None = None):
     With ``dps=None``: the float series, accurate for h <= ``_H_MAX``.
     With ``dps``: an mpmath float good to ``dps`` digits at any h > 0, the
     printed sum of c * h^a * e^(b*h) at the exact value of h, summed by
-    :func:`fixed` with order * log2(1/h) bits beyond :func:`dps_bits`
-    and rounded once.  16 bits more cover the coefficient, as small as
-    1/60, and what the sums cancel beyond order * log2(1/h), measured at
-    most 2.2 digits for h in [1e-300, 500].
+    :func:`fixed` with :func:`working_bits` beyond :func:`dps_bits` and
+    rounded once.
     """
     if dps is None:
         return _horner(_coeffs(name), h)
     num, den = ratio(h)
     order = next(k for k, c in enumerate(_coeffs(name)) if c)
-    bits = dps_bits(dps) + 16 + order * max(0, den.bit_length() - num.bit_length() + 1)
+    bits = working_bits(order, num, den, dps_bits(dps))
     return quotient(fixed(name, *basis(num, den, bits), bits), 1 << bits, dps)

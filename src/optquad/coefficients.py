@@ -15,7 +15,7 @@ import functools
 
 from . import _series
 from .core import ORDERS, GridSpec, QuadratureRule, RuleMethod, _check_order
-from .operator import characteristic_polynomial, stable_roots
+from .operator import build_operator, characteristic_polynomial, stable_roots
 from .solver import assemble_system, solve
 
 
@@ -73,7 +73,10 @@ def _closed_weights(m: int, n: int, dps: int | None = None) -> list:
         if m == 1:
             w = em1 / (E + 1)
             return [w] + [2 * w] * (n - 1) + [w]
-        lam = stable_roots(characteristic_polynomial(2, h, dps))[0]
+        if dps is None:
+            lam = stable_roots(characteristic_polynomial(2, h))[0]
+        else:  # the integer operator's root, rounded once
+            lam = build_operator(2, h, dps).roots[0]
         n = int(n)  # a numpy integer has no bit_length
 
         @functools.cache

@@ -24,7 +24,7 @@ e^(+-x) do not converge, and load no mpmath.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import _exact, _series
@@ -37,17 +37,13 @@ class CharacteristicPolynomial:
     """P(lambda) of degree 2m-2, coefficients ascending (palindromic).
 
     ``dps`` marks mpmath coefficients at that precision; evaluation runs at
-    it.  ``exact`` is (integers, den): the coefficients as integers over den
-    before they were rounded to dps digits, where
-    :func:`characteristic_polynomial` made them; :func:`stable_roots` then
-    takes the roots from those.
+    it.
     """
 
     m: int
     h: float
     coeffs: tuple
     dps: int | None = None
-    exact: tuple | None = field(default=None, compare=False, repr=False)
 
     def __call__(self, lam):
         with _arith(self.dps).context():
@@ -96,16 +92,10 @@ def characteristic_polynomial(m: int, h: float, dps: int | None = None) -> Chara
         half = [_series.value(name, h) for name in _HALF_COEFFS[m]]
         return CharacteristicPolynomial(m, h, tuple(half + half[-2::-1]))
     num, den = _series.ratio(h)
-    bits = _working_bits(m, num, den, _series.dps_bits(dps))
-    exact = _fixed_coeffs(m, *_series.basis(num, den, bits), bits)
-    coeffs = tuple(_series.quotient(c, 1 << bits, dps) for c in exact)
-    return CharacteristicPolynomial(m, h, coeffs, dps, (exact, 1 << bits))
-
-
-def _working_bits(m: int, num: int, den: int, bits: int) -> int:
-    # bits plus what the coefficients cancel at h = num/den, (2m - 1) log2(1/h),
-    # 2h for D_1(1), which falls like 2 e^-h, and 32 guard bits
-    return bits + (2 * m - 1) * max(0, den.bit_length() - num.bit_length() + 1) + 2 * (num // den) + 32
+    # the coefficients cancel to h^(2m-1)
+    bits = _series.working_bits(2 * m - 1, num, den, _series.dps_bits(dps))
+    coeffs = _fixed_coeffs(m, *_series.basis(num, den, bits), bits)
+    return CharacteristicPolynomial(m, h, tuple(_series.quotient(c, 1 << bits, dps) for c in coeffs), dps)
 
 
 def _fixed_coeffs(m: int, powers, exps, bits: int) -> tuple:
@@ -132,17 +122,14 @@ def stable_roots(poly: CharacteristicPolynomial) -> list:
     is the only path: a candidate outside the unit disk, or with a
     residual above 1e-10 * max|coeff|, raises :class:`ConstructionError`.
     :func:`characteristic_polynomial` sets the float64 domain.  With
-    ``dps`` the coefficients are taken as integers, those of ``exact`` or
-    else the exact values of ``coeffs``, the roots found in fixed point
+    ``dps`` the coefficients are taken at their exact values, as integers
+    over a common denominator, the roots found in fixed point
     (:func:`_fixed_roots`) and each rounded once to ``dps`` digits.
     """
     if poly.dps is not None:
-        if poly.exact:
-            coeffs, den = poly.exact
-        else:
-            ratios = [_series.ratio(c) for c in poly.coeffs]
-            den = math.lcm(*(b for _, b in ratios))
-            coeffs = [(-a if c < 0 else a) * (den // b) for c, (a, b) in zip(poly.coeffs, ratios)]
+        ratios = [_series.ratio(c) for c in poly.coeffs]
+        den = math.lcm(*(b for _, b in ratios))
+        coeffs = [(-a if c < 0 else a) * (den // b) for c, (a, b) in zip(poly.coeffs, ratios)]
         bits = _series.dps_bits(poly.dps)
         roots = _fixed_roots(poly.m, coeffs, den, bits, poly.h)
         return [_series.quotient(lam, 1 << bits, poly.dps) for lam in roots]
@@ -317,15 +304,13 @@ def build_operator(m: int, h: float, dps: int | None = None) -> OperatorSpec:
 class _FixedOperator(NamedTuple):
     """D_m's data as integers over 2^bits: p, the roots and amplitudes, D_m(0) and D_m(1).
 
-    ``coeffs`` are the characteristic polynomial's, ascending (empty at
-    m = 1), ``exp`` is e^h, and ``alphas`` are the tails' amplitudes
+    ``exp`` is e^h, and ``alphas`` are the tails' amplitudes
     alpha_k = A_k / (p lambda_k): D_m(b) = sum_k alpha_k lambda_k^b for
     b >= 2.
     """
 
     bits: int
     exp: int
-    coeffs: tuple
     p: int
     roots: tuple
     amplitudes: tuple
@@ -334,27 +319,29 @@ class _FixedOperator(NamedTuple):
     alphas: tuple
 
 
-def _fixed_operator(m: int, h, bits: int) -> _FixedOperator:
+def _fixed_operator(m: int, h, bits: int, growth: int = 2) -> _FixedOperator:
     """The order-m operator at spacing h > 0 in Python integers, each value within 2^-bits relative.
 
     h is taken at its exact value (:func:`optquad._series.ratio`).  The
     formulas are :func:`build_operator`'s, in fixed point over 2^B with
-    B = bits + (2m - 1) log2(1/h) + 2h + 32: the coefficients are the
-    printed sums (:func:`optquad._series.fixed`), which cancel to
-    h^(2m-1), D_m's values grow like h^(1-2m), and D_1(1) falls like
-    2 e^-h (measured within 3e-85 relative for m = 1..3, h = 1/1024 to
-    140, against a 110-digit build).  The roots come from
+    B = :func:`optquad._series.working_bits` of order 2m - 1 and ``growth``:
+    the coefficients are the printed sums (:func:`optquad._series.fixed`),
+    which cancel to h^(2m-1), D_m's values grow like h^(1-2m), and D_1(1)
+    falls like 2 e^-h, which ``growth`` = 2 covers (measured within 3e-85
+    relative for m = 1..3, h = 1/1024 to 140, against a 110-digit build);
+    a caller that uses the values against larger terms asks for more.
+    The roots come from
     :func:`_fixed_roots`, with its checks, and the amplitudes are
     2 (1 - lambda)^(2m-2) (lambda - e^h)(1 - lambda e^h) p / (lambda P'(lambda)),
     whose factors do not cancel.  Every product and quotient is floored.
     """
     num, den = _series.ratio(h)
-    bits = _working_bits(m, num, den, bits)
+    bits = _series.working_bits(2 * m - 1, num, den, bits, growth)
     one = 1 << bits
     powers, exps = _series.basis(num, den, bits)
     _, E, E2 = exps
     if m == 1:
-        coeffs, roots, amps, p, c = (), (), (), one - E2, one + E2
+        roots, amps, p, c = (), (), one - E2, one + E2
     else:
         coeffs = _fixed_coeffs(m, powers, exps, bits)
         roots = tuple(_fixed_roots(m, list(coeffs), one, bits, h))
@@ -368,7 +355,7 @@ def _fixed_operator(m: int, h, bits: int) -> _FixedOperator:
     center = 2 * c + sum((amp << bits) // lam for lam, amp in zip(roots, amps))
     near = sum(amps) - 2 * E
     alphas = tuple((amp << 2 * bits) // (p * lam) for lam, amp in zip(roots, amps))
-    return _FixedOperator(bits, E, coeffs, p, roots, amps, (center << bits) // p, (near << bits) // p, alphas)
+    return _FixedOperator(bits, E, p, roots, amps, (center << bits) // p, (near << bits) // p, alphas)
 
 
 def operator_value(spec: OperatorSpec, beta: int):
@@ -410,8 +397,10 @@ _EXTENDED_DPS = 50  # digits of verify's extended-precision closed weights
 # offsets the identities are checked at: D_m is even and the samples mirror
 # exactly, so each sum at -beta repeats one at beta and 0..5 covers -5..5
 _OFFSETS = range(6)
-# fractional bits of the identity sums' fixed point (about 77 digits), 6 h / ln 2 more at spacing h
+# fractional bits of the identity sums' fixed point (about 77 digits), and the
+# growth e^(6h) of the samples the operator's values are summed against
 _FIXED_BITS = 256
+_SAMPLE_GROWTH = 6
 
 
 def identity_residuals(m: int, h: float) -> IdentityReport:
@@ -465,7 +454,7 @@ def identity_residuals(m: int, h: float) -> IdentityReport:
             f"the sample growth e^(h*max|beta|) at h = {h}, max|beta| = {beta_span}"
             " is beyond float range"
         )
-    op = _fixed_operator(m, h, _FIXED_BITS + math.ceil(6 * float(h) / math.log(2)))
+    op = _fixed_operator(m, h, _FIXED_BITS, _SAMPLE_GROWTH)
     bits = op.bits
     one, central = 1 << bits, range(-1, beta_span + 2)  # t at the central terms
     exp = {0: one}  # e^(h t), |t| <= beta_span + 1

@@ -516,13 +516,18 @@ def full_table_closed_weights(n: int, dps: int | None = None) -> list:
 
     The formula of ``coefficients._closed_weights`` at m = 2, evaluated at
     every interior node, with no cutoff and its powers from
-    :func:`binary_power_table`, not from the package.
+    :func:`binary_power_table`, not from the package.  lambda1 is the
+    package's, as that function takes it: the float64 root, or with ``dps``
+    the root of ``build_operator(2, h, dps)``.
     """
     ar = _series._arith(dps)
     with ar.context():
         h = ar.num(1) / n
         E, em1 = ar.exp(h), ar.expm1(h)
-        lam = stable_roots(characteristic_polynomial(2, h, dps))[0]
+        if dps is None:
+            lam = stable_roots(characteristic_polynomial(2, h))[0]
+        else:
+            lam = build_operator(2, h, dps).roots[0]
         pw = binary_power_table(lam, n + 1)
         K = _series.value("k_num", h, dps) * (lam - 1) / (2 * em1 ** 2 * (lam + pw[n + 1]))
         t = h / em1

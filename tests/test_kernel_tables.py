@@ -17,9 +17,9 @@ value is past the float range, also when the table cache holds fewer
 powers than one table, and its moments make no float moment call and are
 the same for the weights reversed.  identity_residuals evaluates
 each central operator value once and sums the geometric tails in closed
-form; it must agree with the 50-digit windowed sums of one term per
-(beta, gamma) pair within their truncation bound and their 50-digit
-rounding.  apply_rule
+form; it must agree with the 100-digit windowed sums of one term per
+(beta, gamma) pair within their truncation bound and its own floor,
+near 1e-77 h^(1-2m).  apply_rule
 streams its products into one correctly rounded sum, which must equal the
 per-node generator loop.  The nodes and the constraint rows are sampled as
 whole arrays, which must equal the scalar beta / n, x**a and math.exp(-x)
@@ -267,8 +267,9 @@ IDENTITY_CELLS = [
 
 @functools.cache
 def _windowed(m, h, lo):
-    # the windowed reference over offsets lo..5; cells share their (m, h)
-    return oracles.naive_identity_residuals(m, h, range(lo, 6))
+    # the windowed reference over offsets lo..5 at 100 digits, well below
+    # the report's own floor; cells share their (m, h)
+    return oracles.naive_identity_residuals(m, h, range(lo, 6), dps=100)
 
 
 def _exp_swapped(residuals):
@@ -283,9 +284,9 @@ def test_identity_report_equals_per_beta_loop(m, h, betas):
     assert report.residuals.keys() == residuals.keys()
     # the windowed sums are the closed ones up to their truncation, which
     # has no bound (inf) where the tails do not converge: m = 3, h = 1, and
-    # up to the windowed sums' own 50-digit floor: the closed ones are
-    # taken on the integer operator, whose floor is some 30 digits lower
-    floor = 1e-45 * h ** (1 - 2 * m)
+    # up to the closed sums' floor near 1e-77 h^(1-2m), some 20 digits
+    # above the windowed sums' own
+    floor = 1e-75 * h ** (1 - 2 * m)
     for name, bound in bounds.items():
         assert abs(report.residuals[name] - residuals[name]) <= bound + floor, name
     divergent = [name for name, bound in bounds.items() if math.isinf(bound)]

@@ -400,10 +400,14 @@ class TestExtendedPrecisionIdentities:
     def test_integer_operator_matches_a_100_digit_build(self, m, h):
         # every value of the integer operator at 256 bits against the printed
         # formulas at 100 digits, with generic root finding: measured within
-        # 2.6e-85 relative
+        # 2.6e-85 relative; and the coefficients it is built from, rounded
+        # once to 100 digits
         op = optquad.operator._fixed_operator(m, h, 256)
         ref = oracles.mp_operator(m, h, 100)
+        coeffs = characteristic_polynomial(m, h, dps=100).coeffs if m > 1 else ()
         with mp.workdps(100):
+            for a, b in zip(coeffs, ref.pop("coeffs"), strict=True):
+                assert abs(a - b) <= mp.mpf(10) ** -80 * abs(b), "coeffs"
             for name, want in ref.items():
                 got = getattr(op, name)
                 for a, b in zip(*((got, want) if isinstance(want, tuple) else ((got,), (want,))), strict=True):
@@ -420,8 +424,8 @@ class TestExtendedPrecisionIdentities:
         fields = ["center"] + (["roots", "alphas"] if m > 1 else [])
         for field in fields:
 
-            def perturbed(m, h, bits, field=field):
-                op = build(m, h, bits)
+            def perturbed(*args, field=field):
+                op = build(*args)
                 value = getattr(op, field)
                 if field == "center":
                     return op._replace(center=value + value // 10**30)
@@ -434,8 +438,8 @@ class TestExtendedPrecisionIdentities:
     # identity_residuals(1, 1/n) on the integer operator, as summed over
     # all of D_1's support and none of its zero tails
     ORDER_ONE_RESIDUALS = {
-        1: {"exp_growing": 1.796728208298968e-88, "exp_decaying": 1.9636373861190906e-90,
-            "delta": 3.8487292767934176e-88},
+        1: {"exp_growing": 2.4545467326488633e-88, "exp_decaying": 3.9272747722381812e-90,
+            "delta": 1.4825462265199134e-87},
         4: {"exp_growing": 2.1992738724533815e-88, "exp_decaying": 1.885091890674327e-88,
             "delta": 1.5709099088952725e-87},
         16: {"exp_growing": 5.655275672022981e-88, "exp_decaying": 6.28363963558109e-88,
